@@ -9,9 +9,9 @@ GO ?= go
 SHELL := bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build lint test bench serve smoke loadtest
+.PHONY: all build lint test benchcheck bench serve smoke loadtest
 
-all: build lint test bench smoke loadtest
+all: build lint test benchcheck bench smoke loadtest
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,12 @@ lint:
 
 test:
 	$(GO) test -race ./...
+
+# bench/ is its own module (it builds against this one through a replace
+# directive), so `./...` above never reaches it: vet and test it directly,
+# so that an API change here cannot silently break the benchmark.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Three iterations per benchmark: enough to smooth single-sample noise now
 # that cmd/benchtrend gates CI on these numbers, still cheap enough for

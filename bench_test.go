@@ -340,12 +340,11 @@ func BenchmarkHeterogeneous(b *testing.B) {
 			b.Fatal(err)
 		}
 		opts := core.Options{
-			Alpha:           core.HorizonToAlpha(1e5),
-			Initial:         core.Delta(m.N, 0),
-			Objective:       core.Objective{Metric: core.MetricPower, Sense: lp.Minimize},
-			Bounds:          []core.Bound{{Metric: core.MetricDrops, Rel: lp.LE, Value: 0.04}},
-			SkipEvaluation:  true,
-			LPFactorization: lp.FactorSparse,
+			Alpha:          core.HorizonToAlpha(1e5),
+			Initial:        core.Delta(m.N, 0),
+			Objective:      core.Objective{Metric: core.MetricPower, Sense: lp.Minimize},
+			Bounds:         []core.Bound{{Metric: core.MetricDrops, Rel: lp.LE, Value: 0.04}},
+			SkipEvaluation: true,
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

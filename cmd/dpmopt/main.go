@@ -28,28 +28,18 @@ func main() {
 	bounds := flag.String("bounds", "", "comma-separated constraints, e.g. 'penalty<=0.5,loss<=0.2'")
 	p01 := flag.Float64("p01", 0, "workload idle→busy probability per slice (0 = device default)")
 	p10 := flag.Float64("p10", 0, "workload busy→idle probability per slice (0 = device default)")
-	factor := flag.String("factorization", "auto", "simplex basis kernel: auto, dense, sparse, tableau")
-	pricing := flag.String("pricing", "auto", "simplex pricing rule: auto, dantzig, devex, partial")
 	maxPivots := flag.Int("max-pivots", 0, "simplex pivot budget (0 = unlimited)")
 	progress := flag.Bool("progress", false, "print live solve progress snapshots to stderr")
 	flag.Parse()
 
-	if err := run(*device, *horizon, *minimize, *bounds, *p01, *p10, *factor, *pricing, *maxPivots, *progress); err != nil {
+	if err := run(*device, *horizon, *minimize, *bounds, *p01, *p10, *maxPivots, *progress); err != nil {
 		fmt.Fprintf(os.Stderr, "dpmopt: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(device string, horizon float64, minimize, bounds string, p01, p10 float64, factor, pricing string, maxPivots int, progress bool) error {
+func run(device string, horizon float64, minimize, bounds string, p01, p10 float64, maxPivots int, progress bool) error {
 	d, err := cli.NewDevice(device, p01, p10)
-	if err != nil {
-		return err
-	}
-	lpFactor, err := lp.ParseFactorization(factor)
-	if err != nil {
-		return err
-	}
-	lpPricing, err := lp.ParsePricing(pricing)
 	if err != nil {
 		return err
 	}
@@ -67,13 +57,11 @@ func run(device string, horizon float64, minimize, bounds string, p01, p10 float
 	}
 
 	opts := core.Options{
-		Alpha:           core.HorizonToAlpha(horizon),
-		Initial:         core.Delta(m.N, d.Sys.Index(d.Initial)),
-		Objective:       obj,
-		Bounds:          bs,
-		LPFactorization: lpFactor,
-		LPPricing:       lpPricing,
-		LPMaxPivots:     maxPivots,
+		Alpha:       core.HorizonToAlpha(horizon),
+		Initial:     core.Delta(m.N, d.Sys.Index(d.Initial)),
+		Objective:   obj,
+		Bounds:      bs,
+		LPMaxPivots: maxPivots,
 	}
 	if progress {
 		opts.LPMonitor = cli.ProgressMonitor(os.Stderr, 0)

@@ -12,20 +12,18 @@
 //     queue, composition, policies, LP2/LP3/LP4 policy optimization,
 //     Pareto exploration);
 //   - internal/lp — two-phase revised simplex over a column-sparse
-//     constraint matrix behind one configurable entry point, lp.Solver
-//     (see "Solver architecture" below): pluggable basis factorizations
-//     (dense LU with an eta file, or Markowitz-ordered sparse LU with
-//     Forrest–Tomlin updates) and pricing rules (Dantzig, Devex, partial)
-//     selected by functional options or by problem size, plus
-//     optimal-basis export/import (lp.Basis) so the closely related LPs
+//     constraint matrix behind one entry point, lp.Solver (see "Solver
+//     architecture" below): the basis size picks the kernel — dense LU
+//     with an eta file and Dantzig pricing for small bases, Markowitz-
+//     ordered sparse LU with Forrest–Tomlin updates and Devex pricing for
+//     large ones — plus optimal-basis export/import (lp.Basis) so the closely related LPs
 //     of a Pareto sweep warm-start each other, with dual-simplex
 //     restoration when a bound change breaks feasibility; a per-solve
 //     flight recorder (lp.WithMonitor) streams read-only iteration
 //     snapshots — pivots, objective, infeasibilities, and the sparse
 //     kernel's numerical-health counters (mat.HealthStats) — without
-//     perturbing the pivot trajectory; the legacy
-//     dense tableau survives behind lp.FactorTableau for parity tests and
-//     benchmarks;
+//     perturbing the pivot trajectory; the full-tableau simplex survives
+//     as lp.SolveDense, the reference oracle of the parity tests;
 //   - internal/sweep — the concurrent sweep engine: a bounded
 //     GOMAXPROCS-sized worker pool with deterministic input-ordered
 //     results (sweep.Map), and chunked warm-started Pareto tracing
@@ -151,43 +149,39 @@
 //
 // All policy optimization funnels into one object: lp.NewSolver(options...)
 // builds an immutable, concurrency-safe Solver, and Solve(ctx, p, warm) runs
-// one two-phase revised-simplex solve under it. Two strategy axes are
-// pluggable per solve:
+// one two-phase revised-simplex solve under it. The options bound resources
+// and attach a flight recorder; they never choose the algorithm. One fact,
+// the basis size m, picks both the representation of B⁻¹ and the pricing
+// rule:
 //
-//   - Factorization (lp.WithFactorization) — how B⁻¹ is represented.
-//     FactorDense keeps a dense LU of the m×m basis with product-form eta
-//     updates: unbeatable constant factors while the basis fits in cache,
-//     hopeless beyond a few thousand rows. FactorSparse keeps a sparse LU
-//     ordered by Markowitz counts under threshold partial pivoting, updated
-//     in place by Forrest–Tomlin row etas: everything — factorization,
-//     FTRAN/BTRAN, update — is O(nnz + fill), which is what lets the 10⁴-state
-//     composite platforms solve at all. FactorTableau routes to the legacy
-//     full-tableau reference. FactorAuto (the default) switches on basis size.
-//   - Pricing (lp.WithPricing) — how the entering column is chosen.
-//     PriceDantzig takes the most negative reduced cost: cheapest per
-//     iteration, prone to long stalls on stiff instances. PriceDevex keeps
-//     approximate steepest-edge reference weights, maintained in O(1) per
-//     column touched by the pivot row: fewer, better pivots on the
-//     ill-conditioned policy LPs (discounts at 1−10⁻⁶). PricePartial scans a
-//     rotating window — for very wide programs where even reading every
-//     reduced cost is the bottleneck. PriceAuto (the default) picks Devex on
-//     large problems and Dantzig below.
+//   - m < 256: a dense LU of the m×m basis with product-form eta updates —
+//     unbeatable constant factors while the basis fits in cache — and
+//     Dantzig pricing, the most negative reduced cost, cheapest per
+//     iteration. The disk sweeps, the served queries and the online
+//     re-solves of the benchmark (m ≈ 67) all run here.
+//   - m ≥ 256: a sparse LU ordered by Markowitz counts under threshold
+//     partial pivoting, updated in place by Forrest–Tomlin row etas, so
+//     factorization, FTRAN/BTRAN and update are all O(nnz + fill) — what
+//     lets the 10⁴-state composite platforms solve at all — and Devex
+//     pricing, approximate steepest-edge reference weights maintained in
+//     O(1) per column the pivot row touches: fewer, better pivots on the
+//     ill-conditioned policy LPs (discounts at 1−10⁻⁶).
 //
-// At sparse scale the pivot path is additionally stabilized: ratio-test
+// At that scale the pivot path is additionally stabilized: ratio-test
 // pivots must clear a floor relative to the FTRAN direction's magnitude,
 // and cold solves run on a deterministically jittered rhs that removes the
 // massive primal degeneracy of policy LPs (the exact rhs is restored at
 // optimality and any residual infeasibility repaired by dual simplex).
-// Small problems keep the exact unperturbed pivot path.
+// Small problems keep the exact unperturbed pivot path. The full-tableau
+// simplex, lp.SolveDense, is kept only as the tests' reference oracle.
 //
-// Resource bounds compose with both axes: lp.WithMaxPivots stops a solve
-// after a pivot budget with Status lp.BudgetExceeded (an error matching
-// lp.ErrBudgetExceeded — a resource verdict, not a statement about the
-// problem), and lp.WithWallClock derives a deadline context. The strategy
-// and budget knobs thread end to end: core.Options carries LPFactorization /
-// LPPricing / LPMaxPivots, dpmserved accepts them per request (fingerprinted
-// into its cache key), and the online adapter's Config.PivotBudget meters
-// refresh work deterministically.
+// Resource bounds: lp.WithMaxPivots stops a solve after a pivot budget with
+// Status lp.BudgetExceeded (an error matching lp.ErrBudgetExceeded — a
+// resource verdict, not a statement about the problem), and
+// lp.WithWallClock derives a deadline context. The budget threads end to
+// end: core.Options carries LPMaxPivots, dpmserved accepts max_pivots per
+// request (fingerprinted into its cache key), and the online adapter's
+// Config.PivotBudget meters refresh work deterministically.
 //
 // # Solver performance
 //
@@ -198,7 +192,7 @@
 // with an adaptive streak gate that stops attempting symbolic walks while
 // consecutive solves keep coming out dense. The pricing scans
 // (entering-column selection, reduced-cost maintenance and recomputation)
-// fan out over a bounded worker pool (lp.WithPricingWorkers) in fixed
+// fan out over a GOMAXPROCS-sized worker pool (capped at 8) in fixed
 // contiguous chunks reduced in deterministic order, so the pivot sequence
 // is bit-identical at every worker count. The refactorization cadence
 // scales with basis size (every 120 pivots, stretched to 960 at m ≥ 4096)

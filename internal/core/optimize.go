@@ -59,25 +59,11 @@ type Options struct {
 	// degenerate LPs with multiple optima it may extract a different
 	// optimal policy (equal objective) than a cold solve would.
 	WarmBasis *lp.Basis
-	// LPFactorization selects the simplex basis-kernel strategy (the zero
-	// value lp.FactorAuto picks sparse LU with Forrest–Tomlin updates for
-	// large bases and dense LU below). Concrete enums rather than opaque
-	// lp.Option closures so servers can fingerprint the knob into cache
-	// keys.
-	LPFactorization lp.Factorization
-	// LPPricing selects the simplex pricing rule (the zero value
-	// lp.PriceAuto picks Devex for large problems and Dantzig below).
-	LPPricing lp.Pricing
 	// LPMaxPivots bounds the simplex pivots of one solve; 0 is unlimited.
 	// An exhausted budget surfaces as Status lp.BudgetExceeded — a resource
 	// verdict callers treat like a deadline, not a statement about the
 	// problem.
 	LPMaxPivots int
-	// LPPricingWorkers bounds the worker pool of the parallel pricing scans
-	// (0 = auto: GOMAXPROCS capped at 8, 1 = sequential). The pivot sequence
-	// is bit-identical at every worker count, so this is purely a throughput
-	// knob.
-	LPPricingWorkers int
 	// LPMonitor attaches a solve flight recorder (lp.WithMonitor): a
 	// callback observing iteration snapshots at every refactorization and
 	// every LPMonitorEvery pivots. Purely observational — an attached
@@ -92,10 +78,7 @@ type Options struct {
 // lpSolver builds the configured lp.Solver for these options.
 func (o *Options) lpSolver() *lp.Solver {
 	return lp.NewSolver(
-		lp.WithFactorization(o.LPFactorization),
-		lp.WithPricing(o.LPPricing),
 		lp.WithMaxPivots(o.LPMaxPivots),
-		lp.WithPricingWorkers(o.LPPricingWorkers),
 		lp.WithMonitor(o.LPMonitor),
 		lp.WithMonitorEvery(o.LPMonitorEvery),
 	)

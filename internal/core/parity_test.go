@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 
 // TestFrequencyLPRevisedMatchesDense runs the assembled policy LPs (LP2 and
 // the constrained LP3/LP4 shapes, at mild and paper-stiff discount factors)
-// through both the revised simplex and the legacy dense tableau and demands
+// through both the revised simplex and the dense-tableau oracle and demands
 // objective agreement within 1e-8 — the acceptance contract of the sparse
-// refactor.
+// refactor. The sparse kernel's leg on the same LPs lives in package lp
+// (corelp_test.go), which can force it below the size threshold.
 func TestFrequencyLPRevisedMatchesDense(t *testing.T) {
 	sys := exampleSystem()
 	m := buildExample(t)
@@ -51,23 +53,20 @@ func TestFrequencyLPRevisedMatchesDense(t *testing.T) {
 			t.Fatalf("%s: BuildFrequencyLP: %v", tc.name, err)
 		}
 		den, denErr := lp.SolveDense(prob)
-		for _, f := range []lp.Factorization{lp.FactorDense, lp.FactorSparse} {
-			s := lp.NewSolver(lp.WithFactorization(f))
-			rev, _, revErr := s.Solve(nil, prob, nil)
-			if (revErr == nil) != (denErr == nil) || rev.Status != den.Status {
-				t.Errorf("%s/%v: revised status %v (err %v) vs dense %v (err %v)",
-					tc.name, f, rev.Status, revErr, den.Status, denErr)
-				continue
-			}
-			if revErr != nil {
-				continue
-			}
-			if d := math.Abs(rev.Objective - den.Objective); d > 1e-8 {
-				t.Errorf("%s/%v: revised %.12g vs dense %.12g (Δ=%g)", tc.name, f, rev.Objective, den.Objective, d)
-			}
-			if rev.FactorNNZ <= 0 {
-				t.Errorf("%s/%v: FactorNNZ = %d, want positive", tc.name, f, rev.FactorNNZ)
-			}
+		rev, _, revErr := lp.NewSolver().Solve(context.Background(), prob, nil)
+		if (revErr == nil) != (denErr == nil) || rev.Status != den.Status {
+			t.Errorf("%s: revised status %v (err %v) vs dense %v (err %v)",
+				tc.name, rev.Status, revErr, den.Status, denErr)
+			continue
+		}
+		if revErr != nil {
+			continue
+		}
+		if d := math.Abs(rev.Objective - den.Objective); d > 1e-8 {
+			t.Errorf("%s: revised %.12g vs dense %.12g (Δ=%g)", tc.name, rev.Objective, den.Objective, d)
+		}
+		if rev.FactorNNZ <= 0 {
+			t.Errorf("%s: FactorNNZ = %d, want positive", tc.name, rev.FactorNNZ)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Basis serialization: a compact self-describing binary form so optimal
 // bases can leave the process — persisted alongside a result cache, evicted
 // to disk, or shipped to a distributed solver backend — and later rehydrated
-// for SolveWithBasis. The format is versioned ("LPB1") and fully validated
+// as a Solver.Solve warm start. The format is versioned ("LPB1") and fully validated
 // on decode; a decoded basis is exactly as trustworthy as a fresh export,
 // because the solver refactorizes any warm basis against the actual problem
 // data and falls back to a cold solve when it does not carry over.

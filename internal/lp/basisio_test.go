@@ -75,7 +75,7 @@ func TestBasisDecodeRejectsMalformed(t *testing.T) {
 func TestSolveCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sol, basis, err := SolveWithBasisCtx(ctx, sweepProblem(4), nil)
+	sol, basis, err := NewSolver().Solve(ctx, sweepProblem(4), nil)
 	if sol.Status != Cancelled {
 		t.Fatalf("status = %v, want Cancelled", sol.Status)
 	}
@@ -93,7 +93,7 @@ func TestSolveWarmCancelledContext(t *testing.T) {
 	cancel()
 	// Tightening the cap forces dual-simplex restoration, which must notice
 	// the dead context instead of falling back to a cold solve.
-	sol, _, err := SolveWithBasisCtx(ctx, sweepProblem(3), basis)
+	sol, _, err := NewSolver().Solve(ctx, sweepProblem(3), basis)
 	if sol.Status != Cancelled {
 		t.Fatalf("status = %v, want Cancelled", sol.Status)
 	}

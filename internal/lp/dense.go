@@ -1,7 +1,7 @@
 package lp
 
-// Legacy dense full-tableau simplex, retained for two jobs: a reference
-// implementation that parity tests compare the revised simplex against, and
+// Dense full-tableau simplex, retained for two jobs: the reference oracle
+// that parity tests compare the revised simplex against, and
 // the "before" leg of benchmarks measuring what the sparse refactor buys.
 // It consumes the same standard form (and produces the same Basis layout)
 // as the revised solver, but materializes the full m×nTot tableau — cost
@@ -15,31 +15,31 @@ import (
 )
 
 // SolveDense solves the problem with the two-phase full-tableau simplex.
-// Semantics match Solve (same statuses, same error contract); only the
-// algorithm differs. This entry point exists for parity testing and
-// benchmarking against the revised simplex.
-//
-// Deprecated: use NewSolver(WithFactorization(FactorTableau)).Solve, which
-// routes to the same tableau implementation.
+// Semantics match Solver.Solve (same statuses, same error contract) without
+// warm starts, contexts or budgets; only the algorithm differs. It is the
+// reference oracle the parity tests hold the revised simplex to.
 func SolveDense(p *Problem) (*Solution, error) {
-	sol, _, err := NewSolver(WithFactorization(FactorTableau)).Solve(nil, p, nil)
-	return sol, err
+	sol := solveDenseOnce(p, false)
+	if sol.Status == Numerical {
+		sol = solveDenseOnce(p, true)
+	}
+	if sol.Status != Optimal {
+		return sol, notOptimalErr(sol.Status)
+	}
+	finishSolution(p, sol)
+	return sol, nil
 }
 
-func solveDenseOnce(p *Problem, conservative bool) (*Solution, *tableau) {
+func solveDenseOnce(p *Problem, conservative bool) *Solution {
 	sf, preStatus := newStdForm(p)
 	if preStatus != Optimal {
-		return &Solution{Status: preStatus}, nil
+		return &Solution{Status: preStatus}
 	}
-	t := newTableau(sf, conservative)
-	sol := t.solve()
-	if sol.Status != Optimal {
-		return sol, nil
-	}
-	if !sf.verify(sol.X) {
+	sol := newTableau(sf, conservative).solve()
+	if sol.Status == Optimal && !sf.verify(sol.X) {
 		sol.Status = Numerical
 	}
-	return sol, t
+	return sol
 }
 
 // tableau is the dense simplex tableau plus the immutable standard-form
@@ -301,7 +301,7 @@ func (t *tableau) solve() *Solution {
 			return sol
 		}
 		t.refresh(sf.cost1) // exact phase-1 value
-		if phase1 := -t.obj[sf.nTot]; phase1 > 1e-7*(1+sf.b.Sum()) {
+		if phase1 := -t.obj[sf.nTot]; !sf.phase1Feasible(phase1) {
 			sol.Status = Infeasible
 			sol.Iterations = t.iterations
 			return sol

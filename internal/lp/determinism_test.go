@@ -13,8 +13,8 @@ import (
 // the chunked pricing scans genuinely fan out over the worker pool — the
 // parity corpus alone never crosses parGrain, so on its own it would only
 // test the sequential fallback. Cover-style GE rows force both phases to
-// pivot, and the randomized sparse columns give Dantzig, Devex, and partial
-// pricing real tie-break opportunities at chunk boundaries.
+// pivot, and the randomized sparse columns give Dantzig and Devex pricing
+// real tie-break opportunities at chunk boundaries.
 func wideProblems() map[string]*Problem {
 	probs := map[string]*Problem{}
 	for _, w := range []struct {
@@ -53,10 +53,10 @@ func wideProblems() map[string]*Problem {
 	return probs
 }
 
-// solveWith runs one solve at the given pricing rule and worker count.
-func solveWith(t *testing.T, p *Problem, pricing Pricing, workers int) (*Solution, *Basis) {
+// solveWith runs one solve under the given kernel options and worker count.
+func solveWith(t *testing.T, p *Problem, opts []Option, workers int) (*Solution, *Basis) {
 	t.Helper()
-	s := NewSolver(WithPricing(pricing), WithPricingWorkers(workers))
+	s := NewSolver(append([]Option{withPricingWorkers(workers)}, opts...)...)
 	sol, basis, err := s.Solve(context.Background(), p, nil)
 	if err != nil && sol.Status != Infeasible && sol.Status != Unbounded {
 		t.Fatalf("workers=%d: %v", workers, err)
@@ -65,8 +65,9 @@ func solveWith(t *testing.T, p *Problem, pricing Pricing, workers int) (*Solutio
 }
 
 // TestParallelPricingDeterminism is the bit-identity contract of the
-// chunked pricing scans: for every corpus and wide instance, every pricing
-// rule, and workers ∈ {2, 8}, the solve must reproduce the sequential
+// chunked pricing scans: for every corpus and wide instance, both pricing
+// rules (Dantzig under the dense kernel, Devex under the forced at-scale
+// one), and workers ∈ {2, 8}, the solve must reproduce the sequential
 // (workers = 1) run exactly — same pivot count and refactorization count
 // (a pivot sequence that diverged anywhere could not re-converge to both),
 // the same final basis, and a bit-identical solution vector. Run under
@@ -76,14 +77,13 @@ func TestParallelPricingDeterminism(t *testing.T) {
 	for name, p := range wideProblems() {
 		probs[name] = p
 	}
-	pricings := []Pricing{PriceDantzig, PriceDevex, PricePartial}
 	for name, p := range probs {
-		for _, pricing := range pricings {
-			seq, seqBasis := solveWith(t, p, pricing, 1)
+		for _, kc := range kernelConfigs {
+			seq, seqBasis := solveWith(t, p, kc.opts, 1)
 			for _, workers := range []int{2, 8} {
-				sol, basis := solveWith(t, p, pricing, workers)
+				sol, basis := solveWith(t, p, kc.opts, workers)
 				tag := func(field string) string {
-					return fmt.Sprintf("%s/%s/workers=%d: %s", name, pricing, workers, field)
+					return fmt.Sprintf("%s/%s/workers=%d: %s", name, kc.name, workers, field)
 				}
 				if sol.Status != seq.Status {
 					t.Errorf("%s: %v, sequential %v", tag("status"), sol.Status, seq.Status)
@@ -239,7 +239,7 @@ func TestWideProblemsEngageParallelPricing(t *testing.T) {
 		if nv := p.NumVars(); !pool.parallel(nv) {
 			t.Errorf("%s: %d variables does not engage the parallel scan (grain %d)", name, nv, parGrain)
 		}
-		sol, _, err := NewSolver(WithPricingWorkers(2)).Solve(context.Background(), p, nil)
+		sol, _, err := NewSolver(withPricingWorkers(2)).Solve(context.Background(), p, nil)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

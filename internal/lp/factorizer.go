@@ -7,9 +7,7 @@ package lp
 //
 //   - denseFactorizer: the original dense m×m LU plus a product-form eta
 //     file. O(m³) refactorizations, O(m²) triangular solves, O(m) per eta;
-//     retained both as the small-problem default (below a few hundred rows
-//     the dense kernel's constant factors win) and as the reference leg of
-//     parity tests.
+//     the kernel below autoSparseMin rows, where its constant factors win.
 //   - sparseFactorizer: mat.SparseLU — Markowitz-ordered sparse LU with
 //     threshold partial pivoting and Forrest–Tomlin updates. Everything is
 //     O(nnz), which is what lets k≈6 composite networks (m ≈ 10⁴) solve at

@@ -57,6 +57,37 @@ func TestHighDiscountRedundantBound(t *testing.T) {
 	}
 }
 
+// TestHighDiscountInfeasibleBound: under the CLI's default workload
+// (p01 = 0.05, p10 = 0.15) the disk cannot hold its discounted penalty
+// below ~0.489, so penalty ≤ 0.45 is infeasible at every horizon.
+// At horizon 10⁶ phase 1 used to stop with an artificial residual of
+// 8·10⁻⁸ — 8% of the balance rows' rhs mass 1−α = 10⁻⁶, yet under the old
+// 10⁻⁷·(1+Σb) cutoff — so the solve went on to phase 2, failed
+// verification twice and was reported Numerical. Both solvers must say
+// Infeasible.
+func TestHighDiscountInfeasibleBound(t *testing.T) {
+	sys := devices.DiskSystem(core.TwoStateSR("w", 0.05, 0.15))
+	m, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []float64{1e3, 1e4, 1e5, 1e6, 1e7} {
+		opts := diskOpts(h, 0.45)
+		opts.Initial = core.Delta(m.N, sys.Index(core.State{SP: devices.DiskActive}))
+		res, err := core.Optimize(m, opts)
+		if err == nil || res.Status != lp.Infeasible {
+			t.Errorf("horizon %g: status %v (err %v), want infeasible", h, res.Status, err)
+		}
+		prob, err := core.BuildFrequencyLP(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol, _ := lp.SolveDense(prob); sol.Status != lp.Infeasible {
+			t.Errorf("horizon %g: SolveDense status %v, want infeasible", h, sol.Status)
+		}
+	}
+}
+
 // TestHighDiscountAcrossDevices: feasible optimizations across the device
 // zoo stay Optimal at horizons 10⁶ and 10⁷, and the work counters the
 // composite benchmarks report are populated.
@@ -99,5 +130,42 @@ func TestHighDiscountAcrossDevices(t *testing.T) {
 					tc.name, h, res.LPIterations, res.LPRefactorizations)
 			}
 		}
+	}
+}
+
+// TestWarmDualSimplexAtScale: a warm start at sparse scale whose basis is
+// primal infeasible for the tightened bound enters dual simplex before any
+// phase has run. The dual pivots update the Devex weights, which used to be
+// uninitialized at that point and crashed the solve. The warm answer must
+// match the cold one to 1e-6 relative: at α = 1−10⁻⁶ the scale-relative
+// optimality test stops this restored basis 2·10⁻⁷ above the cold optimum.
+func TestWarmDualSimplexAtScale(t *testing.T) {
+	sys, err := devices.MultiDiskSystem(4, 2, core.TwoStateSR("w", 0.05, 0.15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sys.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loose, err := core.Optimize(m, diskOpts(1e6, 2))
+	if err != nil {
+		t.Fatalf("bound 2: %v", err)
+	}
+	warmOpts := diskOpts(1e6, 1.5)
+	warmOpts.WarmBasis = loose.Basis
+	warm, err := core.Optimize(m, warmOpts)
+	if err != nil {
+		t.Fatalf("bound 1.5 warm: %v", err)
+	}
+	cold, err := core.Optimize(m, diskOpts(1e6, 1.5))
+	if err != nil {
+		t.Fatalf("bound 1.5 cold: %v", err)
+	}
+	if !warm.WarmStarted {
+		t.Errorf("warm basis supplied but the solve went cold")
+	}
+	if d := math.Abs(warm.Objective - cold.Objective); d > 1e-6*cold.Objective {
+		t.Errorf("warm objective %.12g vs cold %.12g (Δ=%g)", warm.Objective, cold.Objective, d)
 	}
 }

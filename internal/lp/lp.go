@@ -6,28 +6,27 @@
 // substitutes a two-phase **revised simplex** method: the constraint matrix
 // is stored column-sparse (policy LPs have one column per (state, command)
 // pair with only a handful of nonzeros each — the queue law of Eq. 3 is
-// banded and the component chains have tiny out-degrees), the basis is kept
-// as a dense LU factorization of only the m×m basis matrix (internal/mat's
-// solver), updated between refactorizations with product-form eta vectors,
-// and pricing and ratio tests walk sparse columns. Cost per pivot is
-// O(nnz(A) + m²) instead of the O(rows × cols) of a full tableau, and
-// memory is O(nnz + m²) instead of O(rows × cols) — the difference between
-// thrashing and tractable on large composed systems.
+// banded and the component chains have tiny out-degrees), only the m×m
+// basis is factorized, and pricing and ratio tests walk sparse columns.
+// The basis size alone picks the kernel: below 256 rows a dense LU with
+// product-form eta updates and Dantzig pricing, from 256 rows up a
+// Markowitz sparse LU with Forrest–Tomlin updates and Devex pricing. Cost
+// per pivot is O(nnz(A) + m²) at worst instead of the O(rows × cols) of a
+// full tableau — the difference between thrashing and tractable on large
+// composed systems.
 //
 // Policy-optimization LPs are numerically stiff — transition probabilities
 // span four orders of magnitude and discount factors reach 1−10⁻⁶ — so the
 // solver keeps the original standard-form data and refactorizes the basis
-// every few dozen pivots, which eliminates the error accumulation that
-// incremental updates suffer on such systems. Dantzig pricing is used first
-// with a Bland's-rule fallback that guarantees termination on degenerate
-// instances, and every reported solution is verified against the original
-// constraints (with one stricter retry before giving up with a Numerical
-// status).
+// periodically, which eliminates the error accumulation that incremental
+// updates suffer on such systems. A Bland's-rule fallback guarantees
+// termination on degenerate instances, and every reported solution is
+// verified against the original constraints (with one stricter retry before
+// giving up with a Numerical status).
 //
-// The previous full-tableau dense simplex is retained as SolveDense — a
-// reference implementation for parity tests and the performance baseline
-// for benchmarks; both solvers share the same standard form, tolerances and
-// Basis layout, so bases exported by one are meaningful to the other.
+// The full-tableau dense simplex is retained as SolveDense — the reference
+// oracle of the parity tests and the "before" leg of benchmarks; both
+// solvers share the same standard form, tolerances and Basis layout.
 //
 // Problems are stated over nonnegative variables:
 //
@@ -223,14 +222,14 @@ type Solution struct {
 	// revised simplex (O(m³) under the dense factorization, O(nnz + fill)
 	// under the sparse one) — together with Iterations, the work a solve
 	// actually did, which benchmarks report alongside wall time. Always
-	// zero for the tableau strategy, which carries a full tableau instead
-	// of a factorized basis.
+	// zero from SolveDense, which carries a full tableau instead of a
+	// factorized basis.
 	Refactorizations int
 	// FactorNNZ reports the stored nonzeros of the final basis
-	// factorization — m² under the dense strategy, nnz(L)+nnz(U)+etas under
+	// factorization — m² under the dense kernel, nnz(L)+nnz(U)+etas under
 	// the sparse one — the fill-in statistic that, next to Iterations and
 	// Refactorizations, tells whether the Markowitz ordering is containing
-	// fill on a given problem family. Zero for the tableau strategy.
+	// fill on a given problem family. Zero from SolveDense.
 	FactorNNZ int
 	// WarmStarted reports that the solve reused a caller-supplied Basis and
 	// skipped phase 1 (see Solver.Solve).
@@ -238,11 +237,12 @@ type Solution struct {
 	// Timings is the per-stage wall-clock breakdown of the solve
 	// (ftran/btran/price/factor/update) — the attribution that pairs with
 	// Iterations and Refactorizations to show where a solve's time went.
-	// Zero for the tableau strategy.
+	// Zero from SolveDense.
 	Timings Timings
 }
 
-// ErrNotOptimal is wrapped by Solve when the problem has no optimal solution.
+// ErrNotOptimal is wrapped by Solver.Solve and SolveDense when the problem
+// has no optimal solution.
 var ErrNotOptimal = errors.New("lp: no optimal solution")
 
 // ErrBudgetExceeded is additionally wrapped (alongside ErrNotOptimal) when a
@@ -257,18 +257,6 @@ const (
 	pivotRelTol = 1e-7  // pivot floor relative to ‖w‖∞ of the FTRAN direction
 	zeroTol     = 1e-11 // clamp for tiny negative basic values
 )
-
-// Solve solves the problem with the two-phase revised simplex method.
-// The returned error is non-nil (wrapping ErrNotOptimal) exactly when the
-// status is not Optimal; callers that distinguish infeasible from unbounded
-// should inspect Solution.Status.
-//
-// Deprecated: use NewSolver().Solve(context.Background(), p, nil), which
-// also exposes factorization, pricing, and budget options.
-func Solve(p *Problem) (*Solution, error) {
-	sol, _, err := NewSolver().Solve(nil, p, nil)
-	return sol, err
-}
 
 // stdForm is the shared standard form both solvers run on. Column layout:
 //
@@ -291,6 +279,11 @@ type stdForm struct {
 	cost2 mat.Vector // phase-2 costs (minimization form)
 
 	initBasis []int // slack/artificial basis, one per row
+
+	// artMass is the rhs mass of the artificial rows (GE and EQ): the
+	// phase-1 objective's starting value and the scale its residual is
+	// judged against (see phase1Feasible).
+	artMass float64
 
 	// problem reference for the final feasibility verification
 	prob *Problem
@@ -389,10 +382,12 @@ func newStdForm(p *Problem) (*stdForm, Status) {
 			trip.Add(i, artCol, 1)
 			sf.initBasis[i] = artCol
 			artCol++
+			sf.artMass += s.rhs
 		case EQ:
 			trip.Add(i, artCol, 1)
 			sf.initBasis[i] = artCol
 			artCol++
+			sf.artMass += s.rhs
 		}
 	}
 	sf.a = trip.ToCSC()
@@ -408,6 +403,18 @@ func newStdForm(p *Problem) (*stdForm, Status) {
 		sf.cost1[j] = 1
 	}
 	return sf, Optimal
+}
+
+// phase1Feasible reports whether a phase-1 optimum whose basic artificials
+// sum to residual describes a feasible point. The cutoff is relative to the
+// artificial rows' own rhs mass, not to 1+Σb: policy LPs put all their
+// artificial mass in the balance rows, (1−α)·q0 = 10⁻⁶ in total at
+// horizon 10⁶, where a cutoff near 10⁻⁷ would pass residuals that leave 8%
+// of that mass unmet and send an infeasible LP on to phase 2. Feasible
+// instances end phase 1 at a residual of zero; the zeroTol floor only
+// absorbs roundoff when the mass itself is zero.
+func (sf *stdForm) phase1Feasible(residual float64) bool {
+	return residual <= math.Max(1e-7*sf.artMass, zeroTol)
 }
 
 // verify checks the candidate solution against the original problem with a

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -8,9 +9,15 @@ import (
 	"testing/quick"
 )
 
+// solve is a cold solve under the default Solver.
+func solve(p *Problem) (*Solution, error) {
+	sol, _, err := NewSolver().Solve(context.Background(), p, nil)
+	return sol, err
+}
+
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := Solve(p)
+	sol, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v (status %v)", err, sol.Status)
 	}
@@ -77,7 +84,7 @@ func TestInfeasible(t *testing.T) {
 	p.Obj = []float64{1}
 	p.AddConstraint("lo", []float64{1}, GE, 5)
 	p.AddConstraint("hi", []float64{1}, LE, 3)
-	sol, err := Solve(p)
+	sol, err := solve(p)
 	if !errors.Is(err, ErrNotOptimal) {
 		t.Fatalf("err = %v, want ErrNotOptimal", err)
 	}
@@ -90,7 +97,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(Maximize, 2)
 	p.Obj = []float64{1, 1}
 	p.AddConstraint("c", []float64{1, -1}, LE, 1)
-	sol, err := Solve(p)
+	sol, err := solve(p)
 	if !errors.Is(err, ErrNotOptimal) {
 		t.Fatalf("err = %v, want ErrNotOptimal", err)
 	}
@@ -112,7 +119,7 @@ func TestZeroRowPresolve(t *testing.T) {
 	bad := NewProblem(Minimize, 2)
 	bad.Obj = []float64{1, 1}
 	bad.AddConstraint("impossible", []float64{0, 0}, GE, 1) // 0 >= 1
-	sol, err := Solve(bad)
+	sol, err := solve(bad)
 	if err == nil || sol.Status != Infeasible {
 		t.Errorf("zero-row infeasibility not detected: status %v err %v", sol.Status, err)
 	}
@@ -241,7 +248,7 @@ func TestRandomFeasibleProperty(t *testing.T) {
 				p.AddConstraint("ge", coeffs, GE, a-r.Float64()*a)
 			}
 		}
-		sol, err := Solve(p)
+		sol, err := solve(p)
 		if err != nil {
 			// Unbounded is possible with negative costs and no binding LE
 			// rows; that is a legitimate answer, not a solver failure.
@@ -318,7 +325,7 @@ func TestAgainstVertexEnumeration(t *testing.T) {
 		if !ok {
 			continue
 		}
-		sol, err := Solve(p)
+		sol, err := solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
@@ -332,7 +339,8 @@ func TestStatusStrings(t *testing.T) {
 	for s, want := range map[Status]string{
 		Optimal: "optimal", Infeasible: "infeasible",
 		Unbounded: "unbounded", IterationLimit: "iteration limit",
-		Status(99): "unknown",
+		Numerical: "numerically unstable", Cancelled: "cancelled",
+		BudgetExceeded: "pivot budget exceeded", Status(99): "unknown",
 	} {
 		if s.String() != want {
 			t.Errorf("Status(%d).String() = %q, want %q", s, s.String(), want)

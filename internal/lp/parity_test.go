@@ -144,7 +144,7 @@ func parityProblems() map[string]*Problem {
 // solutions are feasible for the original constraints.
 func TestRevisedMatchesDense(t *testing.T) {
 	for name, p := range parityProblems() {
-		rev, revErr := Solve(p)
+		rev, revErr := solve(p)
 		den, denErr := SolveDense(p)
 		if (revErr == nil) != (denErr == nil) || rev.Status != den.Status {
 			t.Errorf("%s: revised status %v (err %v) vs dense %v (err %v)",

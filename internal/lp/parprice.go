@@ -43,8 +43,8 @@ type workPool struct {
 	resVal  []float64 // per-chunk argmax key scratch
 }
 
-// resolveWorkers maps the WithPricingWorkers option value to an effective
-// worker count: n > 0 is explicit (tests pin 1/2/8), n <= 0 is auto —
+// resolveWorkers maps solverConfig.pricingWorkers to an effective worker
+// count: n > 0 is explicit (tests pin 1/2/8), n <= 0 is auto —
 // GOMAXPROCS capped at 8 (pricing scans saturate memory bandwidth long
 // before they scale past that).
 func resolveWorkers(n int) int {

@@ -1,8 +1,8 @@
 package lp
 
-// Pricing strategies for the revised simplex. Pricing decides which
-// improving column enters the basis; on the stiff policy LPs the choice
-// changes pivot counts by integer factors:
+// Entering-column rules for the revised simplex. The pricing rule decides
+// which improving column enters the basis; on the stiff policy LPs the
+// choice changes pivot counts by integer factors:
 //
 //   - dantzigPricer: most negative reduced cost. Cheap and effective on
 //     small well-scaled instances; on stiff ones (α = 1−10⁻⁶) it chases
@@ -12,14 +12,10 @@ package lp
 //     directions that actually move the iterate. The weight maintenance
 //     rides the pivot-row pass the solver already makes to update reduced
 //     costs, so the extra cost per pivot is O(1) per touched column.
-//   - partialPricer: Dantzig over a rotating window of columns, expanding
-//     until an eligible candidate appears. Cuts the O(nTot) scan on very
-//     wide problems; the reduced-cost maintenance (the dominant per-pivot
-//     cost) is unchanged, so this wins only when pricing itself dominates.
 //
-// All strategies defer to the caller's Bland-rule override for termination
-// on degenerate instances: the Pricer is consulted only on non-Bland
-// iterations.
+// The solver uses Dantzig below autoSparseMin rows and Devex above. Both
+// defer to the caller's Bland-rule override for termination on degenerate
+// instances: the Pricer is consulted only on non-Bland iterations.
 
 import (
 	"repro/internal/mat"
@@ -184,93 +180,8 @@ func (p *devexPricer) ObserveAlpha(j int, alpha float64) {
 	}
 }
 
-// partialPricer scans a rotating window of columns and returns the best
-// eligible candidate inside it, widening the window until one appears (a
-// full rotation with no candidate is phase optimality). The cursor persists
-// across pivots so successive pivots spread their attention over the whole
-// column range.
-type partialPricer struct {
-	cursor int
-	pool   *workPool
-}
-
-func newPartialPricer(pool *workPool) *partialPricer { return &partialPricer{pool: pool} }
-
-func (p *partialPricer) Reset(int)                      { p.cursor = 0 }
-func (p *partialPricer) NeedsPivotRow() bool            { return false }
-func (p *partialPricer) BeginPivot(_, _ int, _ float64) {}
-func (p *partialPricer) ObserveAlpha(int, float64)      {}
-
-func (p *partialPricer) Choose(d, dScale mat.Vector, pos []int, maxCol int) int {
-	if maxCol <= 0 {
-		return -1
-	}
-	window := maxCol / 8
-	if window < 128 {
-		window = 128
-	}
-	if p.cursor >= maxCol {
-		p.cursor = 0
-	}
-	scanned := 0
-	start := p.cursor
-	for scanned < maxCol {
-		wlen := window
-		if rem := maxCol - scanned; wlen > rem {
-			wlen = rem
-		}
-		best := p.scanWindow(d, dScale, pos, start, wlen, maxCol)
-		scanned += wlen
-		if best >= 0 {
-			p.cursor = (best + 1) % maxCol
-			return best
-		}
-		start += wlen
-		if start >= maxCol {
-			start -= maxCol
-		}
-	}
-	return -1
-}
-
-// scanWindow runs the Dantzig scan over the wrapped window of wlen columns
-// starting at start, chunked over the pool when wide enough. Offsets within
-// the window — not raw column indices — order the reduction, so ties
-// resolve exactly as the sequential wrapped scan does.
-func (p *partialPricer) scanWindow(d, dScale mat.Vector, pos []int, start, wlen, maxCol int) int {
-	scan := func(lo, hi int) (int, float64) {
-		best, bestVal := -1, 0.0
-		for o := lo; o < hi; o++ {
-			j := start + o
-			if j >= maxCol {
-				j -= maxCol
-			}
-			if dj := d[j]; dj < 0 && pos[j] < 0 && dj < -costTol*dScale[j] && dj < bestVal {
-				bestVal = dj
-				best = j
-			}
-		}
-		return best, bestVal
-	}
-	if !p.pool.parallel(wlen) {
-		best, _ := scan(0, wlen)
-		return best
-	}
-	pl := p.pool
-	pl.run(wlen, func(ci, lo, hi int) {
-		pl.res[ci], pl.resVal[ci] = scan(lo, hi)
-	})
-	best, bestVal := -1, 0.0
-	for ci := 0; ci < pl.workers; ci++ {
-		if pl.res[ci] >= 0 && pl.resVal[ci] < bestVal {
-			best, bestVal = pl.res[ci], pl.resVal[ci]
-		}
-	}
-	return best
-}
-
 // blandChoose is the Bland's-rule scan (first eligible column) the solver
-// falls back to after stalling; shared by every pricing strategy because it
+// falls back to after stalling; shared by both pricing rules because it
 // is what guarantees termination. Chunked, each chunk reports its first
 // eligible column and the lowest non-empty chunk wins — chunks are
 // contiguous and ascending, so that is the globally lowest index, exactly

@@ -7,8 +7,8 @@ package lp
 //   - a Factorizer holding the current m×m basis factorization — dense LU
 //     plus product-form etas, or Markowitz sparse LU with Forrest–Tomlin
 //     updates (see factorizer.go),
-//   - a Pricer choosing entering columns — Dantzig, Devex, or partial
-//     pricing (see pricer.go), and
+//   - a Pricer choosing entering columns — Dantzig or Devex (see
+//     pricer.go), and
 //   - the current basic values.
 //
 // FTRAN (B⁻¹a, the entering direction) and BTRAN (B⁻ᵀc, the duals) go
@@ -82,7 +82,7 @@ type revised struct {
 	needRefactor  bool
 	blandAlways   bool
 	conservative  bool
-	atScale       bool // m >= autoSparseMin: enable sparse-scale stabilization
+	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, sparse-scale stabilization
 
 	// Flight recorder (see monitor.go). mon == nil — the default — keeps
 	// every hook down to a single pointer test.
@@ -109,7 +109,7 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		maxPivots:     cfg.maxPivots,
 	}
 	r.deadline, r.hasDeadline = ctx.Deadline()
-	r.atScale = sf.m >= autoSparseMin
+	r.atScale = sf.m >= autoSparseMin || cfg.atScale
 	if cfg.monitor != nil {
 		r.mon = cfg.monitor
 		r.monEvery = cfg.monitorEvery
@@ -125,16 +125,13 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		r.conservative = true
 	}
 
-	fac := cfg.factorization
-	if fac != FactorDense && fac != FactorSparse {
-		if sf.m >= autoSparseMin {
-			fac = FactorSparse
-		} else {
-			fac = FactorDense
-		}
-	}
-	if fac == FactorSparse {
+	// The one size fact picks the kernel and the pricer: sparse LU with
+	// Forrest–Tomlin updates and Devex at scale, dense LU with product-form
+	// etas and Dantzig below.
+	r.pool = newWorkPool(resolveWorkers(cfg.pricingWorkers))
+	if r.atScale {
 		r.fact = newSparseFactorizer(conservative)
+		r.pricer = newDevexPricer(r.pool)
 		// Forrest–Tomlin updates leave U genuinely triangular, so the
 		// update file degrades far more slowly than product-form etas; a
 		// longer interval amortizes the Markowitz refactorization, which
@@ -157,28 +154,10 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		}
 	} else {
 		r.fact = newDenseFactorizer()
+		r.pricer = dantzigPricer{pool: r.pool}
 	}
 	if ca, ok := r.fact.(ctxAware); ok {
 		ca.setContext(ctx)
-	}
-
-	r.pool = newWorkPool(resolveWorkers(cfg.pricingWorkers))
-
-	pricing := cfg.pricing
-	if pricing == PriceAuto {
-		if sf.m >= autoSparseMin {
-			pricing = PriceDevex
-		} else {
-			pricing = PriceDantzig
-		}
-	}
-	switch pricing {
-	case PriceDevex:
-		r.pricer = newDevexPricer(r.pool)
-	case PricePartial:
-		r.pricer = newPartialPricer(r.pool)
-	default:
-		r.pricer = dantzigPricer{pool: r.pool}
 	}
 
 	r.rowCols = make([][]int32, sf.m)
@@ -474,7 +453,7 @@ func (r *revised) updateD(beta *mat.SpVec, row, col int, piv float64) {
 }
 
 // price picks the entering column among [0, maxCol) from the maintained
-// reduced costs: by the configured pricing strategy normally, or first
+// reduced costs: by the size-selected pricing rule normally, or first
 // eligible under Bland's rule. A column counts as improving only when its
 // reduced cost clears the scale-relative tolerance −costTol·dScale (see
 // recomputeD). Returns -1 at optimality.
@@ -812,7 +791,7 @@ func (r *revised) solve() (sol *Solution) {
 					phase1 += r.xB[i]
 				}
 			}
-			if phase1 <= 1e-7*(1+r.sf.b.Sum()) {
+			if r.sf.phase1Feasible(phase1) {
 				break
 			}
 			if !r.perturbed {
@@ -949,6 +928,11 @@ func (r *revised) dualSimplex() bool {
 	limit := 1000 + 400*(r.sf.m+r.sf.nTot)
 	r.setMonPhase("dual", r.sf.cost2, real)
 	r.recomputeD(r.sf.cost2)
+	// Dual pivots stream through updateD, which maintains the pricer's
+	// weights; a warm start gets here before any phase has set them up. The
+	// weights never steer a dual pivot, and the next runPhase resets them
+	// again, so this changes no pivot choice.
+	r.pricer.Reset(r.sf.nTot)
 	for iter := 0; ; iter++ {
 		if iter > limit || r.cancelled() || r.budgetExceeded() {
 			return false

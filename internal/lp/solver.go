@@ -1,11 +1,10 @@
 package lp
 
-// Solver: the package's unified entry point. The historical entrypoint
-// sprawl — Solve, SolveWithBasis, SolveWithBasisCtx, SolveDense — collapsed
-// into one configurable object: construct a Solver with functional options
-// selecting the basis factorization, the pricing rule, a pivot budget, and a
-// wall-clock budget, then call Solve with a context and an optional warm
-// basis. The old entry points survive as thin deprecated wrappers.
+// Solver: the package's one entry point. Construct a Solver with functional
+// options setting a pivot budget, a wall-clock budget or a flight recorder,
+// then call Solve with a context and an optional warm basis. The basis
+// kernel and the pricing rule are not options: newRevised picks both from
+// the basis size (see autoSparseMin).
 
 import (
 	"context"
@@ -13,118 +12,21 @@ import (
 	"time"
 )
 
-// Factorization selects the basis-kernel strategy of a Solver.
-type Factorization int
-
-// Basis factorization strategies.
-const (
-	// FactorAuto picks sparse LU for large bases (m ≥ 256) and dense LU
-	// below, where the dense kernel's constant factors win.
-	FactorAuto Factorization = iota
-	// FactorDense is the dense m×m LU with a product-form eta file — the
-	// original kernel, retained for small problems and parity testing.
-	FactorDense
-	// FactorSparse is the Markowitz-ordered sparse LU with Forrest–Tomlin
-	// updates (mat.SparseLU); everything is O(nnz).
-	FactorSparse
-	// FactorTableau routes to the legacy full-tableau dense simplex — a
-	// reference implementation for parity tests and "before" benchmark legs.
-	// It ignores warm bases, contexts, and pivot budgets, and returns no
-	// reusable basis.
-	FactorTableau
-)
-
-// String names the strategy as accepted by ParseFactorization.
-func (f Factorization) String() string {
-	switch f {
-	case FactorAuto:
-		return "auto"
-	case FactorDense:
-		return "dense"
-	case FactorSparse:
-		return "sparse"
-	case FactorTableau:
-		return "tableau"
-	}
-	return "unknown"
-}
-
-// ParseFactorization maps a configuration string ("", "auto", "dense",
-// "sparse", "tableau") to a Factorization; the empty string is FactorAuto.
-func ParseFactorization(s string) (Factorization, error) {
-	switch s {
-	case "", "auto":
-		return FactorAuto, nil
-	case "dense":
-		return FactorDense, nil
-	case "sparse":
-		return FactorSparse, nil
-	case "tableau":
-		return FactorTableau, nil
-	}
-	return FactorAuto, fmt.Errorf("lp: unknown factorization %q", s)
-}
-
-// Pricing selects the entering-column rule of a Solver.
-type Pricing int
-
-// Pricing rules.
-const (
-	// PriceAuto picks Devex for large problems (m ≥ 256) and Dantzig below.
-	PriceAuto Pricing = iota
-	// PriceDantzig enters the most negative reduced cost — the classic rule
-	// and the pre-Solver behavior.
-	PriceDantzig
-	// PriceDevex ranks columns by d²/γ with Devex reference weights — an
-	// approximate steepest edge that cuts pivot counts on stiff instances.
-	PriceDevex
-	// PricePartial runs Dantzig over a rotating column window, cutting the
-	// pricing scan on very wide problems.
-	PricePartial
-)
-
-// String names the rule as accepted by ParsePricing.
-func (p Pricing) String() string {
-	switch p {
-	case PriceAuto:
-		return "auto"
-	case PriceDantzig:
-		return "dantzig"
-	case PriceDevex:
-		return "devex"
-	case PricePartial:
-		return "partial"
-	}
-	return "unknown"
-}
-
-// ParsePricing maps a configuration string ("", "auto", "dantzig", "devex",
-// "partial") to a Pricing; the empty string is PriceAuto.
-func ParsePricing(s string) (Pricing, error) {
-	switch s {
-	case "", "auto":
-		return PriceAuto, nil
-	case "dantzig":
-		return PriceDantzig, nil
-	case "devex":
-		return PriceDevex, nil
-	case "partial":
-		return PricePartial, nil
-	}
-	return PriceAuto, fmt.Errorf("lp: unknown pricing %q", s)
-}
-
-// autoSparseMin is the basis size at which FactorAuto switches to the sparse
-// kernel and PriceAuto to Devex: below it the dense LU's contiguous inner
-// loops beat pointer-chasing sparse structures, above it asymptotics take
-// over (and above a few thousand rows the dense kernel stops being
-// allocatable at all).
+// autoSparseMin is the basis size at which the solver switches from dense LU
+// with product-form etas and Dantzig pricing to sparse LU with
+// Forrest–Tomlin updates and Devex pricing: below it the dense LU's
+// contiguous inner loops beat pointer-chasing sparse structures, above it
+// asymptotics take over (and above a few thousand rows the dense kernel
+// stops being allocatable at all).
 const autoSparseMin = 256
 
 // solverConfig is the resolved option set of one Solver.
 type solverConfig struct {
-	factorization  Factorization
-	pricing        Pricing
+	// atScale runs the m ≥ autoSparseMin configuration on every basis size;
+	// no option sets it, package tests do (export_test.go).
+	atScale bool
+	// pricingWorkers sizes the pricing pool (see resolveWorkers); no option
+	// sets it, package tests pin it to probe the parallel scans.
 	pricingWorkers int
 	maxPivots      int
 	wallClock      time.Duration
@@ -134,27 +36,6 @@ type solverConfig struct {
 
 // Option configures a Solver (functional-options pattern).
 type Option func(*solverConfig)
-
-// WithFactorization selects the basis factorization strategy.
-func WithFactorization(f Factorization) Option {
-	return func(c *solverConfig) { c.factorization = f }
-}
-
-// WithPricing selects the pricing rule.
-func WithPricing(p Pricing) Option {
-	return func(c *solverConfig) { c.pricing = p }
-}
-
-// WithPricingWorkers bounds the worker pool of the parallel pricing scans
-// (entering-column selection, reduced-cost maintenance and recomputation).
-// n <= 0 is auto (GOMAXPROCS capped at 8), n == 1 forces the sequential
-// path, n > 1 pins an explicit pool size. The pivot sequence is bit-identical
-// for every worker count — the scans chunk deterministically and reduce in
-// fixed order — so this is purely a throughput knob (and, in tests, a
-// determinism probe).
-func WithPricingWorkers(n int) Option {
-	return func(c *solverConfig) { c.pricingWorkers = n }
-}
 
 // WithMaxPivots bounds the total simplex pivots of one Solve call (per solve
 // attempt: a conservative numerical retry gets a fresh budget, warm-start
@@ -175,8 +56,7 @@ func WithWallClock(d time.Duration) Option {
 }
 
 // Solver is a configured LP solver. The zero value (and NewSolver with no
-// options) is the auto-tuned default: factorization and pricing chosen by
-// problem size, no pivot budget, no wall clock. A Solver is immutable and
+// options) has no pivot budget and no wall clock. A Solver is immutable and
 // safe for concurrent use; all solve state lives per call.
 type Solver struct {
 	cfg solverConfig
@@ -207,18 +87,6 @@ func (s *Solver) Solve(ctx context.Context, p *Problem, warm *Basis) (*Solution,
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.wallClock)
 		defer cancel()
-	}
-
-	if cfg.factorization == FactorTableau {
-		sol, _ := solveDenseOnce(p, false)
-		if sol.Status == Numerical {
-			sol, _ = solveDenseOnce(p, true)
-		}
-		if sol.Status != Optimal {
-			return sol, nil, notOptimalErr(sol.Status)
-		}
-		finishSolution(p, sol)
-		return sol, nil, nil
 	}
 
 	var sol *Solution

@@ -8,52 +8,60 @@ import (
 	"time"
 )
 
-// TestFactorizerPricerParity is the strategy-matrix contract: every corpus
-// problem solved under every factorization × pricing combination agrees with
-// the dense-tableau reference on status, and on optimal instances the
-// objectives agree within 1e-8. This is what licenses FactorAuto/PriceAuto
-// to switch strategies by problem size without changing answers.
+// kernelConfigs names the two configurations the basis-size rule selects
+// between. On the small parity corpus the default solver always runs the
+// dense kernel with Dantzig pricing; ForceAtScale runs the sparse
+// Forrest–Tomlin kernel with Devex on the same problems.
+var kernelConfigs = []struct {
+	name string
+	opts []Option
+}{
+	{"dense+dantzig", nil},
+	{"sparse+devex", []Option{ForceAtScale()}},
+}
+
+// TestFactorizerPricerParity is the kernel contract: every corpus problem
+// solved under both size-selected configurations agrees with the dense-
+// tableau reference on status, and on optimal instances the objectives
+// agree within 1e-8. This is what licenses the solver to switch kernel and
+// pricer by basis size without changing answers.
 func TestFactorizerPricerParity(t *testing.T) {
-	facts := []Factorization{FactorDense, FactorSparse}
-	prices := []Pricing{PriceDantzig, PriceDevex, PricePartial}
 	for name, p := range parityProblems() {
 		ref, refErr := SolveDense(p)
-		for _, f := range facts {
-			for _, pr := range prices {
-				s := NewSolver(WithFactorization(f), WithPricing(pr))
-				sol, basis, err := s.Solve(context.Background(), p, nil)
-				label := name + "/" + f.String() + "+" + pr.String()
-				if (err == nil) != (refErr == nil) || sol.Status != ref.Status {
-					t.Errorf("%s: status %v (err %v) vs reference %v (err %v)",
-						label, sol.Status, err, ref.Status, refErr)
-					continue
-				}
-				if err != nil {
-					continue
-				}
-				if basis == nil {
-					t.Errorf("%s: optimal solve returned nil basis", label)
-				}
-				if d := math.Abs(sol.Objective - ref.Objective); d > 1e-8 {
-					t.Errorf("%s: objective %.12g vs reference %.12g (Δ=%g)",
-						label, sol.Objective, ref.Objective, d)
-				}
-				if !feasible(p, sol.X, 1e-6) {
-					t.Errorf("%s: solution infeasible", label)
-				}
-				if sol.FactorNNZ <= 0 {
-					t.Errorf("%s: FactorNNZ = %d, want positive", label, sol.FactorNNZ)
-				}
+		for _, kc := range kernelConfigs {
+			sol, basis, err := NewSolver(kc.opts...).Solve(context.Background(), p, nil)
+			label := name + "/" + kc.name
+			if (err == nil) != (refErr == nil) || sol.Status != ref.Status {
+				t.Errorf("%s: status %v (err %v) vs reference %v (err %v)",
+					label, sol.Status, err, ref.Status, refErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if basis == nil {
+				t.Errorf("%s: optimal solve returned nil basis", label)
+			}
+			if d := math.Abs(sol.Objective - ref.Objective); d > 1e-8 {
+				t.Errorf("%s: objective %.12g vs reference %.12g (Δ=%g)",
+					label, sol.Objective, ref.Objective, d)
+			}
+			if !feasible(p, sol.X, 1e-6) {
+				t.Errorf("%s: solution infeasible", label)
+			}
+			if sol.FactorNNZ <= 0 {
+				t.Errorf("%s: FactorNNZ = %d, want positive", label, sol.FactorNNZ)
 			}
 		}
 	}
 }
 
-// TestSolverWarmParity holds warm-started sparse solves to the cold optimum
-// across a bound sweep (the Pareto-neighbour pattern core relies on).
+// TestSolverWarmParity holds warm-started solves to the cold optimum across
+// a bound sweep (the Pareto-neighbour pattern core relies on), under both
+// kernels.
 func TestSolverWarmParity(t *testing.T) {
-	for _, f := range []Factorization{FactorDense, FactorSparse} {
-		s := NewSolver(WithFactorization(f))
+	for _, kc := range kernelConfigs {
+		s := NewSolver(kc.opts...)
 		var warm *Basis
 		for _, bound := range []float64{18, 16, 14, 12} {
 			p := NewProblem(Maximize, 2)
@@ -63,17 +71,17 @@ func TestSolverWarmParity(t *testing.T) {
 			p.AddConstraint("c3", []float64{3, 2}, LE, bound)
 			warmSol, warmBasis, err := s.Solve(context.Background(), p, warm)
 			if err != nil {
-				t.Fatalf("%v bound=%g: %v", f, bound, err)
+				t.Fatalf("%s bound=%g: %v", kc.name, bound, err)
 			}
 			coldSol, _, err := s.Solve(context.Background(), p, nil)
 			if err != nil {
-				t.Fatalf("%v bound=%g cold: %v", f, bound, err)
+				t.Fatalf("%s bound=%g cold: %v", kc.name, bound, err)
 			}
 			if d := math.Abs(warmSol.Objective - coldSol.Objective); d > 1e-8 {
-				t.Errorf("%v bound=%g: warm objective %g vs cold %g", f, bound, warmSol.Objective, coldSol.Objective)
+				t.Errorf("%s bound=%g: warm objective %g vs cold %g", kc.name, bound, warmSol.Objective, coldSol.Objective)
 			}
 			if warm != nil && !warmSol.WarmStarted {
-				t.Errorf("%v bound=%g: warm basis supplied but solve went cold", f, bound)
+				t.Errorf("%s bound=%g: warm basis supplied but solve went cold", kc.name, bound)
 			}
 			warm = warmBasis
 		}
@@ -135,53 +143,5 @@ func TestWithWallClock(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want wrap of context.DeadlineExceeded", err)
-	}
-}
-
-// TestFactorTableau routes through the legacy full-tableau solver: same
-// answers, no reusable basis.
-func TestFactorTableau(t *testing.T) {
-	p := parityProblems()["textbook-max"]
-	sol, basis, err := NewSolver(WithFactorization(FactorTableau)).Solve(context.Background(), p, nil)
-	if err != nil {
-		t.Fatalf("tableau solve: %v", err)
-	}
-	if math.Abs(sol.Objective-36) > 1e-9 {
-		t.Errorf("objective = %g, want 36", sol.Objective)
-	}
-	if basis != nil {
-		t.Error("tableau mode returned a basis; it has none to export")
-	}
-}
-
-// TestStrategyParsing round-trips the enum parse/String helpers the server
-// uses to accept solver knobs over the wire.
-func TestStrategyParsing(t *testing.T) {
-	for _, f := range []Factorization{FactorAuto, FactorDense, FactorSparse, FactorTableau} {
-		got, err := ParseFactorization(f.String())
-		if err != nil || got != f {
-			t.Errorf("ParseFactorization(%q) = %v, %v", f.String(), got, err)
-		}
-	}
-	for _, p := range []Pricing{PriceAuto, PriceDantzig, PriceDevex, PricePartial} {
-		got, err := ParsePricing(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePricing(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if f, err := ParseFactorization(""); err != nil || f != FactorAuto {
-		t.Errorf("ParseFactorization(\"\") = %v, %v, want FactorAuto", f, err)
-	}
-	if p, err := ParsePricing(""); err != nil || p != PriceAuto {
-		t.Errorf("ParsePricing(\"\") = %v, %v, want PriceAuto", p, err)
-	}
-	if _, err := ParseFactorization("qr"); err == nil {
-		t.Error("ParseFactorization accepted unknown strategy")
-	}
-	if _, err := ParsePricing("steepest"); err == nil {
-		t.Error("ParsePricing accepted unknown rule")
-	}
-	if BudgetExceeded.String() != "pivot budget exceeded" {
-		t.Errorf("BudgetExceeded.String() = %q", BudgetExceeded.String())
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Basis captures the optimal simplex basis of a solved Problem together with
 // a fingerprint of the standard form it belongs to. Passing it to
-// SolveWithBasis on a structurally identical problem (same variables, same
+// Solver.Solve on a structurally identical problem (same variables, same
 // constraint rows up to right-hand-side values — e.g. consecutive points of
 // a Pareto sweep, where only one bound value moves) lets the solver skip
 // phase 1 entirely: the basis is refactorized against the new data, primal
@@ -67,29 +67,6 @@ func notOptimalErr(s Status) error {
 		return fmt.Errorf("lp: %w: %w", ErrBudgetExceeded, ErrNotOptimal)
 	}
 	return fmt.Errorf("lp: %v: %w", s, ErrNotOptimal)
-}
-
-// SolveWithBasis solves the problem like Solve, optionally warm-starting
-// from the basis of a previous structurally identical solve. On an Optimal
-// status it also returns the optimal basis for chaining into the next solve;
-// otherwise the returned basis is nil. A nil warm basis is a cold solve.
-//
-// Deprecated: use NewSolver().Solve(context.Background(), p, warm), which
-// also exposes factorization, pricing, and budget options.
-func SolveWithBasis(p *Problem, warm *Basis) (*Solution, *Basis, error) {
-	return NewSolver().Solve(context.Background(), p, warm)
-}
-
-// SolveWithBasisCtx is SolveWithBasis under a context: the pivot loops check
-// ctx once per iteration, so cancelling it (or letting its deadline expire)
-// aborts the solve within one pivot. A cancelled solve returns a Solution
-// with Status Cancelled and an error satisfying errors.Is against
-// context.Canceled or context.DeadlineExceeded (via context.Cause).
-//
-// Deprecated: use NewSolver().Solve(ctx, p, warm), which also exposes
-// factorization, pricing, and budget options.
-func SolveWithBasisCtx(ctx context.Context, p *Problem, warm *Basis) (*Solution, *Basis, error) {
-	return NewSolver().Solve(ctx, p, warm)
 }
 
 // solveWarm attempts a warm-started solve. It returns (nil, nil) whenever

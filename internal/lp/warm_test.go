@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,9 +21,9 @@ func sweepProblem(cap float64) *Problem {
 
 func solveWithBasisOK(t *testing.T, p *Problem, warm *Basis) (*Solution, *Basis) {
 	t.Helper()
-	sol, basis, err := SolveWithBasis(p, warm)
+	sol, basis, err := NewSolver().Solve(context.Background(), p, warm)
 	if err != nil {
-		t.Fatalf("SolveWithBasis: %v (status %v)", err, sol.Status)
+		t.Fatalf("Solve: %v (status %v)", err, sol.Status)
 	}
 	if basis == nil {
 		t.Fatalf("optimal solve returned nil basis")
@@ -91,7 +92,7 @@ func TestWarmStartInfeasibleProblem(t *testing.T) {
 	bad.Obj = []float64{1}
 	bad.AddConstraint("lo", []float64{1}, GE, 5)
 	bad.AddConstraint("hi", []float64{1}, LE, 2)
-	sol, b, err := SolveWithBasis(bad, basis)
+	sol, b, err := NewSolver().Solve(context.Background(), bad, basis)
 	if err == nil || sol.Status != Infeasible {
 		t.Fatalf("status = %v, err = %v; want Infeasible", sol.Status, err)
 	}
@@ -118,8 +119,8 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	warmHits := 0
 	for i := 0; i < 60; i++ {
 		bound := 8 * r.Float64() // swings across feasible shapes
-		wSol, wBasis, wErr := SolveWithBasis(build(bound), warm)
-		cSol, _, cErr := SolveWithBasis(build(bound), nil)
+		wSol, wBasis, wErr := NewSolver().Solve(context.Background(), build(bound), warm)
+		cSol, _, cErr := NewSolver().Solve(context.Background(), build(bound), nil)
 		if (wErr == nil) != (cErr == nil) || wSol.Status != cSol.Status {
 			t.Fatalf("bound %g: warm status %v vs cold %v", bound, wSol.Status, cSol.Status)
 		}

@@ -18,8 +18,11 @@ import (
 // entry solved by this process. The file is JSON with a version guard, so a
 // format change refuses to load rather than misinterpret.
 
-// cacheFileVersion guards the on-disk format.
-const cacheFileVersion = 1
+// cacheFileVersion guards the on-disk format and the family-key derivation
+// (queryKey) the entries are filed under: version 1 keys carried solver
+// strategy fields that no longer exist, so no version 1 entry could ever
+// match a query again.
+const cacheFileVersion = 2
 
 // persistedEntry is the disk form of one warm-start cache entry.
 type persistedEntry struct {

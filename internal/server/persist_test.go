@@ -72,12 +72,45 @@ func TestCacheFileVersionGuard(t *testing.T) {
 	}
 	// Entries with undecodable bases are dropped, not fatal.
 	n, err := s.LoadCache(strings.NewReader(
-		`{"version": 1, "entries": [{"key": "k", "family": "f", "basis": "AAAA"}]}`))
+		`{"version": 2, "entries": [{"key": "k", "family": "f", "basis": "AAAA"}]}`))
 	if err != nil || n != 0 {
 		t.Errorf("corrupt basis: restored %d, err %v; want 0, nil", n, err)
 	}
 	if s.cache.len() != 0 {
 		t.Errorf("cache has %d entries after rejected loads, want 0", s.cache.len())
+	}
+}
+
+// TestCacheFileV1Refused: a version 1 document — written when family keys
+// still fingerprinted the solver strategy fields — is refused whole, with
+// the version in the error, even when its bases decode. Loading it would
+// fill the cache with entries no query can ever match.
+func TestCacheFileV1Refused(t *testing.T) {
+	s1, base1 := newTestServer(t)
+	req := map[string]any{
+		"model":     "disk",
+		"objective": "power",
+		"bounds":    []map[string]any{{"metric": "penalty", "rel": "<=", "value": 1.0}},
+	}
+	if st := call(t, http.MethodPost, base1+"/v1/optimize", req, nil); st != http.StatusOK {
+		t.Fatalf("optimize status %d", st)
+	}
+	var buf bytes.Buffer
+	if n, err := s1.SaveCache(&buf); err != nil || n < 1 {
+		t.Fatalf("SaveCache: n=%d err=%v", n, err)
+	}
+	v1 := strings.Replace(buf.String(), `"version":2`, `"version":1`, 1)
+	if v1 == buf.String() {
+		t.Fatalf("saved document carries no version 2 marker: %s", buf.String())
+	}
+
+	s2, _ := newTestServer(t)
+	n, err := s2.LoadCache(strings.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("v1 document: restored %d, err %v; want a version error", n, err)
+	}
+	if s2.cache.len() != 0 {
+		t.Errorf("cache has %d entries after a refused v1 load, want 0", s2.cache.len())
 	}
 }
 

@@ -256,10 +256,9 @@ func queryKey(modelID string, opts core.Options) (string, string, []float64) {
 	num(opts.Alpha)
 	b.WriteString(opts.Objective.Metric)
 	fmt.Fprintf(&b, ";%d;%d;", opts.Objective.Sense, opts.UnvisitedCommand)
-	// Solver strategy knobs are part of the family: a budget-capped or
-	// strategy-pinned query must not be answered from (or seed) the cache of
-	// a differently configured one.
-	fmt.Fprintf(&b, "%d;%d;%d;", opts.LPFactorization, opts.LPPricing, opts.LPMaxPivots)
+	// The pivot budget is part of the family: a budget-capped query must not
+	// be answered from (or seed) the cache of a differently capped one.
+	fmt.Fprintf(&b, "%d;", opts.LPMaxPivots)
 	vals := make([]float64, 0, len(opts.Bounds))
 	for _, bd := range opts.Bounds {
 		fmt.Fprintf(&b, "%s;%d;", bd.Metric, bd.Rel)
@@ -322,19 +321,9 @@ func (s *Server) buildOptions(e *modelEntry, req *OptimizeRequest) (core.Options
 		}
 		opts.Bounds = append(opts.Bounds, bd)
 	}
-	f, err := lp.ParseFactorization(req.Factorization)
-	if err != nil {
-		return opts, err
-	}
-	pr, err := lp.ParsePricing(req.Pricing)
-	if err != nil {
-		return opts, err
-	}
 	if req.MaxPivots < 0 {
 		return opts, fmt.Errorf("max_pivots %d negative", req.MaxPivots)
 	}
-	opts.LPFactorization = f
-	opts.LPPricing = pr
 	opts.LPMaxPivots = req.MaxPivots
 	// Shared-cache semantics: uniform initial distribution, no per-request
 	// evaluation pass (averages are exact already).

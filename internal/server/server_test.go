@@ -342,10 +342,11 @@ func TestValidationAndHealth(t *testing.T) {
 	}
 }
 
-// TestSolverKnobs: the factorization/pricing/max_pivots request fields reach
-// the solver — pinned strategies answer like the default, the knobs
-// fingerprint into the cache key, an exhausted pivot budget maps to 422 and
-// the budget_exceeded counter, and unknown strategy names are client errors.
+// TestSolverKnobs: the max_pivots request field reaches the solver — an
+// exhausted pivot budget maps to 422 and the budget_exceeded counter, a
+// negative one is a client error — and the retired strategy fields
+// (factorization, pricing) are rejected as unknown fields rather than
+// silently ignored.
 func TestSolverKnobs(t *testing.T) {
 	_, base := newTestServer(t)
 	req := OptimizeRequest{
@@ -358,33 +359,25 @@ func TestSolverKnobs(t *testing.T) {
 	if st := call(t, http.MethodPost, base+"/v1/optimize", req, &ref); st != http.StatusOK || !ref.Feasible {
 		t.Fatalf("reference solve: status %d, %+v", st, ref)
 	}
-
-	pinned := req
-	pinned.Factorization = "sparse"
-	pinned.Pricing = "devex"
-	var resp OptimizeResponse
-	if st := call(t, http.MethodPost, base+"/v1/optimize", pinned, &resp); st != http.StatusOK {
-		t.Fatalf("pinned solve status %d", st)
-	}
-	// A different strategy tuple is a different fingerprint: no cache hit,
-	// but the same optimum.
-	if resp.Cache == "hit" {
-		t.Errorf("pinned strategies answered from the default-strategy cache")
-	}
-	if d := resp.Objective - ref.Objective; d > 1e-8 || d < -1e-8 {
-		t.Errorf("pinned objective %g vs default %g", resp.Objective, ref.Objective)
-	}
-	var again OptimizeResponse
-	if call(t, http.MethodPost, base+"/v1/optimize", pinned, &again); again.Cache != "hit" {
-		t.Errorf("repeat pinned query: cache %q, want hit", again.Cache)
-	}
 	if n := counter(t, base, "refactorizations"); n <= 0 {
-		t.Errorf("refactorizations counter = %d after two solves", n)
+		t.Errorf("refactorizations counter = %d after a solve", n)
+	}
+
+	var e errorResponse
+	for _, field := range []string{"factorization", "pricing"} {
+		retired := map[string]any{
+			"model":     "disk",
+			"objective": "power",
+			"bounds":    []map[string]any{{"metric": "penalty", "rel": "<=", "value": 1.8}},
+			field:       "auto",
+		}
+		if st := call(t, http.MethodPost, base+"/v1/optimize", retired, &e); st != http.StatusBadRequest {
+			t.Errorf("retired field %q: status %d, want 400", field, st)
+		}
 	}
 
 	budget := req
 	budget.MaxPivots = 1
-	var e errorResponse
 	if st := call(t, http.MethodPost, base+"/v1/optimize", budget, &e); st != http.StatusUnprocessableEntity {
 		t.Errorf("exhausted pivot budget: status %d, want 422 (%s)", st, e.Error)
 	}
@@ -393,16 +386,6 @@ func TestSolverKnobs(t *testing.T) {
 	}
 
 	bad := req
-	bad.Factorization = "qr"
-	if st := call(t, http.MethodPost, base+"/v1/optimize", bad, &e); st != http.StatusBadRequest {
-		t.Errorf("unknown factorization: status %d, want 400", st)
-	}
-	bad = req
-	bad.Pricing = "steepest"
-	if st := call(t, http.MethodPost, base+"/v1/optimize", bad, &e); st != http.StatusBadRequest {
-		t.Errorf("unknown pricing: status %d, want 400", st)
-	}
-	bad = req
 	bad.MaxPivots = -3
 	if st := call(t, http.MethodPost, base+"/v1/optimize", bad, &e); st != http.StatusBadRequest {
 		t.Errorf("negative max_pivots: status %d, want 400", st)

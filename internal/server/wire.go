@@ -202,12 +202,6 @@ type OptimizeRequest struct {
 	// TimeoutMS bounds the solve; 0 selects the server default. The solve
 	// is cancelled mid-pivot when it expires.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Factorization selects the simplex basis kernel ("auto", "dense",
-	// "sparse", "tableau"; empty = auto) and Pricing the entering-column
-	// rule ("auto", "dantzig", "devex", "partial"; empty = auto). Both are
-	// part of the query fingerprint: strategy variants cache independently.
-	Factorization string `json:"factorization,omitempty"`
-	Pricing       string `json:"pricing,omitempty"`
 	// MaxPivots bounds the simplex pivots of the solve (0: unlimited). An
 	// exhausted budget is answered with 422 and counted in the
 	// budget_exceeded serving counter.
@@ -289,7 +283,7 @@ type ObserveRequest struct {
 // letting pure count batches through.
 func (r *ObserveRequest) hasOptions() bool {
 	return r.Alpha != 0 || r.Horizon != 0 || r.Objective != "" || r.Maximize || len(r.Bounds) > 0 ||
-		r.Factorization != "" || r.Pricing != "" || r.MaxPivots != 0
+		r.MaxPivots != 0
 }
 
 // ObserveResponse reports one ingest: what the drift controller measured
