@@ -107,6 +107,7 @@ func BenchmarkOptimizeDisk(b *testing.B) {
 		UnvisitedCommand: devices.DiskGoActive,
 		SkipEvaluation:   true,
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Optimize(m, opts); err != nil {
@@ -120,11 +121,32 @@ func BenchmarkOptimizeDisk(b *testing.B) {
 // plots — through the public facade on the parallel warm-started engine.
 // Compare with internal/sweep's benchmarks for the sequential/cold grid.
 func BenchmarkSweepDisk(b *testing.B) {
-	sr := core.TwoStateSR("w", 0.002, 0.3)
-	sys := devices.DiskSystem(sr)
+	m, opts, bounds := sweepDiskStudy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pts, err := repro.ParallelParetoSweep(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, repro.SweepConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			st := repro.ParetoSweepStats(pts)
+			b.ReportMetric(float64(st.WarmStarted), "warm/sweep")
+			b.ReportMetric(float64(st.Pivots), "pivots/sweep")
+			b.ReportMetric(float64(st.Refactorizations), "refactors/sweep")
+		}
+	}
+}
+
+// sweepDiskStudy is BenchmarkSweepDisk's fixture: the disk case study at
+// horizon 10⁶ minimizing power, and the 16-point penalty-bound grid 0.05,
+// 0.10, …, 0.80 it sweeps.
+func sweepDiskStudy(tb testing.TB) (*core.Model, core.Options, []float64) {
+	tb.Helper()
+	sys := devices.DiskSystem(core.TwoStateSR("w", 0.002, 0.3))
 	m, err := sys.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := core.Options{
 		Alpha:            core.HorizonToAlpha(1e6),
@@ -137,16 +159,23 @@ func BenchmarkSweepDisk(b *testing.B) {
 	for i := range bounds {
 		bounds[i] = 0.05 + 0.05*float64(i)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := repro.ParallelParetoSweep(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, repro.SweepConfig{})
+	return m, opts, bounds
+}
+
+// TestSweepDiskTrajectoryPin pins the total pivot count of
+// BenchmarkSweepDisk's warm curve at one and two workers. The values are
+// the solver's vertex selection on this grid; a change that moves them
+// changed a pivot trajectory, which must be a deliberate, documented
+// decision rather than a side effect of a performance change.
+func TestSweepDiskTrajectoryPin(t *testing.T) {
+	m, opts, bounds := sweepDiskStudy(t)
+	for _, tc := range []struct{ workers, pivots int }{{1, 111}, {2, 283}} {
+		pts, err := repro.ParallelParetoSweep(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, repro.SweepConfig{Workers: tc.workers})
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		if i == b.N-1 {
-			st := repro.ParetoSweepStats(pts)
-			b.ReportMetric(float64(st.WarmStarted), "warm/sweep")
-			b.ReportMetric(float64(st.Pivots), "pivots/sweep")
+		if st := repro.ParetoSweepStats(pts); st.Pivots != tc.pivots {
+			t.Errorf("workers %d: %d pivots per curve, want %d", tc.workers, st.Pivots, tc.pivots)
 		}
 	}
 }

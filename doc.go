@@ -158,7 +158,9 @@
 //     unbeatable constant factors while the basis fits in cache — and
 //     Dantzig pricing, the most negative reduced cost, cheapest per
 //     iteration. The disk sweeps, the served queries and the online
-//     re-solves of the benchmark (m ≈ 67) all run here.
+//     re-solves of the benchmark (m ≈ 67) all run here. The kernel owns
+//     its LU storage, solve scratch and eta vectors, so once sized by the
+//     first refactorization a pivot allocates nothing.
 //   - m ≥ 256: a sparse LU ordered by Markowitz counts under threshold
 //     partial pivoting, updated in place by Forrest–Tomlin row etas, so
 //     factorization, FTRAN/BTRAN and update are all O(nnz + fill) — what
@@ -201,6 +203,18 @@
 // early refactorization when the chain degrades. And the elimination's row
 // merges gallop: binary-search the eliminated column, bulk-copy untouched
 // runs.
+//
+// The small path's cost is the overhead around a few hundred cheap pivots,
+// so it is kept free of garbage and repeated work. The dense LU factors in
+// place into kernel-owned storage and solves into caller buffers
+// (mat.LU.FactorInPlace, SolveInto, SolveTInto, with the floating-point
+// order of the allocating Factor/Solve/SolveT), retired eta vectors are
+// recycled, and the standard form's constraint matrix is assembled by a
+// counting transpose of rows that are already sorted and merged
+// (lp.CompressRow) instead of a triplet sort. A basis is never
+// refactorized while unchanged: a rebuild requested with no pivot and no
+// rhs change since the last one is a no-op. Pivot trajectories are
+// bit-identical to the allocating path.
 //
 // Each solve accounts for its own time: lp.Solution.Timings splits the
 // wall clock into ftran/btran/price/factor/update, and the breakdown

@@ -355,8 +355,8 @@ func transposedChains(m *Model) []*mat.CSR {
 // balanceRowNZ appends the raw (column, value) pairs of balance row j —
 // e_s − α·P_a(s,·)ᵀ per (s,a) column — to idx/val and returns the extended
 // slices. Pairs are neither sorted nor merged (a self-loop p_{j,j}(a)
-// duplicates the diagonal column); AddConstraintNZ and compressRowNZ both
-// normalize identically.
+// duplicates the diagonal column); AddConstraintNZ and PatchFrequencyLP
+// both normalize them through lp.CompressRow.
 func balanceRowNZ(m *Model, pts []*mat.CSR, alpha float64, j int, idx []int, val []float64) ([]int, []float64) {
 	for a := 0; a < m.A; a++ {
 		idx = append(idx, j*m.A+a)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/lp"
 )
@@ -74,11 +73,11 @@ func PatchFrequencyLP(prob *lp.Problem, m *Model, opts Options) error {
 
 	alpha := opts.Alpha
 	pts := transposedChains(m)
-	var idx, cIdx []int
-	var val, cVal []float64
+	var idx []int
+	var val []float64
 	for j := 0; j < m.N; j++ {
 		idx, val = balanceRowNZ(m, pts, alpha, j, idx[:0], val[:0])
-		cIdx, cVal = compressRowNZ(idx, val, cIdx[:0], cVal[:0])
+		cIdx, cVal := lp.CompressRow(idx, val)
 		c := &prob.Cons[j]
 		if c.Rel != lp.EQ {
 			return fmt.Errorf("%w: balance row %d relation changed", ErrPatchShape, j)
@@ -120,40 +119,4 @@ func rewriteRow(c *lp.Constraint, cols []int, vals []float64) error {
 	}
 	copy(c.Vals, vals)
 	return nil
-}
-
-// compressRowNZ normalizes raw (column, value) pairs the same way
-// AddConstraintNZ's one-row triplet does — sort by column, sum duplicates,
-// drop entries that cancel to exactly zero — into the out slices, which are
-// returned extended. Keeping the two normalizations identical is what makes
-// a patched row comparable (and equal) to a freshly assembled one.
-func compressRowNZ(idx []int, val []float64, outIdx []int, outVal []float64) ([]int, []float64) {
-	sort.Sort(&rowPairSort{idx, val})
-	for k := 0; k < len(idx); {
-		j := idx[k]
-		s := val[k]
-		k++
-		for k < len(idx) && idx[k] == j {
-			s += val[k]
-			k++
-		}
-		if s != 0 {
-			outIdx = append(outIdx, j)
-			outVal = append(outVal, s)
-		}
-	}
-	return outIdx, outVal
-}
-
-// rowPairSort sorts parallel (column, value) slices by column.
-type rowPairSort struct {
-	idx []int
-	val []float64
-}
-
-func (p *rowPairSort) Len() int           { return len(p.idx) }
-func (p *rowPairSort) Less(i, j int) bool { return p.idx[i] < p.idx[j] }
-func (p *rowPairSort) Swap(i, j int) {
-	p.idx[i], p.idx[j] = p.idx[j], p.idx[i]
-	p.val[i], p.val[j] = p.val[j], p.val[i]
 }

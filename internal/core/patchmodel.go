@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/lp"
 )
 
 // ErrModelShape reports that a compiled model cannot be patched because the
@@ -88,8 +90,8 @@ func PatchModel(m *Model, sys *System) error {
 	// nonzeros exactly as Build's triplet accumulation does, normalizing with
 	// the same sort-and-drop-zeros rule ToCSR applies, and overwriting the
 	// stored values after the pattern check.
-	var hookCols, rowIdx, rowCIdx []int
-	var hookVals, rowVal, rowCVal []float64
+	var hookCols, rowIdx []int
+	var hookVals, rowVal []float64
 	for cmd := 0; cmd < a; cmd++ {
 		chain := sys.SP.Chain(cmd)
 		if chain.Rows() != nsp || chain.Cols() != nsp {
@@ -142,7 +144,7 @@ func PatchModel(m *Model, sys *System) error {
 							}
 						}
 					}
-					rowCIdx, rowCVal = compressRowNZ(rowIdx, rowVal, rowCIdx[:0], rowCVal[:0])
+					rowCIdx, rowCVal := lp.CompressRow(rowIdx, rowVal)
 					if err := pm.RewriteRowNZ(i, rowCIdx, rowCVal); err != nil {
 						return fmt.Errorf("%w: command %q row %d: %v",
 							ErrModelPattern, sys.SP.CommandNames()[cmd], i, err)

@@ -39,7 +39,7 @@ type Factorizer interface {
 	Refactor(a *mat.CSC, basis []int) error
 	// Ftran solves B x = v. v is consumed; the result may alias it.
 	Ftran(v mat.Vector) mat.Vector
-	// Btran solves Bᵀ y = c. c is not modified.
+	// Btran solves Bᵀ y = c. c is consumed; the result may alias it.
 	Btran(c mat.Vector) mat.Vector
 	// FtranSp solves B x = b for a sparse right-hand side (an entering
 	// column), writing the direction into x. b is consumed. On return x has
@@ -77,36 +77,51 @@ type eta struct {
 
 // denseFactorizer is the original kernel: a dense LU of the basis matrix
 // plus a product-form eta file recording the pivots since the last
-// refactorization.
+// refactorization. It owns all of its storage — the m×m matrix the LU is
+// factored into, a solve scratch vector, and the eta vectors, which a
+// refactorization retires for the next updates to overwrite — so once the
+// first refactorization cycle has sized them, no operation allocates.
 type denseFactorizer struct {
 	m    int
-	lu   *mat.LU
-	etas []eta
+	bm   *mat.Matrix // basis matrix, overwritten by its LU factors
+	lu   mat.LU
+	work mat.Vector // solve scratch, length m
+	etas []eta      // live etas; the backing array keeps retired w vectors
 }
 
 func newDenseFactorizer() *denseFactorizer { return &denseFactorizer{} }
 
 func (f *denseFactorizer) Refactor(a *mat.CSC, basis []int) error {
 	m := len(basis)
-	f.m = m
-	bm := mat.NewMatrix(m, m)
+	if f.bm == nil || f.m != m {
+		f.m = m
+		f.bm = mat.NewMatrix(m, m)
+		f.work = mat.NewVector(m)
+		f.etas = nil
+	} else {
+		clear(f.bm.Data)
+	}
+	f.etas = f.etas[:0]
 	for i, bcol := range basis {
 		rows, vals := a.ColNZ(bcol)
 		for k, row := range rows {
-			bm.Set(row, i, vals[k])
+			f.bm.Data[row*m+i] = vals[k]
 		}
 	}
-	lu, err := mat.Factor(bm)
-	if err != nil {
-		return err
-	}
-	f.lu = lu
-	f.etas = f.etas[:0]
-	return nil
+	return f.lu.FactorInPlace(f.bm)
 }
 
+// Ftran solves B x = v in place: the result is v itself.
 func (f *denseFactorizer) Ftran(v mat.Vector) mat.Vector {
-	x := f.lu.Solve(v)
+	copy(f.work, v)
+	f.ftranInto(v, f.work)
+	return v
+}
+
+// ftranInto solves B x = v into x (which must not alias v): the LU solve,
+// then the eta file applied in order. v is not modified.
+func (f *denseFactorizer) ftranInto(x, v mat.Vector) {
+	f.lu.SolveInto(x, v)
 	for e := range f.etas {
 		et := &f.etas[e]
 		piv := x[et.r] / et.w[et.r]
@@ -117,11 +132,20 @@ func (f *denseFactorizer) Ftran(v mat.Vector) mat.Vector {
 		}
 		x[et.r] = piv
 	}
-	return x
 }
 
+// Btran solves Bᵀ y = c in place: the result is c itself.
 func (f *denseFactorizer) Btran(c mat.Vector) mat.Vector {
-	v := c.Clone()
+	f.btranInto(c, c)
+	return c
+}
+
+// btranInto solves Bᵀ y = c into y (which may alias c) through the work
+// vector: c is copied there, the eta file is applied in reverse, and the
+// transposed LU solve consumes it.
+func (f *denseFactorizer) btranInto(y, c mat.Vector) {
+	v := f.work
+	copy(v, c)
 	for e := len(f.etas) - 1; e >= 0; e-- {
 		et := &f.etas[e]
 		s := 0.0
@@ -131,29 +155,41 @@ func (f *denseFactorizer) Btran(c mat.Vector) mat.Vector {
 		// s includes the r-th term; v_r' = (v_r − (s − v_r·w_r)) / w_r.
 		v[et.r] = (v[et.r] - (s - v[et.r]*et.w[et.r])) / et.w[et.r]
 	}
-	return f.lu.SolveT(v)
+	f.lu.SolveTInto(y, v)
 }
 
-// FtranSp densifies and defers to Ftran — the dense kernel has no sparse
-// path, so the result is always marked Dense.
+// FtranSp densifies and solves straight into x — the dense kernel has no
+// sparse path, so the result is always marked Dense. Every entry of x is
+// overwritten, so its old pattern needs no clearing.
 func (f *denseFactorizer) FtranSp(b, x *mat.SpVec) {
-	x.Reset()
+	x.Ind = x.Ind[:0]
 	x.Dense = true
-	copy(x.Val, b.Val)
-	x.Val = f.Ftran(x.Val)
+	f.ftranInto(x.Val, b.Val)
 }
 
-// BtranSp densifies and defers to Btran.
+// BtranSp densifies and solves straight into y, like FtranSp.
 func (f *denseFactorizer) BtranSp(c, y *mat.SpVec) {
-	y.Reset()
+	y.Ind = y.Ind[:0]
 	y.Dense = true
-	y.Val = f.Btran(c.Val)
+	f.btranInto(y.Val, c.Val)
 }
 
 func (f *denseFactorizer) Update(row int, w mat.Vector, rows []int, vals []float64) error {
 	// w is the solver's reused direction scratch, mutated by the next
-	// FTRAN; the eta file needs its own copy.
-	f.etas = append(f.etas, eta{r: row, w: w.Clone()})
+	// FTRAN; the eta file needs its own copy, in a vector a previous
+	// refactorization retired when there is one.
+	n := len(f.etas)
+	if n < cap(f.etas) {
+		f.etas = f.etas[:n+1]
+	} else {
+		f.etas = append(f.etas, eta{})
+	}
+	et := &f.etas[n]
+	et.r = row
+	if et.w == nil {
+		et.w = mat.NewVector(len(w))
+	}
+	copy(et.w, w)
 	return nil
 }
 

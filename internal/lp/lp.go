@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/mat"
@@ -77,9 +78,14 @@ func (r Rel) String() string {
 }
 
 // Constraint is one row a'x (Rel) b of a problem, stored sparsely: Cols
-// holds the sorted indices of the nonzero coefficients and Vals the
-// corresponding values. Build rows through AddConstraint (dense input) or
-// AddConstraintNZ (sparse input); both normalize into this form.
+// holds the indices of the nonzero coefficients and Vals the corresponding
+// values. Build rows through AddConstraint (dense input) or AddConstraintNZ
+// (sparse input); both normalize into this form.
+//
+// Invariant: Cols is strictly increasing and no entry of Vals is zero.
+// Coeff's binary search and the standard-form assembly (which transposes
+// rows straight into columns, with no sort or merge of its own) rely on it;
+// code that rewrites a row in place must preserve it.
 type Constraint struct {
 	Name string
 	Cols []int
@@ -156,14 +162,48 @@ func (p *Problem) AddConstraintNZ(name string, cols []int, vals []float64, rel R
 			panic(fmt.Sprintf("lp: constraint %q index %d outside [0,%d)", name, j, n))
 		}
 	}
-	// A one-row triplet does the sort/merge/drop-zeros compression; its
-	// output arrays are freshly allocated, so the row can alias them.
-	t := mat.NewTriplet(1, n)
-	for k, j := range cols {
-		t.Add(0, j, vals[k])
-	}
-	cc, vv := t.ToCSR().RowNZ(0)
+	cc, vv := CompressRow(slices.Clone(cols), slices.Clone(vals))
 	p.Cons = append(p.Cons, Constraint{Name: name, Cols: cc, Vals: vv, Rel: rel, RHS: rhs})
+}
+
+// CompressRow normalizes raw (column, value) pairs into Constraint form in
+// place: it sorts the pairs by column, sums duplicates, drops entries that
+// cancel to exactly zero, and returns the compacted prefixes of cols and
+// vals. Duplicates are summed in the order sort.Sort leaves them, so equal
+// inputs always yield bit-identical rows — which is what lets a caller that
+// rewrites a row in place (core.PatchFrequencyLP) compare it against the
+// row AddConstraintNZ assembled.
+func CompressRow(cols []int, vals []float64) ([]int, []float64) {
+	sort.Sort(rowPairs{cols, vals})
+	out := 0
+	for k := 0; k < len(cols); {
+		j := cols[k]
+		s := vals[k]
+		k++
+		for k < len(cols) && cols[k] == j {
+			s += vals[k]
+			k++
+		}
+		if s != 0 {
+			cols[out] = j
+			vals[out] = s
+			out++
+		}
+	}
+	return cols[:out], vals[:out]
+}
+
+// rowPairs sorts parallel (column, value) slices by column.
+type rowPairs struct {
+	cols []int
+	vals []float64
+}
+
+func (p rowPairs) Len() int           { return len(p.cols) }
+func (p rowPairs) Less(i, j int) bool { return p.cols[i] < p.cols[j] }
+func (p rowPairs) Swap(i, j int) {
+	p.cols[i], p.cols[j] = p.cols[j], p.cols[i]
+	p.vals[i], p.vals[j] = p.vals[j], p.vals[i]
 }
 
 // Status reports the outcome of a solve.
@@ -289,19 +329,29 @@ type stdForm struct {
 	prob *Problem
 }
 
+// stdRel is the relation row c takes in standard form, where a negative
+// rhs is sign-flipped to make b >= 0 (which swaps LE and GE).
+func stdRel(c *Constraint) Rel {
+	if c.RHS < 0 {
+		switch c.Rel {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return c.Rel
+}
+
 // newStdForm normalizes the problem. It returns a non-Optimal status if
 // trivial presolve detects infeasibility (all-zero row with impossible RHS).
 func newStdForm(p *Problem) (*stdForm, Status) {
 	nv := p.NumVars()
 
-	type rowSpec struct {
-		cols []int
-		vals []float64
-		rel  Rel
-		rhs  float64
-	}
-	var specs []rowSpec
-	for _, c := range p.Cons {
+	// Presolve away the empty rows and size the standard form.
+	m, ns, na := 0, 0, 0
+	for i := range p.Cons {
+		c := &p.Cons[i]
 		if len(c.Cols) == 0 {
 			ok := false
 			switch c.Rel {
@@ -317,28 +367,8 @@ func newStdForm(p *Problem) (*stdForm, Status) {
 			}
 			continue
 		}
-		spec := rowSpec{cols: c.Cols, vals: c.Vals, rel: c.Rel, rhs: c.RHS}
-		if spec.rhs < 0 {
-			flipped := make([]float64, len(spec.vals))
-			for k, v := range spec.vals {
-				flipped[k] = -v
-			}
-			spec.vals = flipped
-			spec.rhs = -spec.rhs
-			switch spec.rel {
-			case LE:
-				spec.rel = GE
-			case GE:
-				spec.rel = LE
-			}
-		}
-		specs = append(specs, spec)
-	}
-
-	m := len(specs)
-	ns, na := 0, 0
-	for _, s := range specs {
-		switch s.rel {
+		m++
+		switch stdRel(c) {
 		case LE:
 			ns++
 		case GE:
@@ -358,39 +388,76 @@ func newStdForm(p *Problem) (*stdForm, Status) {
 		prob:      p,
 	}
 
-	// Assemble [A | slack | artificial] as triplets and compress to CSC —
-	// columns are what every solver access walks (pricing, basis assembly,
-	// FTRAN scatter).
-	trip := mat.NewTriplet(m, nTot)
-	for i, s := range specs {
-		sf.b[i] = s.rhs
-		for k, j := range s.cols {
-			trip.Add(i, j, s.vals[k])
+	// Assemble [A | slack | artificial] column-compressed — columns are
+	// what every solver access walks (pricing, basis assembly, FTRAN
+	// scatter). The rows already hold sorted, merged, nonzero entries (the
+	// Constraint invariant), so a counting transpose places every entry
+	// directly, with no sort or merge: scanning the rows in order leaves
+	// each column's row indices ascending. Slack and artificial columns
+	// hold one entry each.
+	colPtr := make([]int, nTot+1)
+	for i := range p.Cons {
+		for _, j := range p.Cons[i].Cols {
+			colPtr[j+1]++
 		}
+	}
+	for j := nv; j < nTot; j++ {
+		colPtr[j+1] = 1
+	}
+	for j := 0; j < nTot; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowIdx := make([]int, colPtr[nTot])
+	vals := make([]float64, colPtr[nTot])
+	next := slices.Clone(colPtr[:nTot]) // next free slot per column
+	put := func(i, j int, v float64) {
+		k := next[j]
+		next[j]++
+		rowIdx[k] = i
+		vals[k] = v
 	}
 	slackCol := nv
 	artCol := nv + ns
-	for i, s := range specs {
-		switch s.rel {
+	i := 0
+	for ci := range p.Cons {
+		c := &p.Cons[ci]
+		if len(c.Cols) == 0 {
+			continue
+		}
+		flip := c.RHS < 0
+		for k, j := range c.Cols {
+			v := c.Vals[k]
+			if flip {
+				v = -v
+			}
+			put(i, j, v)
+		}
+		rhs := c.RHS
+		if flip {
+			rhs = -rhs
+		}
+		sf.b[i] = rhs
+		switch stdRel(c) {
 		case LE:
-			trip.Add(i, slackCol, 1)
+			put(i, slackCol, 1)
 			sf.initBasis[i] = slackCol
 			slackCol++
 		case GE:
-			trip.Add(i, slackCol, -1)
+			put(i, slackCol, -1)
 			slackCol++
-			trip.Add(i, artCol, 1)
+			put(i, artCol, 1)
 			sf.initBasis[i] = artCol
 			artCol++
-			sf.artMass += s.rhs
+			sf.artMass += rhs
 		case EQ:
-			trip.Add(i, artCol, 1)
+			put(i, artCol, 1)
 			sf.initBasis[i] = artCol
 			artCol++
-			sf.artMass += s.rhs
+			sf.artMass += rhs
 		}
+		i++
 	}
-	sf.a = trip.ToCSC()
+	sf.a = mat.NewCSC(m, nTot, colPtr, rowIdx, vals)
 
 	for j := 0; j < nv; j++ {
 		if p.Sense == Minimize {

@@ -46,6 +46,7 @@ type revised struct {
 	fact        Factorizer
 	pricer      Pricer
 	xB          mat.Vector
+	cB          mat.Vector // basic costs, the duals' BTRAN input (see duals)
 	bWork       mat.Vector // rhs used for basic-value recomputation (perturbed during a cold solve)
 	perturbed   bool       // bWork currently carries the anti-degeneracy perturbation
 	d           mat.Vector // reduced costs of the active phase, maintained by pivoting
@@ -80,6 +81,7 @@ type revised struct {
 	refactorEvery int
 	maxPivots     int // 0 = unlimited; exceeding returns BudgetExceeded
 	needRefactor  bool
+	fresh         bool // factorization and xB match basis and bWork exactly (see refactor)
 	blandAlways   bool
 	conservative  bool
 	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, sparse-scale stabilization
@@ -104,6 +106,7 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		basis:         make([]int, sf.m),
 		pos:           make([]int, sf.nTot),
 		xB:            mat.NewVector(sf.m),
+		cB:            mat.NewVector(sf.m),
 		bWork:         sf.b,
 		refactorEvery: 50,
 		maxPivots:     cfg.maxPivots,
@@ -169,9 +172,15 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 			rowNNZ[i]++
 		}
 	}
+	// One backing array per field; each row gets a capacity-capped window,
+	// so the appends below fill it in place.
+	colBuf := make([]int32, sf.a.NNZ())
+	valBuf := make([]float64, sf.a.NNZ())
+	off := 0
 	for i, n := range rowNNZ {
-		r.rowCols[i] = make([]int32, 0, n)
-		r.rowVals[i] = make([]float64, 0, n)
+		r.rowCols[i] = colBuf[off : off : off+n]
+		r.rowVals[i] = valBuf[off : off : off+n]
+		off += n
 	}
 	for j := 0; j < sf.nTot; j++ {
 		rows, vals := sf.a.ColNZ(j)
@@ -255,8 +264,14 @@ func (r *revised) rebuildPos() {
 
 // refactor rebuilds the basis factorization from the sparse columns and
 // recomputes exact basic values. It returns false when the basis matrix is
-// singular.
+// singular. When nothing has moved since the last successful rebuild (fresh:
+// no pivot, no rhs change) the factorization and xB are already exactly what
+// a rebuild would produce, so the call is a no-op.
 func (r *revised) refactor() bool {
+	if r.fresh && !r.needRefactor {
+		return true
+	}
+	r.fresh = false
 	r.refactors++
 	t0 := time.Now()
 	defer func() { r.tm.Factor += time.Since(t0) }()
@@ -270,20 +285,17 @@ func (r *revised) refactor() bool {
 		obs.Debugf(r.ctx, "lp", "refactor %d iter %d nnz %d took %v", r.refactors, r.iterations, r.fact.NNZ(), time.Since(t0))
 	}
 	r.needRefactor = false
-	xb := r.fact.Ftran(r.bWork.Clone())
+	copy(r.xB, r.bWork)
+	xb := r.fact.Ftran(r.xB)
 	for i, v := range xb {
 		if v < 0 && v > -1e-7 {
 			xb[i] = 0
 		}
 	}
 	r.xB = xb
+	r.fresh = true
 	r.emit("refactor")
 	return true
-}
-
-// ftran solves B x = v through the factorization. v is consumed.
-func (r *revised) ftran(v mat.Vector) mat.Vector {
-	return r.fact.Ftran(v)
 }
 
 // ftranCol returns the entering direction B⁻¹ a_j for standard-form column
@@ -304,11 +316,6 @@ func (r *revised) ftranCol(j int) *mat.SpVec {
 	return r.ftOut
 }
 
-// btran solves Bᵀ y = c through the factorization. c is not modified.
-func (r *revised) btran(c mat.Vector) mat.Vector {
-	return r.fact.Btran(c)
-}
-
 // btranUnit returns the pivot-row multiplier β = B⁻ᵀe_row as an indexed
 // sparse vector in per-solve scratch, valid until the next btranUnit call.
 func (r *revised) btranUnit(row int) *mat.SpVec {
@@ -320,14 +327,14 @@ func (r *revised) btranUnit(row int) *mat.SpVec {
 	return r.btOut
 }
 
-// duals returns y with Bᵀ y = c_B for the given cost vector.
+// duals returns y with Bᵀ y = c_B for the given cost vector. y may live in
+// per-solve scratch, valid until the next duals call.
 func (r *revised) duals(cost mat.Vector) mat.Vector {
 	t0 := time.Now()
-	cb := mat.NewVector(r.sf.m)
 	for i, b := range r.basis {
-		cb[i] = cost[b]
+		r.cB[i] = cost[b]
 	}
-	y := r.btran(cb)
+	y := r.fact.Btran(r.cB)
 	r.tm.Btran += time.Since(t0)
 	return y
 }
@@ -406,50 +413,52 @@ func (r *revised) updateD(beta *mat.SpVec, row, col int, piv float64) {
 		touched := r.pivotRow(beta) // sequential: FP accumulation order
 		// The consumer is column-parallel: every touched j updates only
 		// d[j] (one multiply, no re-association) and the pricer's γ_j —
-		// write-disjoint, so the result is worker-count-invariant.
-		var apply func(lo, hi int)
-		if dv, ok := r.pricer.(*devexPricer); ok {
-			// Devex weight maintenance inlined: at thousands of touched
-			// columns per pivot the per-column interface call is measurable.
-			// The arithmetic is exactly ObserveAlpha's; d[col] is overwritten
-			// with zero below, so skipping the entering column entirely is
-			// equivalent.
-			gamma, gq := dv.gamma, dv.gq
-			apply = func(lo, hi int) {
-				for _, j := range touched[lo:hi] {
-					a := r.acell[j].v
-					if a == 0 || int(j) == col {
-						continue
-					}
-					if factor != 0 {
-						r.d[j] -= factor * a
-					}
-					t := a / piv
-					if w := t * t * gq; w > gamma[j] {
-						gamma[j] = w
-					}
-				}
-			}
-		} else {
-			apply = func(lo, hi int) {
-				for _, j := range touched[lo:hi] {
-					if a := r.acell[j].v; a != 0 {
-						if factor != 0 {
-							r.d[j] -= factor * a
-						}
-						r.pricer.ObserveAlpha(int(j), a)
-					}
-				}
-			}
-		}
+		// write-disjoint, so the result is worker-count-invariant. Only the
+		// parallel branch builds a closure, so a sequential pivot allocates
+		// nothing here.
 		if r.pool.parallel(len(touched)) {
-			r.pool.run(len(touched), func(_, lo, hi int) { apply(lo, hi) })
+			r.pool.run(len(touched), func(_, lo, hi int) { r.applyPivotRow(touched[lo:hi], col, factor, piv) })
 		} else {
-			apply(0, len(touched))
+			r.applyPivotRow(touched, col, factor, piv)
 		}
 	}
 	r.d[col] = 0
 	r.tm.Price += time.Since(t0)
+}
+
+// applyPivotRow is updateD's per-column pass over a span of the pivot row's
+// touched columns: d_j −= factor·α_j, and the pricer observes α_j.
+func (r *revised) applyPivotRow(touched []int32, col int, factor, piv float64) {
+	if dv, ok := r.pricer.(*devexPricer); ok {
+		// Devex weight maintenance inlined: at thousands of touched columns
+		// per pivot the per-column interface call is measurable. The
+		// arithmetic is exactly ObserveAlpha's; d[col] is overwritten with
+		// zero by updateD, so skipping the entering column entirely is
+		// equivalent.
+		gamma, gq := dv.gamma, dv.gq
+		for _, j := range touched {
+			a := r.acell[j].v
+			if a == 0 || int(j) == col {
+				continue
+			}
+			if factor != 0 {
+				r.d[j] -= factor * a
+			}
+			t := a / piv
+			if w := t * t * gq; w > gamma[j] {
+				gamma[j] = w
+			}
+		}
+		return
+	}
+	for _, j := range touched {
+		if a := r.acell[j].v; a != 0 {
+			if factor != 0 {
+				r.d[j] -= factor * a
+			}
+			r.pricer.ObserveAlpha(int(j), a)
+		}
+	}
 }
 
 // price picks the entering column among [0, maxCol) from the maintained
@@ -595,6 +604,7 @@ func (r *revised) pivotUpdate(row, col int, w *mat.SpVec) {
 		}
 	}
 	r.xB[row] = theta
+	r.fresh = false
 	r.pos[r.basis[row]] = -1
 	r.basis[row] = col
 	r.pos[col] = row
@@ -727,6 +737,7 @@ func (r *revised) perturb() {
 	}
 	r.bWork = pb
 	r.perturbed = true
+	r.fresh = false
 	r.emit("perturb")
 }
 
@@ -735,6 +746,7 @@ func (r *revised) perturb() {
 func (r *revised) restoreB() {
 	r.bWork = r.sf.b
 	r.perturbed = false
+	r.fresh = false
 }
 
 // solve runs both phases and extracts the solution. Every exit records the
@@ -744,12 +756,7 @@ func (r *revised) restoreB() {
 func (r *revised) solve() (sol *Solution) {
 	sol = &Solution{}
 	defer r.finishMon()
-	defer func() {
-		sol.Iterations = r.iterations
-		sol.Refactorizations = r.refactors
-		sol.FactorNNZ = r.fact.NNZ()
-		sol.Timings = r.tm
-	}()
+	defer r.recordWork(sol)
 	r.emit("start")
 	if !r.conservative && r.atScale {
 		// Perturbation is an anti-degeneracy device for sparse-scale bases,
@@ -883,11 +890,18 @@ func (r *revised) phase2() *Solution {
 			break
 		}
 	}
+	r.recordWork(sol)
+	return sol
+}
+
+// recordWork copies the solve's work counters and stage timings into sol.
+// Every exit that returns a Solution from a running solver calls it, so
+// aborted solves report the work they actually paid.
+func (r *revised) recordWork(sol *Solution) {
 	sol.Iterations = r.iterations
 	sol.Refactorizations = r.refactors
 	sol.FactorNNZ = r.fact.NNZ()
 	sol.Timings = r.tm
-	return sol
 }
 
 // primalFeasible reports whether every basic value is nonnegative (up to

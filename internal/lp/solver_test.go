@@ -133,6 +133,43 @@ func TestWithMaxPivotsWarm(t *testing.T) {
 	}
 }
 
+// TestWithMaxPivotsWarmReportsWork holds a budget-stopped warm solve to the
+// work-record contract every other exit keeps: stage timings and the
+// factorization size come back with the status. Two independent blocks
+// min x + 2y s.t. x + y ≥ 5, x ≤ u each leave the warm basis primal
+// infeasible when u drops from 10 to 2, so restoring it takes one dual
+// pivot per block — two in all, one more than the budget.
+func TestWithMaxPivotsWarmReportsWork(t *testing.T) {
+	build := func(u float64) *Problem {
+		p := NewProblem(Minimize, 4)
+		p.Obj = []float64{1, 2, 1, 2}
+		for b := 0; b < 2; b++ {
+			p.AddConstraintNZ("cover", []int{2 * b, 2*b + 1}, []float64{1, 1}, GE, 5)
+			p.AddConstraintNZ("cap", []int{2 * b}, []float64{1}, LE, u)
+		}
+		return p
+	}
+	_, basis, err := NewSolver().Solve(context.Background(), build(10), nil)
+	if err != nil {
+		t.Fatalf("cold solve: %v", err)
+	}
+	full, _, err := NewSolver().Solve(context.Background(), build(2), basis)
+	if err != nil || !full.WarmStarted || full.Iterations < 2 {
+		t.Fatalf("unbudgeted warm solve: err %v, warm %v, %d pivots; want a warm start needing ≥ 2 pivots",
+			err, full.WarmStarted, full.Iterations)
+	}
+	sol, _, err := NewSolver(WithMaxPivots(1)).Solve(context.Background(), build(2), basis)
+	if sol.Status != BudgetExceeded || !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("status %v err %v, want BudgetExceeded", sol.Status, err)
+	}
+	if sol.Timings.Total() <= 0 {
+		t.Errorf("budget-stopped warm solve reported no stage time (%+v)", sol.Timings)
+	}
+	if sol.FactorNNZ <= 0 {
+		t.Errorf("budget-stopped warm solve reported FactorNNZ = %d", sol.FactorNNZ)
+	}
+}
+
 // TestWithWallClock verifies the wall-clock option surfaces as Cancelled
 // with a deadline cause.
 func TestWithWallClock(t *testing.T) {

@@ -115,13 +115,18 @@ func solveWarm(ctx context.Context, p *Problem, warm *Basis, cfg solverConfig) (
 		// now dual-feasible optimum — still converges from the stale basis,
 		// and any failure there falls back to a cold solve below.
 		if r.dualFeasible() && !r.dualSimplex() {
-			if r.budgetExceeded() {
-				return &Solution{Status: BudgetExceeded, Iterations: r.iterations, Refactorizations: r.refactors}, nil
+			var st Status
+			switch {
+			case r.budgetExceeded():
+				st = BudgetExceeded
+			case r.cancelled():
+				st = Cancelled
+			default:
+				return nil, nil
 			}
-			if r.cancelled() {
-				return &Solution{Status: Cancelled, Iterations: r.iterations, Refactorizations: r.refactors}, nil
-			}
-			return nil, nil
+			sol := &Solution{Status: st}
+			r.recordWork(sol)
+			return sol, nil
 		}
 	}
 	sol := r.phase2()

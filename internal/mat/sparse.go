@@ -447,6 +447,19 @@ type CSC struct {
 	t *CSR // CSR of the transpose: row j of t = column j of the matrix
 }
 
+// NewCSC wraps compressed-column arrays as a rows×cols CSC matrix without
+// copying them: column j's entries are rowIdx[colPtr[j]:colPtr[j+1]] with
+// values vals[colPtr[j]:colPtr[j+1]]. The caller guarantees the form every
+// other constructor produces — row indices in [0, rows), strictly
+// increasing within each column, no explicit zeros — and hands the arrays
+// over. It panics on inconsistent array lengths.
+func NewCSC(rows, cols int, colPtr, rowIdx []int, vals []float64) *CSC {
+	if rows < 0 || cols < 0 || len(colPtr) != cols+1 || colPtr[cols] != len(rowIdx) || len(rowIdx) != len(vals) {
+		panic(fmt.Sprintf("mat: NewCSC with inconsistent arrays for %dx%d", rows, cols))
+	}
+	return &CSC{t: &CSR{rows: cols, cols: rows, rowPtr: colPtr, colIdx: rowIdx, vals: vals}}
+}
+
 // Rows returns the number of rows.
 func (m *CSC) Rows() int { return m.t.cols }
 

@@ -169,10 +169,11 @@ func Pareto(ctx context.Context, m *core.Model, opts core.Options, metric string
 // Stats summarizes how a sweep's solves went; it exists for CLI reporting
 // and tests, not for control flow.
 type Stats struct {
-	Points      int // total points
-	Feasible    int // points with a finite optimum
-	WarmStarted int // feasible points whose LP reused a basis
-	Pivots      int // total simplex iterations across all solves
+	Points           int // total points
+	Feasible         int // points with a finite optimum
+	WarmStarted      int // feasible points whose LP reused a basis
+	Pivots           int // total simplex iterations across all solves
+	Refactorizations int // total basis refactorizations across all solves
 }
 
 // Tally collects Stats over a finished sweep.
@@ -189,6 +190,7 @@ func Tally(points []core.ParetoPoint) Stats {
 				s.WarmStarted++
 			}
 			s.Pivots += p.Result.LPIterations
+			s.Refactorizations += p.Result.LPRefactorizations
 		}
 	}
 	return s
