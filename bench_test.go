@@ -162,20 +162,27 @@ func sweepDiskStudy(tb testing.TB) (*core.Model, core.Options, []float64) {
 	return m, opts, bounds
 }
 
-// TestSweepDiskTrajectoryPin pins the total pivot count of
-// BenchmarkSweepDisk's warm curve at one and two workers. The values are
+// TestSweepDiskTrajectoryPin pins the total pivot and LU-rebuild counts of
+// BenchmarkSweepDisk's warm curve at one and two workers. The pivots are
 // the solver's vertex selection on this grid; a change that moves them
 // changed a pivot trajectory, which must be a deliberate, documented
-// decision rather than a side effect of a performance change.
+// decision rather than a side effect of a performance change. The
+// refactorizations are the work around those pivots: each chunk's LP is
+// resident, so a warm point whose basis did not move rebuilds no LU, and a
+// count that rises means per-point rebuilding crept back.
 func TestSweepDiskTrajectoryPin(t *testing.T) {
 	m, opts, bounds := sweepDiskStudy(t)
-	for _, tc := range []struct{ workers, pivots int }{{1, 111}, {2, 283}} {
+	for _, tc := range []struct{ workers, pivots, refactors int }{{1, 111, 4}, {2, 283, 10}} {
 		pts, err := repro.ParallelParetoSweep(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, repro.SweepConfig{Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := repro.ParetoSweepStats(pts); st.Pivots != tc.pivots {
+		st := repro.ParetoSweepStats(pts)
+		if st.Pivots != tc.pivots {
 			t.Errorf("workers %d: %d pivots per curve, want %d", tc.workers, st.Pivots, tc.pivots)
+		}
+		if st.Refactorizations != tc.refactors {
+			t.Errorf("workers %d: %d refactorizations per curve, want %d", tc.workers, st.Refactorizations, tc.refactors)
 		}
 	}
 }

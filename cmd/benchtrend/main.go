@@ -6,11 +6,13 @@
 // Usage:
 //
 //	benchtrend -old prev/BENCH.json [-new BENCH.json] [-max-ratio 2] \
-//	           [-benches OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,LoadServed,FactoredEval] \
-//	           [-min-ns 1e6] [-max-alloc-ratio 3]
+//	           [-benches OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,LoadServed,FactoredEval,Pareto] \
+//	           [-min-ns 1e6] [-max-alloc-ratio 3] [-min-alloc-bytes 262144]
 //
 // Bench names are prefix-matched against the report (so "LargeComposite"
-// covers every sub-benchmark). Benchmarks absent from the old report are
+// covers every sub-benchmark, and "Pareto" the sweep engine's
+// sequential/parallel × cold/warm grid, whose SequentialWarm entry records
+// the per-point overhead of warm sweep points). Benchmarks absent from the old report are
 // reported informationally and never fail the check; ns/op values below
 // -min-ns are skipped, because single-iteration timings of sub-millisecond
 // benches are noise. The 2x default is deliberately loose for the same
@@ -39,7 +41,9 @@
 // and an accidental re-expansion would multiply B/op by orders of magnitude
 // while barely moving ns/op. Old records below -min-alloc-bytes B/op (or
 // -min-allocs allocs/op) are skipped — tiny footprints regress by large
-// ratios for harmless reasons.
+// ratios for harmless reasons. The 256 kB default keeps the warm Pareto
+// sweeps gated: with each chunk's LP resident, a SweepDisk curve allocates
+// ~0.65 MB, and a return to per-point LP assembly would multiply that.
 package main
 
 import (
@@ -63,19 +67,36 @@ type Report struct {
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
+// defaultBenches is the -benches default: the headline bench name prefixes.
+const defaultBenches = "OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,LoadServed,FactoredEval,Pareto"
+
+// defaultLimits are the threshold flags' defaults.
+var defaultLimits = limits{
+	maxRatio:         2,
+	minNS:            1e6,
+	maxStageRatio:    3,
+	minStageMS:       50,
+	maxQuantileRatio: 2,
+	minQuantileMS:    0.2,
+	maxAllocRatio:    3,
+	minAllocBytes:    256 << 10,
+	minAllocs:        1000,
+}
+
 func main() {
+	d := defaultLimits
 	oldPath := flag.String("old", "", "previous BENCH.json (required)")
 	newPath := flag.String("new", "BENCH.json", "current BENCH.json")
-	maxRatio := flag.Float64("max-ratio", 2.0, "fail when new/old ns/op exceeds this")
-	benches := flag.String("benches", "OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,LoadServed,FactoredEval", "comma-separated headline bench name prefixes")
-	minNS := flag.Float64("min-ns", 1e6, "ignore benches whose old ns/op is below this (too noisy at 1 iteration)")
-	maxStageRatio := flag.Float64("max-stage-ratio", 3.0, "fail when a per-stage solver timing (ftran_ms, …) exceeds this ratio")
-	minStageMS := flag.Float64("min-stage-ms", 50, "ignore stages whose old value is below this many ms")
-	maxQuantileRatio := flag.Float64("max-quantile-ratio", 2.0, "fail when a serving latency quantile (p50_ms, p90_ms, p99_ms) exceeds this ratio")
-	minQuantileMS := flag.Float64("min-quantile-ms", 0.2, "ignore quantiles whose old value is below this many ms")
-	maxAllocRatio := flag.Float64("max-alloc-ratio", 3.0, "fail when B/op or allocs/op exceeds this ratio")
-	minAllocBytes := flag.Float64("min-alloc-bytes", 1e6, "ignore B/op gates whose old value is below this many bytes")
-	minAllocs := flag.Float64("min-allocs", 1000, "ignore allocs/op gates whose old value is below this count")
+	maxRatio := flag.Float64("max-ratio", d.maxRatio, "fail when new/old ns/op exceeds this")
+	benches := flag.String("benches", defaultBenches, "comma-separated headline bench name prefixes")
+	minNS := flag.Float64("min-ns", d.minNS, "ignore benches whose old ns/op is below this (too noisy at 1 iteration)")
+	maxStageRatio := flag.Float64("max-stage-ratio", d.maxStageRatio, "fail when a per-stage solver timing (ftran_ms, …) exceeds this ratio")
+	minStageMS := flag.Float64("min-stage-ms", d.minStageMS, "ignore stages whose old value is below this many ms")
+	maxQuantileRatio := flag.Float64("max-quantile-ratio", d.maxQuantileRatio, "fail when a serving latency quantile (p50_ms, p90_ms, p99_ms) exceeds this ratio")
+	minQuantileMS := flag.Float64("min-quantile-ms", d.minQuantileMS, "ignore quantiles whose old value is below this many ms")
+	maxAllocRatio := flag.Float64("max-alloc-ratio", d.maxAllocRatio, "fail when B/op or allocs/op exceeds this ratio")
+	minAllocBytes := flag.Float64("min-alloc-bytes", d.minAllocBytes, "ignore B/op gates whose old value is below this many bytes")
+	minAllocs := flag.Float64("min-allocs", d.minAllocs, "ignore allocs/op gates whose old value is below this count")
 	flag.Parse()
 	if *oldPath == "" {
 		fmt.Fprintln(os.Stderr, "benchtrend: -old is required")

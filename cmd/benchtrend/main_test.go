@@ -226,3 +226,31 @@ func TestCompareAllocs(t *testing.T) {
 		t.Errorf("missing-alloc note absent: %v", notes)
 	}
 }
+
+// TestDefaultGatesCoverResidentSweeps: under the default flags, a warm
+// sweep's allocations stay gated now that a SweepDisk curve allocates
+// ~0.65 MB (below the old 1 MB floor), and the Pareto engine benches —
+// BenchmarkParetoSequentialWarm records the per-point cost of warm sweep
+// points — are headline benches.
+func TestDefaultGatesCoverResidentSweeps(t *testing.T) {
+	prefixes := strings.Split(defaultBenches, ",")
+	old := rep(
+		allocEntry("SweepDisk", 4.5e6, 0.65e6, 4000),
+		allocEntry("ParetoSequentialWarm", 3e6, 0.9e6, 5000),
+	)
+	// Per-point LP assembly back: B/op ×5.5 on SweepDisk, ns/op ×2.5 on
+	// the sequential warm sweep.
+	cur := rep(
+		allocEntry("SweepDisk", 6e6, 3.6e6, 11000),
+		allocEntry("ParetoSequentialWarm", 7.5e6, 2e6, 9000),
+	)
+	regs, _ := compare(old, cur, prefixes, defaultLimits)
+	var sweepBytes, paretoNS bool
+	for _, r := range regs {
+		sweepBytes = sweepBytes || strings.HasPrefix(r, "SweepDisk") && strings.Contains(r, "B/op")
+		paretoNS = paretoNS || strings.HasPrefix(r, "ParetoSequentialWarm: ")
+	}
+	if !sweepBytes || !paretoNS {
+		t.Errorf("default gates: regressions %v, want SweepDisk B/op and ParetoSequentialWarm ns/op", regs)
+	}
+}

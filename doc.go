@@ -16,9 +16,11 @@
 //     architecture" below): the basis size picks the kernel — dense LU
 //     with an eta file and Dantzig pricing for small bases, Markowitz-
 //     ordered sparse LU with Forrest–Tomlin updates and Devex pricing for
-//     large ones — plus optimal-basis export/import (lp.Basis) so the closely related LPs
-//     of a Pareto sweep warm-start each other, with dual-simplex
-//     restoration when a bound change breaks feasibility; a per-solve
+//     large ones — plus optimal-basis export/import (lp.Basis) so the
+//     closely related LPs of a Pareto sweep warm-start each other, with
+//     dual-simplex restoration when a bound change breaks feasibility, and
+//     resident re-solves (lp.Resident) that keep one LP's standard form and
+//     basis factorization across rhs-only changes; a per-solve
 //     flight recorder (lp.WithMonitor) streams read-only iteration
 //     snapshots — pivots, objective, infeasibilities, and the sparse
 //     kernel's numerical-health counters (mat.HealthStats) — without
@@ -27,8 +29,8 @@
 //   - internal/sweep — the concurrent sweep engine: a bounded
 //     GOMAXPROCS-sized worker pool with deterministic input-ordered
 //     results (sweep.Map), and chunked warm-started Pareto tracing
-//     (sweep.Pareto) that reproduces the sequential curve point for
-//     point with identical objectives;
+//     (sweep.Pareto, one resident LP per chunk) that reproduces the
+//     sequential curve point for point with identical objectives;
 //   - internal/markov — Markov-chain analysis over a minimal operator
 //     interface (markov.Op: one distribution step plus row sampling), so a
 //     chain is either an explicit CSR or a matrix-free operator
@@ -212,9 +214,16 @@
 // recycled, and the standard form's constraint matrix is assembled by a
 // counting transpose of rows that are already sorted and merged
 // (lp.CompressRow) instead of a triplet sort. A basis is never
-// refactorized while unchanged: a rebuild requested with no pivot and no
-// rhs change since the last one is a no-op. Pivot trajectories are
-// bit-identical to the allocating path.
+// refactorized while unchanged: the LU is rebuilt only after a pivot (or an
+// unstable update), and an rhs change with no pivot since — the exact rhs
+// restored after the anti-degeneracy perturbation, or the next point of a
+// sweep — recomputes the basic values by one FTRAN through the existing
+// factors. A Pareto sweep keeps each chunk's LP resident (lp.Resident,
+// core.ParetoSweepCtx): the LP is assembled once per chunk, each point
+// moves only the swept bound's right-hand side, and a point warm-started
+// from the previous point's basis reuses that solve's standard form, row
+// mirror and factorization, returning bit for bit what a fresh warm solve
+// returns. Pivot trajectories are bit-identical to the allocating path.
 //
 // Each solve accounts for its own time: lp.Solution.Timings splits the
 // wall clock into ftran/btran/price/factor/update, and the breakdown

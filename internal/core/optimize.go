@@ -169,6 +169,13 @@ func OptimizeCtx(ctx context.Context, m *Model, opts Options) (*Result, error) {
 // yields a well-formed but wrong answer, exactly as it would for any solver
 // handed the wrong data.
 func OptimizeProblemCtx(ctx context.Context, m *Model, opts Options, prob *lp.Problem) (*Result, error) {
+	return optimizeProblem(ctx, m, opts, prob, nil)
+}
+
+// optimizeProblem is OptimizeProblemCtx with an optional resident solver
+// bound to prob (see lp.Resident), through which the LP is solved instead
+// of through a fresh Solver.Solve; results are identical either way.
+func optimizeProblem(ctx context.Context, m *Model, opts Options, prob *lp.Problem, resident *lp.Resident) (*Result, error) {
 	if opts.Objective.Metric == "" {
 		opts.Objective.Metric = MetricPenalty
 	}
@@ -189,7 +196,13 @@ func OptimizeProblemCtx(ctx context.Context, m *Model, opts Options, prob *lp.Pr
 	}
 
 	solveCtx, sp := obs.StartSpan(ctx, "solve")
-	sol, basis, err := opts.lpSolver().Solve(solveCtx, prob, opts.WarmBasis)
+	var sol *lp.Solution
+	var basis *lp.Basis
+	if resident != nil {
+		sol, basis, err = resident.Solve(solveCtx, opts.WarmBasis)
+	} else {
+		sol, basis, err = opts.lpSolver().Solve(solveCtx, prob, opts.WarmBasis)
+	}
 	sp.Set("status", sol.Status.String())
 	sp.Set("pivots", sol.Iterations)
 	sp.Set("refactorizations", sol.Refactorizations)
@@ -335,9 +348,14 @@ func BuildFrequencyLP(m *Model, opts Options) (*lp.Problem, error) {
 			return nil, err
 		}
 		idx, val = boundRowNZ(m, table, idx[:0], val[:0])
-		prob.AddConstraintNZ(fmt.Sprintf("%s %s %g", b.Metric, b.Rel, b.Value), idx, val, b.Rel, b.Value)
+		prob.AddConstraintNZ(b.rowName(), idx, val, b.Rel, b.Value)
 	}
 	return prob, nil
+}
+
+// rowName is the name of the bound's frequency-LP row.
+func (b Bound) rowName() string {
+	return fmt.Sprintf("%s %s %g", b.Metric, b.Rel, b.Value)
 }
 
 // transposedChains returns the per-command transposes of the model's
@@ -453,40 +471,77 @@ type ParetoPoint struct {
 //
 // Consecutive points differ only in one right-hand side, so each solve
 // warm-starts from the previous feasible point's optimal basis (a caller-
-// supplied Options.WarmBasis seeds the first point). This is the sequential
-// reference path; package sweep runs ParetoSweepCtx per chunk on a worker
-// pool for multi-core sweeps.
+// supplied Options.WarmBasis seeds the first point), on one resident LP
+// (see ParetoSweepCtx). This is the sequential reference path; package
+// sweep runs ParetoSweepCtx per chunk on a worker pool for multi-core
+// sweeps.
 func ParetoSweep(m *Model, opts Options, metric string, rel lp.Rel, boundValues []float64) ([]ParetoPoint, error) {
 	return ParetoSweepCtx(context.Background(), m, opts, metric, rel, boundValues, false)
 }
 
 // ParetoSweepCtx is ParetoSweep with cancellation — checked between points
-// and, through OptimizeCtx's lp hook, inside each solve's pivot loop — and
-// an optional cold mode that disables basis reuse entirely (including any
-// caller-supplied Options.WarmBasis), so every point solves from scratch.
-// It is the chunk worker of package sweep.
+// and, through the lp layer, inside each solve's pivot loop — and an
+// optional cold mode that disables basis reuse entirely (including any
+// caller-supplied Options.WarmBasis), so every point builds its LP and
+// solves it from scratch. It is the chunk worker of package sweep.
+//
+// The warm mode builds the frequency LP once and keeps it resident
+// (lp.Resident): each point only moves the swept bound's right-hand side,
+// and a solve warm-started from the previous point's basis reuses that
+// solve's standard form and basis factorization, so it pays one FTRAN and
+// its own pivots instead of an LP assembly and an LU rebuild. Its results
+// are bit-identical to solving every point afresh from the previous
+// feasible point's basis. Each point's Result, Basis included, is its own
+// snapshot.
 func ParetoSweepCtx(ctx context.Context, m *Model, opts Options, metric string, rel lp.Rel, boundValues []float64, cold bool) ([]ParetoPoint, error) {
 	points := make([]ParetoPoint, 0, len(boundValues))
-	warm := opts.WarmBasis
+	if len(boundValues) == 0 {
+		return points, nil
+	}
+	o := opts
+	o.Bounds = append(append([]Bound{}, opts.Bounds...), Bound{Metric: metric, Rel: rel, Value: boundValues[0]})
+	swept := &o.Bounds[len(o.Bounds)-1]
+	var prob *lp.Problem
+	var resident *lp.Resident
+	row := 0 // the swept bound's row, the LP's last
 	if cold {
-		warm = nil
+		o.WarmBasis = nil
+	} else {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		_, sp := obs.StartSpan(ctx, "build")
+		var err error
+		prob, err = BuildFrequencyLP(m, o)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		resident = o.lpSolver().Resident(prob)
+		row = len(prob.Cons) - 1
 	}
 	for _, v := range boundValues {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		o := opts
-		o.Bounds = append(append([]Bound{}, opts.Bounds...), Bound{Metric: metric, Rel: rel, Value: v})
-		o.WarmBasis = warm
-		res, err := OptimizeCtx(ctx, m, o)
+		swept.Value = v
+		var r *Result
+		var err error
+		if cold {
+			r, err = OptimizeCtx(ctx, m, o)
+		} else {
+			resident.SetRHS(row, v)
+			prob.Cons[row].Name = swept.rowName()
+			r, err = optimizeProblem(ctx, m, o, prob, resident)
+		}
 		switch {
 		case err == nil:
 			if !cold {
-				warm = res.Basis
+				o.WarmBasis = r.Basis
 			}
 			points = append(points, ParetoPoint{
 				BoundValue: v, Feasible: true,
-				Objective: res.Objective, Averages: res.Averages, Result: res,
+				Objective: r.Objective, Averages: r.Averages, Result: r,
 			})
 		case errors.Is(err, ErrInfeasible):
 			points = append(points, ParetoPoint{BoundValue: v, Objective: math.Inf(1)})

@@ -500,3 +500,46 @@ func TestParetoSweepWarmStarts(t *testing.T) {
 		t.Errorf("no point of the sweep warm-started")
 	}
 }
+
+// TestParetoSweepPointAllocs bounds what one more pivot-free point costs a
+// warm sweep in allocations: the point's Result (frequencies, policy,
+// averages), its Solution and exported Basis, and the swept row's name —
+// a few dozen, where assembling the point's LP afresh would cost several
+// per constraint row. It keeps the per-point rebuild from creeping back
+// into the resident sweep.
+func TestParetoSweepPointAllocs(t *testing.T) {
+	sys := exampleSystem()
+	m := buildExample(t)
+	opts := Options{
+		Alpha:          HorizonToAlpha(1e5),
+		Initial:        Delta(m.N, sys.Index(State{SP: 0, SR: 0, Q: 0})),
+		Objective:      Objective{Metric: MetricPower, Sense: lp.Minimize},
+		SkipEvaluation: true,
+	}
+	sweepOf := func(n int) float64 {
+		values := make([]float64, n)
+		for i := range values {
+			values[i] = 0.4
+		}
+		return testing.AllocsPerRun(5, func() {
+			pts, err := ParetoSweep(m, opts, MetricPenalty, lp.LE, values)
+			if err != nil || !pts[n-1].Feasible || (n > 1 && pts[n-1].Result.LPIterations != 0) {
+				t.Fatalf("sweep of %d: err %v, or its last point was infeasible or pivoted", n, err)
+			}
+		})
+	}
+	const extra = 8
+	perPoint := (sweepOf(1+extra) - sweepOf(1)) / extra
+	build := testing.AllocsPerRun(5, func() {
+		if _, err := BuildFrequencyLP(m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per resident point; one LP assembly costs %.0f", perPoint, build)
+	if perPoint > 40 {
+		t.Errorf("a pivot-free sweep point allocates %.1f times, want <= 40", perPoint)
+	}
+	if build <= 40 {
+		t.Errorf("LP assembly allocates only %.0f times: the bound no longer tells a rebuild apart", build)
+	}
+}

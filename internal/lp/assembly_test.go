@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,5 +185,81 @@ func TestStdFormCSCMatchesTriplet(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestResidentSetRHSMatchesStdForm: SetRHS keeps a live resident's
+// standard form exactly what newStdForm would assemble from the updated
+// problem — the rhs vector and the artificial mass the phase-1 cutoff
+// reads, bit for bit — and drops the retained state on a sign change or an
+// empty row, where the assembled form would differ. Problems mix LE, GE and
+// EQ rows, negative right-hand sides and empty rows, and are feasible by
+// construction (every rhs is set from the activity of a positive point).
+func TestResidentSetRHSMatchesStdForm(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	rels := []Rel{LE, GE, EQ}
+	live := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(8)
+		x0 := make([]float64, n)
+		for j := range x0 {
+			x0[j] = 0.5 + r.Float64()
+		}
+		p := NewProblem(Minimize, n)
+		for j := range p.Obj {
+			p.Obj[j] = 0.5 + r.Float64()
+		}
+		for i := 1 + r.Intn(8); i > 0; i-- {
+			if r.Intn(6) == 0 {
+				p.AddConstraintNZ("empty", nil, nil, rels[r.Intn(3)], 0)
+				continue
+			}
+			cols, vals := randomRowPairs(r, n)
+			p.AddConstraintNZ("row", cols, vals, rels[r.Intn(3)], 0)
+			c := &p.Cons[len(p.Cons)-1]
+			c.RHS = c.Dot(x0)
+			switch c.Rel {
+			case LE:
+				c.RHS += r.Float64()
+			case GE:
+				c.RHS -= r.Float64()
+			}
+		}
+		rs := NewSolver().Resident(p)
+		if _, _, err := rs.Solve(context.Background(), nil); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for step := 0; step < 6 && rs.r != nil; step++ {
+			row := r.Intn(len(p.Cons))
+			old := p.Cons[row].RHS
+			v := old * (0.5 + r.Float64())
+			if r.Intn(4) == 0 {
+				v = -v
+			}
+			rs.SetRHS(row, v)
+			if flipped := (old < 0) != (v < 0); flipped || len(p.Cons[row].Cols) == 0 {
+				if rs.r != nil {
+					t.Fatalf("trial %d: resident kept its state after SetRHS(%d, %g) from %g", trial, row, v, old)
+				}
+				break
+			}
+			live++
+			want, st := newStdForm(p)
+			if st != Optimal {
+				t.Fatalf("trial %d: presolve status %v", trial, st)
+			}
+			got := rs.r.sf
+			for i := range want.b {
+				if math.Float64bits(got.b[i]) != math.Float64bits(want.b[i]) {
+					t.Fatalf("trial %d: b[%d] = %g, assembled %g", trial, i, got.b[i], want.b[i])
+				}
+			}
+			if math.Float64bits(got.artMass) != math.Float64bits(want.artMass) {
+				t.Fatalf("trial %d: artMass %g, assembled %g", trial, got.artMass, want.artMass)
+			}
+		}
+	}
+	if live < 100 {
+		t.Errorf("only %d SetRHS calls kept the resident live", live)
 	}
 }

@@ -244,6 +244,15 @@ func (s *sparseFactorizer) Refactor(a *mat.CSC, basis []int) error {
 	return nil
 }
 
+// resetCounters starts the per-solve counter totals over while keeping the
+// factorization (see revised.rearm).
+func (s *sparseFactorizer) resetCounters() {
+	s.acc = mat.HealthStats{}
+	if s.f != nil {
+		s.f.ResetCounters()
+	}
+}
+
 func (s *sparseFactorizer) Ftran(v mat.Vector) mat.Vector { return s.f.Solve(v) }
 
 func (s *sparseFactorizer) Btran(c mat.Vector) mat.Vector { return s.f.SolveT(c) }

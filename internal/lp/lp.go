@@ -448,16 +448,15 @@ func newStdForm(p *Problem) (*stdForm, Status) {
 			put(i, artCol, 1)
 			sf.initBasis[i] = artCol
 			artCol++
-			sf.artMass += rhs
 		case EQ:
 			put(i, artCol, 1)
 			sf.initBasis[i] = artCol
 			artCol++
-			sf.artMass += rhs
 		}
 		i++
 	}
 	sf.a = mat.NewCSC(m, nTot, colPtr, rowIdx, vals)
+	sf.artMass = sf.artificialMass()
 
 	for j := 0; j < nv; j++ {
 		if p.Sense == Minimize {
@@ -470,6 +469,18 @@ func newStdForm(p *Problem) (*stdForm, Status) {
 		sf.cost1[j] = 1
 	}
 	return sf, Optimal
+}
+
+// artificialMass sums b over the rows whose initial basic variable is an
+// artificial (GE and EQ rows), in row order.
+func (sf *stdForm) artificialMass() float64 {
+	mass := 0.0
+	for i, j := range sf.initBasis {
+		if j >= sf.nv+sf.ns {
+			mass += sf.b[i]
+		}
+	}
+	return mass
 }
 
 // phase1Feasible reports whether a phase-1 optimum whose basic artificials

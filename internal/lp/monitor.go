@@ -2,10 +2,10 @@ package lp
 
 // Solve flight recorder: a per-solve callback observing the simplex in
 // flight. A Monitor attached with WithMonitor receives a Snapshot at solve
-// start and finish, at every refactorization and rhs perturbation, on the
-// first degenerate-stall escalation of a phase, and every WithMonitorEvery
-// pivots in between — enough to render live progress for a solve that runs
-// for minutes without waiting for Solution.
+// start and finish, at every exact recomputation (refactorization) and rhs
+// perturbation, on the first degenerate-stall escalation of a phase, and
+// every WithMonitorEvery pivots in between — enough to render live progress
+// for a solve that runs for minutes without waiting for Solution.
 //
 // Two hard guarantees, enforced by the determinism suite:
 //
@@ -31,8 +31,10 @@ import (
 // retained and read concurrently with the ongoing solve.
 type Snapshot struct {
 	// Event says why the snapshot was taken: "start", "progress" (pivot
-	// cadence), "refactor", "perturb", "stall" (anti-cycling escalation),
-	// "finish".
+	// cadence), "refactor" (an exact recomputation point: the basis
+	// refactorized, or the basic values recomputed from an unchanged
+	// factorization after an rhs change), "perturb", "stall" (anti-cycling
+	// escalation), "finish".
 	Event string
 	// Phase is the simplex phase at the time: "phase1", "phase2", or
 	// "dual" (dual-simplex repair); empty before the first phase starts.

@@ -81,7 +81,8 @@ type revised struct {
 	refactorEvery int
 	maxPivots     int // 0 = unlimited; exceeding returns BudgetExceeded
 	needRefactor  bool
-	fresh         bool // factorization and xB match basis and bWork exactly (see refactor)
+	factFresh     bool // the factorization is an exact rebuild of the current basis (see refactor)
+	xBFresh       bool // xB is exactly the factorization's FTRAN of bWork (see refactor)
 	blandAlways   bool
 	conservative  bool
 	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, sparse-scale stabilization
@@ -264,14 +265,26 @@ func (r *revised) rebuildPos() {
 
 // refactor rebuilds the basis factorization from the sparse columns and
 // recomputes exact basic values. It returns false when the basis matrix is
-// singular. When nothing has moved since the last successful rebuild (fresh:
-// no pivot, no rhs change) the factorization and xB are already exactly what
-// a rebuild would produce, so the call is a no-op.
+// singular. The two halves are skipped independently when nothing they
+// depend on has moved: the LU is rebuilt only when the basis changed since
+// the last rebuild (factFresh: no pivot since) or the factorizer demanded it
+// (needRefactor), and xB is recomputed only when the factorization or the
+// rhs changed (xBFresh). A rebuild of an unchanged basis would reproduce the
+// same factors bit for bit, so an rhs-only change — restoring the exact rhs
+// after the anti-degeneracy perturbation, or a resident re-solve (see
+// Resident) — costs one FTRAN. Refactorizations counts LU rebuilds only; the
+// "refactor" monitor event marks both kinds of exact recomputation point.
 func (r *revised) refactor() bool {
-	if r.fresh && !r.needRefactor {
+	if r.factFresh && !r.needRefactor {
+		if !r.xBFresh {
+			t0 := time.Now()
+			r.recomputeXB()
+			r.tm.Factor += time.Since(t0)
+			r.emit("refactor")
+		}
 		return true
 	}
-	r.fresh = false
+	r.factFresh, r.xBFresh = false, false
 	r.refactors++
 	t0 := time.Now()
 	defer func() { r.tm.Factor += time.Since(t0) }()
@@ -285,6 +298,15 @@ func (r *revised) refactor() bool {
 		obs.Debugf(r.ctx, "lp", "refactor %d iter %d nnz %d took %v", r.refactors, r.iterations, r.fact.NNZ(), time.Since(t0))
 	}
 	r.needRefactor = false
+	r.factFresh = true
+	r.recomputeXB()
+	r.emit("refactor")
+	return true
+}
+
+// recomputeXB sets the basic values exactly from the current factorization
+// and the working rhs, clamping roundoff-negative values to zero.
+func (r *revised) recomputeXB() {
 	copy(r.xB, r.bWork)
 	xb := r.fact.Ftran(r.xB)
 	for i, v := range xb {
@@ -293,9 +315,7 @@ func (r *revised) refactor() bool {
 		}
 	}
 	r.xB = xb
-	r.fresh = true
-	r.emit("refactor")
-	return true
+	r.xBFresh = true
 }
 
 // ftranCol returns the entering direction B⁻¹ a_j for standard-form column
@@ -604,7 +624,7 @@ func (r *revised) pivotUpdate(row, col int, w *mat.SpVec) {
 		}
 	}
 	r.xB[row] = theta
-	r.fresh = false
+	r.factFresh, r.xBFresh = false, false
 	r.pos[r.basis[row]] = -1
 	r.basis[row] = col
 	r.pos[col] = row
@@ -737,16 +757,17 @@ func (r *revised) perturb() {
 	}
 	r.bWork = pb
 	r.perturbed = true
-	r.fresh = false
+	r.xBFresh = false
 	r.emit("perturb")
 }
 
-// restoreB undoes perturb: subsequent refactorizations recompute basic
-// values from the exact rhs.
+// restoreB undoes perturb: the next refactor recomputes basic values from
+// the exact rhs (an FTRAN only, when the basis has not moved since the last
+// rebuild).
 func (r *revised) restoreB() {
 	r.bWork = r.sf.b
 	r.perturbed = false
-	r.fresh = false
+	r.xBFresh = false
 }
 
 // solve runs both phases and extracts the solution. Every exit records the
@@ -1021,13 +1042,9 @@ func (r *revised) dualSimplex() bool {
 	}
 }
 
-// solveRevised runs one cold revised-simplex solve under the given solver
-// configuration.
-func solveRevised(ctx context.Context, p *Problem, conservative bool, cfg solverConfig) (*Solution, *revised) {
-	sf, preStatus := newStdForm(p)
-	if preStatus != Optimal {
-		return &Solution{Status: preStatus}, nil
-	}
+// solveRevised runs one cold revised-simplex solve of sf under the given
+// solver configuration.
+func solveRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverConfig) (*Solution, *revised) {
 	r := newRevised(ctx, sf, conservative, cfg)
 	sol := r.solve()
 	if sol.Status != Optimal {

@@ -79,6 +79,21 @@ func NewSolver(opts ...Option) *Solver {
 // iteration, so cancellation takes effect within one pivot. A nil ctx is
 // context.Background().
 func (s *Solver) Solve(ctx context.Context, p *Problem, warm *Basis) (*Solution, *Basis, error) {
+	sol, r, err := s.solve(ctx, p, warm, nil)
+	if err != nil {
+		return sol, nil, err
+	}
+	return sol, r.exportBasis(), nil
+}
+
+// solve is the body of Solve and Resident.Solve. The standard form is built
+// once and shared by every attempt: the warm start, the cold fallback and
+// the conservative retry. A non-nil resident is a retained solver state
+// whose standard form already carries p's current rhs and whose basis is
+// warm's; the warm attempt then runs on it instead of on a fresh state
+// built from warm. On Optimal, solve also returns the state that produced
+// the solution.
+func (s *Solver) solve(ctx context.Context, p *Problem, warm *Basis, resident *revised) (*Solution, *revised, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -89,17 +104,30 @@ func (s *Solver) Solve(ctx context.Context, p *Problem, warm *Basis) (*Solution,
 		defer cancel()
 	}
 
+	var sf *stdForm
 	var sol *Solution
 	var r *revised
-	if warm != nil {
-		sol, r = solveWarm(ctx, p, warm, cfg)
+	if resident != nil {
+		sf = resident.sf
+		resident.rearm(ctx)
+		sol, r = resident.warmTail()
+	} else {
+		var pre Status
+		sf, pre = newStdForm(p)
+		switch {
+		case pre != Optimal:
+			// Trivial presolve verdicts don't depend on the starting basis.
+			sol = &Solution{Status: pre}
+		case warm != nil && warm.compatible(sf):
+			sol, r = solveWarm(ctx, sf, warm, cfg)
+		}
 	}
 	if sol == nil {
-		sol, r = solveRevised(ctx, p, false, cfg)
+		sol, r = solveRevised(ctx, sf, false, cfg)
 		if sol.Status == Numerical {
 			// Retry with Bland's rule from the start and aggressive
 			// refactorization; slower but maximally stable.
-			sol, r = solveRevised(ctx, p, true, cfg)
+			sol, r = solveRevised(ctx, sf, true, cfg)
 		}
 	}
 	if sol.Status == Cancelled {
@@ -116,5 +144,5 @@ func (s *Solver) Solve(ctx context.Context, p *Problem, warm *Basis) (*Solution,
 	}
 	// Activities and objective are recomputed from the original data.
 	finishSolution(p, sol)
-	return sol, r.exportBasis(), nil
+	return sol, r, nil
 }

@@ -69,25 +69,25 @@ func notOptimalErr(s Status) error {
 	return fmt.Errorf("lp: %v: %w", s, ErrNotOptimal)
 }
 
-// solveWarm attempts a warm-started solve. It returns (nil, nil) whenever
-// the basis cannot be reused, signalling the caller to fall back to a cold
-// solve; a non-nil Solution is definitive (the presolve-infeasible case, a
-// completed and verified phase-2 run, or a cancelled or budget-stopped
-// solve — falling back to a cold solve after cancellation would only
-// discover the same dead context again, and after budget exhaustion would
-// silently double the budget).
-func solveWarm(ctx context.Context, p *Problem, warm *Basis, cfg solverConfig) (*Solution, *revised) {
-	sf, preStatus := newStdForm(p)
-	if preStatus != Optimal {
-		// Trivial presolve verdicts don't depend on the starting basis.
-		return &Solution{Status: preStatus}, nil
-	}
-	if !warm.compatible(sf) {
-		return nil, nil
-	}
+// solveWarm attempts a solve warm-started from a basis compatible with sf
+// (see warmTail for the contract of its result).
+func solveWarm(ctx context.Context, sf *stdForm, warm *Basis, cfg solverConfig) (*Solution, *revised) {
 	r := newRevised(ctx, sf, false, cfg)
 	copy(r.basis, warm.cols)
 	r.rebuildPos()
+	return r.warmTail()
+}
+
+// warmTail runs a warm start from the basis r holds: a fresh state built
+// from a caller's Basis (solveWarm), or a resident state re-armed after an
+// rhs change (Resident.Solve). It returns (nil, nil) whenever the basis
+// cannot be reused, signalling the caller to fall back to a cold solve; a
+// non-nil Solution is definitive (a completed and verified phase-2 run, or
+// a cancelled or budget-stopped solve — falling back to a cold solve after
+// cancellation would only discover the same dead context again, and after
+// budget exhaustion would silently double the budget).
+func (r *revised) warmTail() (*Solution, *revised) {
+	sf := r.sf
 	// The warm path skips r.solve(), so it owns its flight-recorder
 	// start/finish pair; a fallback to the cold path is a separate attempt
 	// with its own pair.

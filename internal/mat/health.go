@@ -47,3 +47,12 @@ func (h *HealthStats) AddCounters(o HealthStats) {
 // Health returns the factorization's numerical-health record: growth and
 // diagonal range from the last FactorColumns, counters accumulated since.
 func (f *SparseLU) Health() HealthStats { return f.health }
+
+// ResetCounters zeroes the lifetime counters, keeping the per-factorization
+// fields: a factorization that outlives one solve (a resident LP re-solved
+// after an rhs change) then reports the next solve's counters alone.
+func (f *SparseLU) ResetCounters() {
+	f.health.FTRejections = 0
+	f.health.HyperSolves = 0
+	f.health.DenseSolves = 0
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -520,5 +521,86 @@ func TestRegisterCannotShadowPreset(t *testing.T) {
 	}
 	if byID, ok := s.reg.resolve(info.ID); !ok || byID.ID != info.ID {
 		t.Errorf("posted model not resolvable by content id")
+	}
+}
+
+// TestConcurrentSweepsSeedWarmOptimizes: concurrent sweeps each keep their
+// chunks' LPs resident while they run, and every point they cache — its
+// result and its basis — must be an independent snapshot: optimize queries
+// near the swept bounds, issued concurrently afterwards, warm-start from
+// those bases and agree with a second server that ran the same sweeps and
+// queries one at a time. (Only to 1e-9: which cached basis seeds each
+// sweep depends on the order the sweeps finish, and the disk LP's optimum
+// is degenerate, so the two servers may cache different optimal vertices.)
+// Run under -race this also checks that no cached basis is still written
+// by the sweep that produced it.
+func TestConcurrentSweepsSeedWarmOptimizes(t *testing.T) {
+	_, base := newTestServer(t)
+	_, ref := newTestServer(t)
+	sweeps := [][]float64{
+		{0.6, 0.8, 1.0, 1.2},
+		{0.65, 0.85, 1.05, 1.25},
+		{0.7, 0.9, 1.1, 1.3},
+		{0.75, 0.95, 1.15, 1.35},
+	}
+	sweep := func(url string, vals []float64) {
+		var sw SweepResponse
+		st := call(t, http.MethodPost, url+"/v1/sweep", SweepRequest{
+			OptimizeRequest: OptimizeRequest{Model: "disk", Objective: "power"},
+			Sweep:           SweepSpec{Metric: "penalty", Rel: "<=", Values: vals, Workers: 2},
+		}, &sw)
+		if st != http.StatusOK || sw.Feasible != len(vals) {
+			t.Errorf("sweep %v: status %d, %d/%d feasible", vals, st, sw.Feasible, len(vals))
+		}
+	}
+	// Each query sits 0.01 above a swept bound and at least 0.04 from every
+	// other swept or queried one, so its nearest cached basis is that
+	// point's on both servers.
+	var near []float64
+	for _, vals := range sweeps {
+		for _, v := range vals {
+			near = append(near, v+0.01)
+		}
+	}
+	optimize := func(url string, v float64, out *OptimizeResponse) {
+		call(t, http.MethodPost, url+"/v1/optimize", OptimizeRequest{
+			Model:     "disk",
+			Objective: "power",
+			Bounds:    []BoundSpec{{Metric: "penalty", Rel: "<=", Value: v}},
+		}, out)
+	}
+
+	var wg sync.WaitGroup
+	for _, vals := range sweeps {
+		wg.Add(1)
+		go func(vals []float64) {
+			defer wg.Done()
+			sweep(base, vals)
+		}(vals)
+	}
+	wg.Wait()
+	got := make([]OptimizeResponse, len(near))
+	for i, v := range near {
+		wg.Add(1)
+		go func(i int, v float64) {
+			defer wg.Done()
+			optimize(base, v, &got[i])
+		}(i, v)
+	}
+	wg.Wait()
+
+	for _, vals := range sweeps {
+		sweep(ref, vals)
+	}
+	for i, v := range near {
+		var want OptimizeResponse
+		optimize(ref, v, &want)
+		g := got[i]
+		if !g.Feasible || g.Cache != "warm" || !g.WarmStarted {
+			t.Errorf("optimize at %g: feasible %v cache %q warm %v, want a warm start from a swept basis", v, g.Feasible, g.Cache, g.WarmStarted)
+		}
+		if d := math.Abs(g.Objective - want.Objective); d > 1e-9*math.Abs(want.Objective) || want.Cache != "warm" {
+			t.Errorf("optimize at %g: objective %.15g, one-at-a-time server %.15g (%s)", v, g.Objective, want.Objective, want.Cache)
+		}
 	}
 }

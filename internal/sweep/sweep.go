@@ -14,8 +14,13 @@
 //     core.ParetoSweep: the bound values are split into contiguous chunks,
 //     one per worker, and each chunk is solved in order with LP
 //     warm-starting — every point after a chunk's first reuses the previous
-//     feasible point's optimal simplex basis (warm-started lp.Solver.Solve), falling
-//     back to a cold two-phase solve whenever the basis does not carry over.
+//     feasible point's optimal simplex basis, falling back to a cold
+//     two-phase solve whenever the basis does not carry over. Each chunk
+//     builds its frequency LP once and keeps it resident (lp.Resident): a
+//     point only moves the swept bound's right-hand side, and a warm point
+//     reuses the previous solve's standard form and basis factorization, so
+//     an rhs-only change costs one FTRAN instead of an LP assembly and an LU
+//     rebuild.
 //
 // Warm-starting is inherently sequential (each point seeds the next) while
 // parallelism wants independence; chunking reconciles the two. Both
@@ -27,8 +32,8 @@
 // solver only needs to replace the chunk worker — internal/server already
 // drives Pareto as its /v1/sweep backend. Cancelling the sweep context
 // aborts not just between points but inside the active solves: the chunk
-// worker runs core.OptimizeCtx, whose lp layer checks the context once per
-// simplex pivot.
+// worker runs core.ParetoSweepCtx, whose lp layer checks the context once
+// per simplex pivot.
 package sweep
 
 import (
@@ -135,7 +140,8 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 
 // Pareto traces the tradeoff curve of core.ParetoSweep concurrently: the
 // bound values are split into contiguous chunks, one per worker, and each
-// chunk runs the warm-started sequential sweep over its slice. Results come
+// chunk runs the warm-started sequential sweep (core.ParetoSweepCtx, one
+// resident LP per chunk) over its slice. Results come
 // back in input order; infeasible values yield ParetoPoint{Feasible: false}
 // exactly like the sequential path, and any other optimizer error aborts the
 // whole sweep.

@@ -181,3 +181,86 @@ func TestMapErrorCancelsRemainingWork(t *testing.T) {
 		t.Errorf("multi-worker err = %v, want sentinel", err)
 	}
 }
+
+// perPointChunk is the reference for the resident chunk worker: every point
+// assembled and solved afresh by core.OptimizeCtx, warm-started from the
+// previous feasible point's basis — the per-point loop ParetoSweepCtx ran
+// before its LP became resident.
+func perPointChunk(t *testing.T, m *core.Model, opts core.Options, values []float64) []core.ParetoPoint {
+	t.Helper()
+	var pts []core.ParetoPoint
+	var warm *lp.Basis
+	for _, v := range values {
+		o := opts
+		o.Bounds = []core.Bound{{Metric: core.MetricPenalty, Rel: lp.LE, Value: v}}
+		o.WarmBasis = warm
+		res, err := core.OptimizeCtx(context.Background(), m, o)
+		switch {
+		case err == nil:
+			warm = res.Basis
+			pts = append(pts, core.ParetoPoint{BoundValue: v, Feasible: true, Objective: res.Objective, Result: res})
+		case errors.Is(err, core.ErrInfeasible):
+			pts = append(pts, core.ParetoPoint{BoundValue: v, Objective: math.Inf(1)})
+		default:
+			t.Fatal(err)
+		}
+	}
+	return pts
+}
+
+// TestParetoResidentMatchesPerPointSolves: with each chunk's LP resident,
+// the sweep is bit-identical to solving every point afresh from the
+// previous feasible point's basis — objective, every frequency, pivots,
+// warm-start flags and the exported bases — at one, two and three workers,
+// on a grid whose lowest bounds are infeasible. Only the LU rebuilds
+// drop. Every point's Result and Basis are independent snapshots (the
+// server caches both), not views of the resident state.
+func TestParetoResidentMatchesPerPointSolves(t *testing.T) {
+	m, opts, bounds := diskSweep(t)
+	n := len(bounds)
+	for _, w := range []int{1, 2, 3} {
+		got, err := Pareto(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, Config{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []core.ParetoPoint
+		for k := 0; k < w; k++ {
+			want = append(want, perPointChunk(t, m, opts, bounds[k*n/w:(k+1)*n/w])...)
+		}
+		seenBasis := map[*lp.Basis]bool{}
+		seenFreq := map[*float64]bool{}
+		for i := range want {
+			g, f := got[i], want[i]
+			if g.Feasible != f.Feasible {
+				t.Fatalf("workers %d, bound %g: feasible %v, per-point %v", w, bounds[i], g.Feasible, f.Feasible)
+			}
+			if !g.Feasible {
+				continue
+			}
+			gr, fr := g.Result, f.Result
+			if math.Float64bits(g.Objective) != math.Float64bits(f.Objective) ||
+				gr.LPIterations != fr.LPIterations || gr.WarmStarted != fr.WarmStarted {
+				t.Errorf("workers %d, bound %g: objective %v pivots %d warm %v, per-point %v %d %v",
+					w, bounds[i], g.Objective, gr.LPIterations, gr.WarmStarted, f.Objective, fr.LPIterations, fr.WarmStarted)
+			}
+			for j, y := range fr.Frequencies.Data {
+				if math.Float64bits(gr.Frequencies.Data[j]) != math.Float64bits(y) {
+					t.Errorf("workers %d, bound %g: frequency %d = %v, per-point %v", w, bounds[i], j, gr.Frequencies.Data[j], y)
+					break
+				}
+			}
+			gb, _ := gr.Basis.MarshalBinary()
+			fb, _ := fr.Basis.MarshalBinary()
+			if string(gb) != string(fb) {
+				t.Errorf("workers %d, bound %g: exported basis differs from the per-point solve's", w, bounds[i])
+			}
+			if seenBasis[gr.Basis] || seenFreq[&gr.Frequencies.Data[0]] {
+				t.Errorf("workers %d, bound %g: Result shares its basis or frequencies with another point", w, bounds[i])
+			}
+			seenBasis[gr.Basis], seenFreq[&gr.Frequencies.Data[0]] = true, true
+		}
+		if gs, fs := Tally(got), Tally(want); gs.Refactorizations >= fs.Refactorizations {
+			t.Errorf("workers %d: %d refactorizations, per-point solves %d: no LU rebuild was saved", w, gs.Refactorizations, fs.Refactorizations)
+		}
+	}
+}
