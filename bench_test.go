@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -26,13 +25,9 @@ func reportSolveStats(b *testing.B, res *core.Result) {
 	b.ReportMetric(float64(res.LPIterations), "pivots")
 	b.ReportMetric(float64(res.LPRefactorizations), "refactors")
 	b.ReportMetric(float64(res.LPFactorNNZ), "factor_nnz")
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	t := res.LPTimings
-	b.ReportMetric(ms(t.Ftran), "ftran_ms")
-	b.ReportMetric(ms(t.Btran), "btran_ms")
-	b.ReportMetric(ms(t.Price), "price_ms")
-	b.ReportMetric(ms(t.Factor), "factor_ms")
-	b.ReportMetric(ms(t.Update), "update_ms")
+	for _, st := range res.LPTimings.Stages() {
+		b.ReportMetric(float64(st.D)/1e6, st.Name+"_ms")
+	}
 }
 
 // benchExperiment runs one paper-figure experiment per benchmark iteration

@@ -52,6 +52,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/lp"
 )
 
 // Entry and Report mirror cmd/benchjson's output document.
@@ -151,8 +153,14 @@ func load(path string) (*Report, error) {
 func key(e Entry) string { return e.Package + "\x00" + e.Name }
 
 // stageMetrics are the per-stage solver timing units reported by the solve
-// benchmarks (see lp.Timings for the stage partition).
-var stageMetrics = []string{"ftran_ms", "btran_ms", "price_ms", "factor_ms", "update_ms"}
+// benchmarks: lp.Timings' stage names with an _ms suffix.
+var stageMetrics = func() []string {
+	var names []string
+	for _, st := range (lp.Timings{}).Stages() {
+		names = append(names, st.Name+"_ms")
+	}
+	return names
+}()
 
 // quantileMetrics are the serving latency quantiles reported by the
 // load-generator entries (see internal/load.Result.BenchEntry).

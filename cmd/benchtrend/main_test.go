@@ -1,8 +1,11 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/lp"
 )
 
 func rep(entries ...Entry) *Report { return &Report{Benchmarks: entries} }
@@ -252,5 +255,17 @@ func TestDefaultGatesCoverResidentSweeps(t *testing.T) {
 	}
 	if !sweepBytes || !paretoNS {
 		t.Errorf("default gates: regressions %v, want SweepDisk B/op and ParetoSequentialWarm ns/op", regs)
+	}
+}
+
+// TestStageMetricsFollowLP: the stage gate covers exactly lp.Timings'
+// stages, in order, under the _ms unit the solve benchmarks report.
+func TestStageMetricsFollowLP(t *testing.T) {
+	var want []string
+	for _, st := range (lp.Timings{}).Stages() {
+		want = append(want, st.Name+"_ms")
+	}
+	if !slices.Equal(stageMetrics, want) {
+		t.Errorf("stageMetrics = %q, want %q", stageMetrics, want)
 	}
 }

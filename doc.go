@@ -226,11 +226,15 @@
 // returns. Pivot trajectories are bit-identical to the allocating path.
 //
 // Each solve accounts for its own time: lp.Solution.Timings splits the
-// wall clock into ftran/btran/price/factor/update, and the breakdown
-// threads through core.Result.LPTimings into cmd/dpmbench's per-experiment
-// solver lines, dpmserved's /v1/stats and /metrics counters
-// (solve_ftran_ns, …), and the BENCH.json stage metrics that
-// cmd/benchtrend gates per stage.
+// wall clock into ftran/btran/price/factor/update, declared once by
+// lp.Timings.Stages, and the breakdown threads through
+// core.Result.LPTimings into cmd/dpmbench's per-experiment solver lines
+// and the BENCH.json stage metrics that cmd/benchtrend gates per stage.
+// dpmserved declares each served metric once on an obs.Registry, which
+// renders /v1/stats and /metrics; its work counters (pivots,
+// refactorizations, solve_ftran_ns, …) are fed once per solve attempt by
+// the flight recorder's finish snapshot, so they count discarded attempts
+// too.
 //
 // # Online adaptation
 //

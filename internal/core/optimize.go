@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/lp"
 	"repro/internal/mat"
@@ -282,18 +281,15 @@ func optimizeProblem(ctx context.Context, m *Model, opts Options, prob *lp.Probl
 }
 
 // annotateTimings attaches the solver's per-stage wall-clock breakdown to
-// the solve span, in milliseconds, mirroring the stage keys the benchmarks
-// report (ftran_ms, btran_ms, price_ms, factor_ms, update_ms).
+// the solve span, in milliseconds, under the stage keys the benchmarks
+// report (<stage>_ms).
 func annotateTimings(sp *obs.Span, t lp.Timings) {
 	if sp == nil || t.Total() == 0 {
 		return
 	}
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	sp.Set("ftran_ms", ms(t.Ftran))
-	sp.Set("btran_ms", ms(t.Btran))
-	sp.Set("price_ms", ms(t.Price))
-	sp.Set("factor_ms", ms(t.Factor))
-	sp.Set("update_ms", ms(t.Update))
+	for _, st := range t.Stages() {
+		sp.Set(st.Name+"_ms", float64(st.D.Nanoseconds())/1e6)
+	}
 }
 
 // BuildFrequencyLP assembles the state–action frequency linear program of

@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lp"
@@ -250,12 +249,11 @@ func Render(w io.Writer, res *Result) error {
 		}
 	}
 	if s := res.Solver; s.Solves > 0 {
-		ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d)/1e6) }
-		t := s.Timings
-		if _, err := fmt.Fprintf(w,
-			"solver: %d solves, %d pivots, %d refactorizations; ftran %s btran %s price %s factor %s update %s\n",
-			s.Solves, s.Pivots, s.Refactorizations,
-			ms(t.Ftran), ms(t.Btran), ms(t.Price), ms(t.Factor), ms(t.Update)); err != nil {
+		line := fmt.Sprintf("solver: %d solves, %d pivots, %d refactorizations;", s.Solves, s.Pivots, s.Refactorizations)
+		for _, st := range s.Timings.Stages() {
+			line += fmt.Sprintf(" %s %.1fms", st.Name, float64(st.D)/1e6)
+		}
+		if _, err := fmt.Fprintln(w, line); err != nil {
 			return err
 		}
 	}

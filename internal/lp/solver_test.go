@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -180,5 +182,30 @@ func TestWithWallClock(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want wrap of context.DeadlineExceeded", err)
+	}
+}
+
+// TestTimingsStagesCoverEveryField: Stages lists every Timings field once,
+// in field order and under the field's lower-cased name, so Total and every
+// report that loops over Stages miss no stage.
+func TestTimingsStagesCoverEveryField(t *testing.T) {
+	var tm Timings
+	v := reflect.ValueOf(&tm).Elem()
+	var want time.Duration
+	for i := range v.NumField() {
+		v.Field(i).SetInt(1 << i)
+		want += 1 << i
+	}
+	stages := tm.Stages()
+	if len(stages) != v.NumField() {
+		t.Fatalf("%d stages for %d Timings fields", len(stages), v.NumField())
+	}
+	for i, st := range stages {
+		if name := strings.ToLower(v.Type().Field(i).Name); st.Name != name || st.D != 1<<i {
+			t.Errorf("stage %d = %s %v, want %s %v", i, st.Name, st.D, name, time.Duration(1<<i))
+		}
+	}
+	if tm.Total() != want {
+		t.Errorf("Total = %v, want %v", tm.Total(), want)
 	}
 }

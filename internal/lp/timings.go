@@ -26,6 +26,18 @@ type Timings struct {
 	Update time.Duration
 }
 
+// Stage is one named entry of the Timings breakdown.
+type Stage struct {
+	Name string
+	D    time.Duration
+}
+
+// Stages lists the breakdown in emission order: the one declaration of the
+// stage names, which every per-stage report loops over.
+func (t Timings) Stages() [5]Stage {
+	return [...]Stage{{"ftran", t.Ftran}, {"btran", t.Btran}, {"price", t.Price}, {"factor", t.Factor}, {"update", t.Update}}
+}
+
 // Total sums the attributed stages.
 func (t Timings) Total() time.Duration {
 	return t.Ftran + t.Btran + t.Price + t.Factor + t.Update

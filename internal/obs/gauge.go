@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"maps"
 	"sync"
 )
 
@@ -41,21 +41,12 @@ func (g *Gauges) Get(name string) int64 {
 	return g.m[name]
 }
 
-// Snapshot returns every gauge by name, sorted for deterministic export.
-func (g *Gauges) Snapshot() (names []string, values []int64) {
+// Snapshot returns a copy of every gauge by name.
+func (g *Gauges) Snapshot() map[string]int64 {
 	if g == nil {
-		return nil, nil
+		return nil
 	}
 	g.mu.Lock()
-	names = make([]string, 0, len(g.m))
-	for k := range g.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	values = make([]int64, len(names))
-	for i, k := range names {
-		values[i] = g.m[k]
-	}
-	g.mu.Unlock()
-	return names, values
+	defer g.mu.Unlock()
+	return maps.Clone(g.m)
 }

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the repository: lightweight
 // per-request span tracing carried via context.Context, lock-cheap
 // log-bucketed histograms for latency and solver-work distributions, a
-// structured JSON logger, and a Prometheus text-exposition writer.
+// structured JSON logger, a Prometheus text-exposition writer, and a
+// metric registry that declares each served metric once.
 //
 // The package is a leaf — it imports only the standard library — so every
 // layer (mat → lp → core → online → server → cmd) can use it without
@@ -10,7 +11,7 @@
 // active, which keeps the CLI and benchmark paths unobserved and
 // allocation-free.
 //
-// The three surfaces:
+// The four surfaces:
 //
 //   - Tracing (trace.go): StartTrace opens a per-request Trace, StartSpan
 //     nests timed spans under it through the context, and a Recorder ring
@@ -21,6 +22,9 @@
 //   - Exposition (prom.go): lint-clean Prometheus text format — # HELP and
 //     # TYPE lines, _total counter suffixes, _bucket/_sum/_count histogram
 //     series.
+//   - Registry (registry.go): each metric declared once — name, help, kind,
+//     one optional label — and rendered from that declaration both as a
+//     JSON counter snapshot and as the exposition.
 package obs
 
 import (

@@ -56,19 +56,6 @@ func (p *PromWriter) Sample(name, labels string, v float64) {
 	p.printf("%s{%s} %s\n", name, labels, formatValue(v))
 }
 
-// Counter emits a single-sample counter family; name must already carry
-// its _total suffix.
-func (p *PromWriter) Counter(name, help string, v float64) {
-	p.Family(name, "counter", help)
-	p.Sample(name, "", v)
-}
-
-// Gauge emits a single-sample gauge family.
-func (p *PromWriter) Gauge(name, help string, v float64) {
-	p.Family(name, "gauge", help)
-	p.Sample(name, "", v)
-}
-
 // Histogram emits one histogram series under the family name: cumulative
 // name_bucket{le="..."} lines, name_sum and name_count. Observations and
 // bounds are multiplied by scale first (1e-9 converts recorded

@@ -8,8 +8,10 @@ import (
 func TestPromWriterShape(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.Counter("dpm_requests_total", "HTTP requests.", 12)
-	p.Gauge("dpm_models", "Resident models.", 7)
+	p.Family("dpm_requests_total", "counter", "HTTP requests.")
+	p.Sample("dpm_requests_total", "", 12)
+	p.Family("dpm_models", "gauge", "Resident models.")
+	p.Sample("dpm_models", "", 7)
 	h := NewHistogram(10, 10, 4) // bounds 10, 100, 1000, +Inf
 	for _, v := range []float64{5, 50, 500, 5000} {
 		h.Observe(v)

@@ -1,147 +1,112 @@
 package server
 
 import (
-	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
 )
 
-// counters is the server's observability surface: monotone counters over
-// how queries were served. They are exported two ways — JSON on /v1/stats
-// and Prometheus-style text on /metrics — and drive the end-to-end tests,
-// which replay a query stream and assert on exactly these numbers.
-type counters struct {
-	Requests         atomic.Int64 // HTTP requests across all endpoints
-	OptimizeQueries  atomic.Int64 // POST /v1/optimize bodies accepted
-	SweepQueries     atomic.Int64 // POST /v1/sweep bodies accepted
-	ExactHits        atomic.Int64 // queries answered from the result cache
-	WarmSolves       atomic.Int64 // solves that reused a cached basis
-	ColdSolves       atomic.Int64 // solves from scratch
-	SharedSolves     atomic.Int64 // queries deduplicated onto an in-flight solve
-	Infeasible       atomic.Int64 // solves that proved the constraints infeasible
-	CancelledSolves  atomic.Int64 // solves aborted by deadline or detach
-	Pivots           atomic.Int64 // total simplex pivots performed
-	Refactorizations atomic.Int64 // total basis refactorizations across solves
-	BudgetExceeded   atomic.Int64 // solves stopped by a client pivot budget
-	Evictions        atomic.Int64 // cache entries evicted by the LRU
+// metrics is the server's observability surface. Every metric is declared
+// once — the unlabelled counters by their field tags, the rest in
+// newMetrics — on one obs.Registry that renders the /v1/stats counters map,
+// Server.Stats and the /metrics exposition (under the dpmserved_ prefix). The end-to-end tests replay a query stream and assert
+// on exactly these numbers.
+//
+// Outcome counters are incremented where the outcome is known. Solver work
+// — pivots, refactorizations, per-stage wall clock and their histograms —
+// is counted in one place, finish, fed by the flight recorder once per
+// solve attempt.
+type metrics struct {
+	reg *obs.Registry
 
-	// Cumulative per-stage solver wall clock in nanoseconds — the
-	// lp.Timings breakdown (ftran/btran/price/factor/update) summed across
-	// every solve the server ran, so operators can attribute serving CPU to
-	// solver stages (e.g. factor-heavy means refactorization-bound models).
-	SolveFtranNS  atomic.Int64
-	SolveBtranNS  atomic.Int64
-	SolvePriceNS  atomic.Int64
-	SolveFactorNS atomic.Int64
-	SolveUpdateNS atomic.Int64
+	// The unlabelled counters, declared by their tags in this order.
+	OptimizeQueries  *atomic.Int64 `metric:"optimize_queries" help:"POST /v1/optimize bodies accepted."`
+	SweepQueries     *atomic.Int64 `metric:"sweep_queries" help:"POST /v1/sweep bodies accepted."`
+	ExactHits        *atomic.Int64 `metric:"exact_hits" help:"Queries answered from the result cache without a solve."`
+	WarmSolves       *atomic.Int64 `metric:"warm_solves" help:"Solves that reused a cached warm-start basis."`
+	ColdSolves       *atomic.Int64 `metric:"cold_solves" help:"Solves from scratch."`
+	SharedSolves     *atomic.Int64 `metric:"shared_solves" help:"Queries deduplicated onto an in-flight solve."`
+	Infeasible       *atomic.Int64 `metric:"infeasible" help:"Solves that proved the constraint set infeasible."`
+	CancelledSolves  *atomic.Int64 `metric:"cancelled_solves" help:"Solves aborted by deadline or client detach."`
+	BudgetExceeded   *atomic.Int64 `metric:"budget_exceeded" help:"Solves stopped by a client pivot budget."`
+	Evictions        *atomic.Int64 `metric:"evictions" help:"Cache entries evicted by the LRU."`
+	Pivots           *atomic.Int64 `metric:"pivots" help:"Simplex pivots performed across all solve attempts, discarded ones included."`
+	Refactorizations *atomic.Int64 `metric:"refactorizations" help:"Basis refactorizations across all solve attempts, discarded ones included."`
 
 	// Online adaptation (POST /v1/models/{id}/observe).
-	ObserveRequests      atomic.Int64 // observe bodies accepted
-	SlicesIngested       atomic.Int64 // workload slices fed to estimators
-	OnlineRefreshes      atomic.Int64 // policies installed by the drift controller
-	OnlineDriftRefreshes atomic.Int64 // the subset triggered by measured drift
-	OnlinePatched        atomic.Int64 // refreshes that revised the LP in place
-	OnlineRebuilt        atomic.Int64 // refreshes that reassembled the LP
-	OnlineWarm           atomic.Int64 // refreshes whose solve reused the previous basis
-	OnlineFailed         atomic.Int64 // refresh attempts that kept the old policy
+	ObserveRequests      *atomic.Int64 `metric:"observe_requests" help:"Observe bodies accepted."`
+	SlicesIngested       *atomic.Int64 `metric:"slices_ingested" help:"Workload slices fed to streaming estimators."`
+	OnlineRefreshes      *atomic.Int64 `metric:"online_refreshes" help:"Policies installed by the drift controller."`
+	OnlineDriftRefreshes *atomic.Int64 `metric:"online_drift_refreshes" help:"Refreshes triggered by measured drift."`
+	OnlinePatched        *atomic.Int64 `metric:"online_patched" help:"Refreshes that revised the LP in place."`
+	OnlineRebuilt        *atomic.Int64 `metric:"online_rebuilt" help:"Refreshes that reassembled the LP."`
+	OnlineWarm           *atomic.Int64 `metric:"online_warm" help:"Refreshes whose solve reused the previous basis."`
+	OnlineFailed         *atomic.Int64 `metric:"online_failed" help:"Refresh attempts that kept the old policy."`
+
+	// Per-endpoint request counts and latency (nanoseconds), keyed by
+	// endpointNames; every request maps onto exactly one endpoint.
+	requests map[string]*atomic.Int64
+	latency  map[string]*obs.Histogram
+
+	// Per-stage solver work, keyed by lp.Timings stage name.
+	stageNS   map[string]*atomic.Int64
+	pivotHist *obs.Histogram
+	stageHist map[string]*obs.Histogram
+
+	// inflight is the flight recorder's gauge set: solves in flight, in
+	// total and per endpoint.
+	inflight *obs.Gauges
 }
 
-// addSolveTimings folds one solve's per-stage breakdown into the
-// cumulative stage counters.
-func (c *counters) addSolveTimings(t lp.Timings) {
-	c.SolveFtranNS.Add(int64(t.Ftran))
-	c.SolveBtranNS.Add(int64(t.Btran))
-	c.SolvePriceNS.Add(int64(t.Price))
-	c.SolveFactorNS.Add(int64(t.Factor))
-	c.SolveUpdateNS.Add(int64(t.Update))
-}
-
-// snapshot returns the counters as a name→value map (sorted rendering is
-// the caller's concern; map iteration order is irrelevant for JSON).
-func (c *counters) snapshot() map[string]int64 {
-	return map[string]int64{
-		"requests":         c.Requests.Load(),
-		"optimize_queries": c.OptimizeQueries.Load(),
-		"sweep_queries":    c.SweepQueries.Load(),
-		"exact_hits":       c.ExactHits.Load(),
-		"warm_solves":      c.WarmSolves.Load(),
-		"cold_solves":      c.ColdSolves.Load(),
-		"shared_solves":    c.SharedSolves.Load(),
-		"infeasible":       c.Infeasible.Load(),
-		"cancelled_solves": c.CancelledSolves.Load(),
-		"pivots":           c.Pivots.Load(),
-		"refactorizations": c.Refactorizations.Load(),
-		"budget_exceeded":  c.BudgetExceeded.Load(),
-		"evictions":        c.Evictions.Load(),
-
-		"solve_ftran_ns":  c.SolveFtranNS.Load(),
-		"solve_btran_ns":  c.SolveBtranNS.Load(),
-		"solve_price_ns":  c.SolvePriceNS.Load(),
-		"solve_factor_ns": c.SolveFactorNS.Load(),
-		"solve_update_ns": c.SolveUpdateNS.Load(),
-
-		"observe_requests":       c.ObserveRequests.Load(),
-		"slices_ingested":        c.SlicesIngested.Load(),
-		"online_refreshes":       c.OnlineRefreshes.Load(),
-		"online_drift_refreshes": c.OnlineDriftRefreshes.Load(),
-		"online_patched":         c.OnlinePatched.Load(),
-		"online_rebuilt":         c.OnlineRebuilt.Load(),
-		"online_warm":            c.OnlineWarm.Load(),
-		"online_failed":          c.OnlineFailed.Load(),
+// newMetrics declares the server's metrics. The readings (dropped spans,
+// cache size, model count, uptime) are read from s at render time.
+func newMetrics(s *Server) *metrics {
+	r := obs.NewRegistry("dpmserved_")
+	m := &metrics{reg: r, stageNS: map[string]*atomic.Int64{}, inflight: obs.NewGauges()}
+	m.requests = r.CounterVec("endpoint_requests", "HTTP requests by endpoint.", "endpoint", endpointNames)
+	r.Sum("requests", "HTTP requests across all endpoints.", m.requests)
+	r.Counters(m)
+	var stages []string
+	for _, st := range (lp.Timings{}).Stages() {
+		stages = append(stages, st.Name)
+		m.stageNS[st.Name] = r.Counter("solve_"+st.Name+"_ns",
+			"Cumulative solver "+st.Name+" stage wall clock across all solve attempts, nanoseconds.")
 	}
+
+	r.Reading("dropped_spans", "Trace spans dropped by the per-trace span cap.", "counter",
+		func() float64 { return float64(s.recorder.DroppedSpans()) })
+	// Seed the aggregate gauge so the scrape surface always carries it, idle
+	// servers included.
+	m.inflight.Add("solves_inflight", 0)
+	r.Gauges("Flight-recorder gauge: solves currently in flight.", m.inflight)
+	r.Reading("cache_size", "Cached query results and bases.", "gauge", func() float64 { return float64(s.cache.len()) })
+	r.Reading("models", "Resident compiled models.", "gauge", func() float64 { return float64(s.reg.size()) })
+	r.Reading("uptime_seconds", "Seconds since the server started.", "gauge", func() float64 { return time.Since(s.start).Seconds() })
+
+	m.latency = r.Histograms("request_duration_seconds", "Request latency by endpoint.",
+		"endpoint", endpointNames, 1e-9, obs.NewLatencyHistogram)
+	m.stageHist = r.Histograms("solve_stage_duration_seconds", "Per-stage solver wall clock per solve attempt.",
+		"stage", stages, 1e-9, obs.NewLatencyHistogram)
+	m.pivotHist = r.Histograms("solve_pivots", "Simplex pivots per solve attempt.", "", nil, 1, obs.NewCountHistogram)[""]
+	return m
 }
 
-// promHelp supplies the # HELP text for each counter on /metrics. The
-// snapshot keys (the /v1/stats JSON names) stay as they are; the exposition
-// appends the conventional _total suffix.
-var promHelp = map[string]string{
-	"requests":         "HTTP requests across all endpoints.",
-	"optimize_queries": "POST /v1/optimize bodies accepted.",
-	"sweep_queries":    "POST /v1/sweep bodies accepted.",
-	"exact_hits":       "Queries answered from the result cache without a solve.",
-	"warm_solves":      "Solves that reused a cached warm-start basis.",
-	"cold_solves":      "Solves from scratch.",
-	"shared_solves":    "Queries deduplicated onto an in-flight solve.",
-	"infeasible":       "Solves that proved the constraint set infeasible.",
-	"cancelled_solves": "Solves aborted by deadline or client detach.",
-	"pivots":           "Simplex pivots performed across all solves.",
-	"refactorizations": "Basis refactorizations across all solves.",
-	"budget_exceeded":  "Solves stopped by a client pivot budget.",
-	"evictions":        "Cache entries evicted by the LRU.",
-
-	"solve_ftran_ns":  "Cumulative solver FTRAN wall clock, nanoseconds.",
-	"solve_btran_ns":  "Cumulative solver BTRAN wall clock, nanoseconds.",
-	"solve_price_ns":  "Cumulative solver pricing wall clock, nanoseconds.",
-	"solve_factor_ns": "Cumulative basis refactorization wall clock, nanoseconds.",
-	"solve_update_ns": "Cumulative basis update wall clock, nanoseconds.",
-
-	"observe_requests":       "Observe bodies accepted.",
-	"slices_ingested":        "Workload slices fed to streaming estimators.",
-	"online_refreshes":       "Policies installed by the drift controller.",
-	"online_drift_refreshes": "Refreshes triggered by measured drift.",
-	"online_patched":         "Refreshes that revised the LP in place.",
-	"online_rebuilt":         "Refreshes that reassembled the LP.",
-	"online_warm":            "Refreshes whose solve reused the previous basis.",
-	"online_failed":          "Refresh attempts that kept the old policy.",
-}
-
-// writeProm renders the counters in Prometheus text exposition format under
-// the dpmserved_ prefix, lint-clean: stable name order, one HELP/TYPE pair
-// per family, counters carrying the _total suffix.
-func (c *counters) writeProm(p *obs.PromWriter) {
-	snap := c.snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		help := promHelp[k]
-		if help == "" {
-			help = "Cumulative count."
+// finish folds one solve attempt's work, reported by its flight recorder
+// "finish" snapshot, into the work counters and histograms. Every solve the
+// server runs reports here once per attempt — warm start, cold fallback,
+// conservative retry, each sweep point, each online refresh — whether the
+// attempt's answer is served, discarded or an error.
+func (m *metrics) finish(sn lp.Snapshot) {
+	m.Pivots.Add(int64(sn.Pivots))
+	m.Refactorizations.Add(int64(sn.Refactorizations))
+	m.pivotHist.Observe(float64(sn.Pivots))
+	timed := sn.Timings.Total() > 0
+	for _, st := range sn.Timings.Stages() {
+		m.stageNS[st.Name].Add(int64(st.D))
+		if timed {
+			m.stageHist[st.Name].ObserveDuration(st.D)
 		}
-		p.Counter("dpmserved_"+k+"_total", help, float64(snap[k]))
 	}
 }

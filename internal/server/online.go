@@ -26,8 +26,10 @@ type onlineEntry struct {
 
 // monitorRelay is the adapter's fixed lp.Monitor (optimization options are
 // frozen at adapter creation) forwarding to the flight-recorder row of the
-// observe request currently driving a refresh. Between requests it points
-// nowhere and snapshots drop.
+// observe request currently driving a refresh. Between requests it keeps
+// pointing at the last request's retired row, which still counts the work
+// of a refresh that lands there (concurrent observe requests race on the
+// pointer) but shows nothing.
 type monitorRelay struct {
 	target atomic.Pointer[solveFlight]
 }
@@ -185,7 +187,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	ctx, fl := s.solves.attach(r.Context(), e.ID, "observe")
 	oe.relay.target.Store(fl)
 	out, err := oe.adapter.Observe(ctx, req.Counts)
-	oe.relay.target.CompareAndSwap(fl, nil)
 	fl.done()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -194,12 +195,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.stats.SlicesIngested.Add(int64(out.Ingested))
 	if out.Refreshed {
 		s.stats.OnlineRefreshes.Add(1)
-		s.stats.Pivots.Add(int64(out.Pivots))
-		if out.Result != nil {
-			s.stats.Refactorizations.Add(int64(out.Result.LPRefactorizations))
-			s.stats.addSolveTimings(out.Result.LPTimings)
-			s.tele.recordSolve(out.Result)
-		}
 		if out.Trigger == "drift" {
 			s.stats.OnlineDriftRefreshes.Add(1)
 		}

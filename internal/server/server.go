@@ -99,11 +99,13 @@ type Server struct {
 	reg     *registry
 	cache   *solveCache
 	flights *flightGroup
-	stats   counters
-	tele    *telemetry
+	stats   *metrics
 	solves  *solveTable
 	mux     *http.ServeMux
 	start   time.Time
+
+	// recorder retains the last finished request traces for GET /v1/trace.
+	recorder *obs.Recorder
 
 	// onlineMu guards onlines, the per-model online adaptation state
 	// (created lazily by the first observe of a model).
@@ -133,16 +135,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.TraceBuffer = 256
 	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     newRegistry(),
-		cache:   newSolveCache(cfg.CacheSize),
-		flights: newFlightGroup(),
-		tele:    newTelemetry(cfg.TraceBuffer),
-		solves:  newSolveTable(),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		onlines: make(map[string]*onlineEntry),
+		cfg:      cfg,
+		reg:      newRegistry(),
+		cache:    newSolveCache(cfg.CacheSize),
+		flights:  newFlightGroup(),
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		recorder: obs.NewRecorder(cfg.TraceBuffer),
+		onlines:  make(map[string]*onlineEntry),
 	}
+	s.stats = newMetrics(s)
+	s.solves = newSolveTable(s.stats)
 	if !cfg.SkipPresets {
 		for _, name := range cli.DeviceNames() {
 			d, err := cli.NewDevice(name, 0, 0)
@@ -191,10 +194,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // GET /v1/trace.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.stats.Requests.Add(1)
 		ep := endpointOf(r)
-		es := s.tele.endpoints[ep]
-		es.requests.Add(1)
+		s.stats.requests[ep].Add(1)
 
 		ctx, tr := obs.StartTrace(r.Context(), r.Method+" "+r.URL.Path, "")
 		tr.Request = r.Header.Get("X-Request-Id")
@@ -204,12 +205,12 @@ func (s *Server) Handler() http.Handler {
 		s.mux.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(started)
 
-		es.latency.ObserveDuration(elapsed)
+		s.stats.latency[ep].ObserveDuration(elapsed)
 		tr.Set("endpoint", ep)
 		tr.Set("status", sw.status)
 		tr.Finish()
 		if recorded(ep) {
-			s.tele.recorder.Record(tr)
+			s.recorder.Record(tr)
 		}
 		if s.cfg.AccessLog {
 			obs.Logger().Info("request",
@@ -228,9 +229,9 @@ func (s *Server) Handler() http.Handler {
 // processes; the HTTP surface is /v1/stats), including one
 // requests_<endpoint> counter per endpoint that has served traffic.
 func (s *Server) Stats() map[string]int64 {
-	snap := s.stats.snapshot()
+	snap := s.stats.reg.Snapshot()
 	for _, name := range endpointNames {
-		if n := s.tele.endpoints[name].requests.Load(); n > 0 {
+		if n := s.stats.requests[name].Load(); n > 0 {
 			snap["requests_"+name] = n
 		}
 	}
@@ -457,7 +458,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		wsp.Set("found", o.WarmBasis != nil)
 		wsp.End()
 		res, err := core.OptimizeCtx(ctx, e.Model, o)
-		s.tele.recordSolve(res)
 		switch {
 		case err == nil:
 		case errors.Is(err, core.ErrInfeasible):
@@ -470,16 +470,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, lp.ErrBudgetExceeded) {
 				s.stats.BudgetExceeded.Add(1)
 			}
-			if res != nil {
-				s.stats.Pivots.Add(int64(res.LPIterations))
-				s.stats.Refactorizations.Add(int64(res.LPRefactorizations))
-				s.stats.addSolveTimings(res.LPTimings)
-			}
 			return nil, err
 		}
-		s.stats.Pivots.Add(int64(res.LPIterations))
-		s.stats.Refactorizations.Add(int64(res.LPRefactorizations))
-		s.stats.addSolveTimings(res.LPTimings)
 		mode := "cold"
 		if res.WarmStarted {
 			mode = "warm"
@@ -635,7 +627,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		tally := sweep.Tally(points)
-		s.stats.Pivots.Add(int64(tally.Pivots))
 		resp := &SweepResponse{
 			Model:       e.ID,
 			Points:      make([]SweepPoint, 0, len(points)),
@@ -656,9 +647,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					} else {
 						s.stats.ColdSolves.Add(1)
 					}
-					s.stats.Refactorizations.Add(int64(p.Result.LPRefactorizations))
-					s.stats.addSolveTimings(p.Result.LPTimings)
-					s.tele.recordSolve(p.Result)
 					// Each point is also a cacheable optimize answer: an
 					// optimize query at a swept bound becomes an exact hit,
 					// and the point's basis seeds future warm starts.
@@ -699,11 +687,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := map[string]any{
-		"counters":      s.stats.snapshot(),
-		"endpoints":     s.tele.statsEndpoints(),
-		"solve":         s.tele.statsSolve(),
-		"gauges":        s.solves.gaugeMap(),
-		"dropped_spans": s.tele.recorder.DroppedSpans(),
+		"counters":      s.stats.reg.Snapshot(),
+		"endpoints":     s.stats.statsEndpoints(),
+		"solve":         s.stats.statsSolve(),
+		"gauges":        s.stats.inflight.Snapshot(),
+		"dropped_spans": s.recorder.DroppedSpans(),
 		"cache_size":    s.cache.len(),
 		"models":        s.reg.size(),
 		"uptime_s":      time.Since(s.start).Seconds(),
@@ -716,7 +704,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // by the X-Trace-Id a response carried.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("id"); id != "" {
-		tj, ok := s.tele.recorder.Find(id)
+		tj, ok := s.recorder.Find(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("trace %q not retained (buffer holds the last %d solver-facing requests)", id, s.cfg.TraceBuffer))
 			return
@@ -733,36 +721,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"traces": s.tele.recorder.Last(n)})
+	writeJSON(w, http.StatusOK, map[string]any{"traces": s.recorder.Last(n)})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := obs.NewPromWriter(w)
-	s.stats.writeProm(p)
-	for _, name := range endpointNames {
-		p.Family("dpmserved_endpoint_requests_total", "counter", "HTTP requests by endpoint.")
-		p.Sample("dpmserved_endpoint_requests_total", obs.Label("endpoint", name),
-			float64(s.tele.endpoints[name].requests.Load()))
-	}
-	p.Counter("dpmserved_dropped_spans_total", "Trace spans dropped by the per-trace span cap.",
-		float64(s.tele.recorder.DroppedSpans()))
-	gnames, gvals := s.solves.gauges.Snapshot()
-	for i, name := range gnames {
-		p.Gauge("dpmserved_"+name, "Flight-recorder gauge: solves currently in flight.", float64(gvals[i]))
-	}
-	p.Gauge("dpmserved_cache_size", "Cached query results and bases.", float64(s.cache.len()))
-	p.Gauge("dpmserved_models", "Resident compiled models.", float64(s.reg.size()))
-	p.Gauge("dpmserved_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
-	for _, name := range endpointNames {
-		p.Histogram("dpmserved_request_duration_seconds", "Request latency by endpoint.",
-			obs.Label("endpoint", name), s.tele.endpoints[name].latency.Snapshot(), 1e-9)
-	}
-	for _, name := range stageNames {
-		p.Histogram("dpmserved_solve_stage_duration_seconds", "Per-stage solver wall clock per solve.",
-			obs.Label("stage", name), s.tele.stages[name].Snapshot(), 1e-9)
-	}
-	p.Histogram("dpmserved_solve_pivots", "Simplex pivots per solve.", "", s.tele.pivots.Snapshot(), 1)
+	s.stats.reg.WriteProm(obs.NewPromWriter(w))
 }
 
 // ---- plumbing ----

@@ -29,10 +29,11 @@ import (
 )
 
 // solveTable is the registry of in-flight solves plus the observability
-// surfaces fed by them: the in-flight gauge set mirrored on /v1/stats and
-// /metrics, and the bounded solve-event journal served with /v1/solves.
+// surfaces fed by them: the server metrics (the in-flight gauges and every
+// solve attempt's work) and the bounded solve-event journal served with
+// /v1/solves.
 type solveTable struct {
-	gauges  *obs.Gauges
+	m       *metrics
 	journal *obs.Journal
 
 	mu      sync.Mutex
@@ -40,16 +41,8 @@ type solveTable struct {
 	entries map[int64]*solveFlight
 }
 
-func newSolveTable() *solveTable {
-	t := &solveTable{
-		gauges:  obs.NewGauges(),
-		journal: obs.NewJournal(256),
-		entries: make(map[int64]*solveFlight),
-	}
-	// Seed the aggregate gauge so the scrape surface always carries it,
-	// idle servers included.
-	t.gauges.Add("solves_inflight", 0)
-	return t
+func newSolveTable(m *metrics) *solveTable {
+	return &solveTable{m: m, journal: obs.NewJournal(256), entries: make(map[int64]*solveFlight)}
 }
 
 // attach derives a cancellable solve context and its flight-recorder row.
@@ -101,16 +94,6 @@ func (t *solveTable) list() []*solveFlight {
 	return flights
 }
 
-// gaugeMap renders the gauge set for /v1/stats.
-func (t *solveTable) gaugeMap() map[string]int64 {
-	names, vals := t.gauges.Snapshot()
-	m := make(map[string]int64, len(names))
-	for i, n := range names {
-		m[n] = vals[i]
-	}
-	return m
-}
-
 // solveFlight is one live solve. It implements lp.Monitor; all mutable
 // state is guarded by mu because the solving goroutine writes snapshots
 // while HTTP readers render them.
@@ -132,10 +115,15 @@ type solveFlight struct {
 	finished    bool // done() ran; late snapshots must not resurrect the row
 }
 
-// Observe implements lp.Monitor: store the snapshot, fold finished-attempt
-// totals, journal the non-progress events. Called synchronously from the
-// pivot loop, so it does nothing heavier than a map insert.
+// Observe implements lp.Monitor: count a finished attempt's work in the
+// server metrics, store the snapshot, fold finished-attempt totals, journal
+// the non-progress events. Called synchronously from the pivot loop, so it
+// does nothing heavier than a map insert. Work is counted even on a retired
+// row: the solve paid for it.
 func (f *solveFlight) Observe(sn lp.Snapshot) {
+	if sn.Event == "finish" {
+		f.t.m.finish(sn)
+	}
 	f.mu.Lock()
 	if f.finished {
 		f.mu.Unlock()
@@ -144,8 +132,8 @@ func (f *solveFlight) Observe(sn lp.Snapshot) {
 	if f.id == 0 {
 		f.started = time.Now()
 		f.id = f.t.register(f)
-		f.t.gauges.Add("solves_inflight", 1)
-		f.t.gauges.Add("solves_inflight_"+f.endpoint, 1)
+		f.t.m.inflight.Add("solves_inflight", 1)
+		f.t.m.inflight.Add("solves_inflight_"+f.endpoint, 1)
 	}
 	switch sn.Event {
 	case "start":
@@ -163,11 +151,12 @@ func (f *solveFlight) Observe(sn lp.Snapshot) {
 			Kind:  "solve_" + sn.Event,
 			Trace: f.trace,
 			Attrs: map[string]any{
-				"model":     f.model,
-				"endpoint":  f.endpoint,
-				"phase":     sn.Phase,
-				"pivots":    sn.Pivots,
-				"objective": sn.Objective,
+				"model":            f.model,
+				"endpoint":         f.endpoint,
+				"phase":            sn.Phase,
+				"pivots":           sn.Pivots,
+				"refactorizations": sn.Refactorizations,
+				"objective":        sn.Objective,
 			},
 		})
 	}
@@ -186,8 +175,8 @@ func (f *solveFlight) done() {
 	f.mu.Unlock()
 	if id != 0 {
 		f.t.remove(id)
-		f.t.gauges.Add("solves_inflight", -1)
-		f.t.gauges.Add("solves_inflight_"+f.endpoint, -1)
+		f.t.m.inflight.Add("solves_inflight", -1)
+		f.t.m.inflight.Add("solves_inflight_"+f.endpoint, -1)
 	}
 	f.cancel(nil)
 }
@@ -255,13 +244,9 @@ func (f *solveFlight) info() SolveInfo {
 	in.HyperSolves = sn.Health.HyperSolves
 	in.DenseSolves = sn.Health.DenseSolves
 	if tm := sn.Timings; tm.Total() > 0 {
-		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-		in.Stages = map[string]float64{
-			"ftran":  ms(tm.Ftran),
-			"btran":  ms(tm.Btran),
-			"price":  ms(tm.Price),
-			"factor": ms(tm.Factor),
-			"update": ms(tm.Update),
+		in.Stages = make(map[string]float64)
+		for _, st := range tm.Stages() {
+			in.Stages[st.Name] = float64(st.D.Microseconds()) / 1000
 		}
 	}
 	return in

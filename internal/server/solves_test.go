@@ -224,3 +224,57 @@ func TestSolvesTableAfterCompletion(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkCountersEqualFinishEvents: the pivots and refactorizations
+// counters add up exactly the work the flight recorder's journaled
+// solve_finish events report, one per solve attempt — so the work of
+// infeasible sweep points, of warm attempts that fell back to a cold solve
+// and of failed solves is counted, not only that of answers served.
+func TestWorkCountersEqualFinishEvents(t *testing.T) {
+	s, base := newTestServer(t)
+	var sw SweepResponse
+	st := call(t, http.MethodPost, base+"/v1/sweep", SweepRequest{
+		OptimizeRequest: OptimizeRequest{Model: "disk", Objective: "power"},
+		Sweep:           SweepSpec{Metric: "penalty", Rel: "<=", Values: []float64{0.8, 1.2, 0.3, 0.4, 1.0}, Workers: 1},
+	}, &sw)
+	if st != http.StatusOK || sw.Feasible != 3 {
+		t.Fatalf("sweep: status %d, %d/5 feasible", st, sw.Feasible)
+	}
+	for _, v := range []float64{1.1, 1.15, 0.35} {
+		call(t, http.MethodPost, base+"/v1/optimize", OptimizeRequest{
+			Model:     "disk",
+			Objective: "power",
+			Bounds:    []BoundSpec{{Metric: "penalty", Rel: "<=", Value: v}},
+		}, nil)
+	}
+
+	events := s.solves.journal.Last(0)
+	if len(events) >= 256 {
+		t.Fatalf("%d journal events: the ring may have wrapped", len(events))
+	}
+	var pivots, refacs, sweepPivots int
+	for _, e := range events {
+		if e.Kind != "solve_finish" {
+			continue
+		}
+		p, _ := e.Attrs["pivots"].(int)
+		r, _ := e.Attrs["refactorizations"].(int)
+		pivots += p
+		refacs += r
+		if e.Attrs["endpoint"] == "sweep" {
+			sweepPivots += p
+		}
+	}
+	// The sweep response counts only the feasible points' final attempts;
+	// the test needs the discarded work to exist to mean anything.
+	if sweepPivots <= sw.Pivots {
+		t.Fatalf("sweep finish events report %d pivots, response %d: no discarded work exercised", sweepPivots, sw.Pivots)
+	}
+	stats := s.Stats()
+	if got := stats["pivots"]; got != int64(pivots) {
+		t.Errorf("pivots counter %d, finish events %d", got, pivots)
+	}
+	if got := stats["refactorizations"]; got != int64(refacs) || refacs == 0 {
+		t.Errorf("refactorizations counter %d, finish events %d", got, refacs)
+	}
+}

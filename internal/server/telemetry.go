@@ -3,9 +3,7 @@ package server
 import (
 	"net/http"
 	"strings"
-	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -14,43 +12,6 @@ import (
 // histogram map is immutable after construction and needs no locking.
 var endpointNames = []string{
 	"optimize", "sweep", "observe", "models", "solves", "healthz", "stats", "metrics", "trace", "other",
-}
-
-// stageNames mirrors the lp.Timings breakdown, in emission order.
-var stageNames = []string{"ftran", "btran", "price", "factor", "update"}
-
-// endpointStats is one endpoint's serving telemetry: a request counter and
-// a latency histogram (nanoseconds, geometric buckets).
-type endpointStats struct {
-	requests atomic.Int64
-	latency  *obs.Histogram
-}
-
-// telemetry is the server's distributional observability surface, next to
-// the monotone counters: per-endpoint latency histograms, pivots-per-solve
-// and per-stage solve-time histograms, and the trace ring buffer behind
-// GET /v1/trace. All recording paths are atomic-only.
-type telemetry struct {
-	endpoints map[string]*endpointStats
-	pivots    *obs.Histogram            // pivots per completed solve
-	stages    map[string]*obs.Histogram // per-stage solver wall clock, ns
-	recorder  *obs.Recorder
-}
-
-func newTelemetry(traceBuffer int) *telemetry {
-	t := &telemetry{
-		endpoints: make(map[string]*endpointStats, len(endpointNames)),
-		pivots:    obs.NewCountHistogram(),
-		stages:    make(map[string]*obs.Histogram, len(stageNames)),
-		recorder:  obs.NewRecorder(traceBuffer),
-	}
-	for _, name := range endpointNames {
-		t.endpoints[name] = &endpointStats{latency: obs.NewLatencyHistogram()}
-	}
-	for _, name := range stageNames {
-		t.stages[name] = obs.NewLatencyHistogram()
-	}
-	return t
 }
 
 // endpointOf maps a request path onto its telemetry key.
@@ -92,82 +53,48 @@ func recorded(endpoint string) bool {
 	return true
 }
 
-// recordSolve folds one completed solve's work distribution into the
-// histograms: pivot count and the per-stage wall-clock breakdown. Safe on
-// partial results (a cancelled solve still reports the pivots it spent).
-func (t *telemetry) recordSolve(res *core.Result) {
-	if res == nil {
-		return
-	}
-	t.pivots.Observe(float64(res.LPIterations))
-	tm := res.LPTimings
-	if tm.Total() == 0 {
-		return
-	}
-	t.stages["ftran"].ObserveDuration(tm.Ftran)
-	t.stages["btran"].ObserveDuration(tm.Btran)
-	t.stages["price"].ObserveDuration(tm.Price)
-	t.stages["factor"].ObserveDuration(tm.Factor)
-	t.stages["update"].ObserveDuration(tm.Update)
-}
-
-// latencySummaryMS renders a nanosecond histogram as the millisecond
-// quantile summary served on /v1/stats.
-func latencySummaryMS(h *obs.Histogram) map[string]any {
+// summary renders a histogram as the quantile summary served on /v1/stats:
+// count, mean and p50/p90/p99, each divided by scale and keyed with unit
+// ("_ms" for nanosecond latencies, "" for pivot counts).
+func summary(h *obs.Histogram, scale float64, unit string) map[string]any {
 	s := h.Snapshot()
-	toMS := func(v float64) float64 { return v / 1e6 }
+	mean := 0.0
+	if s.Count > 0 {
+		mean = s.Sum / float64(s.Count)
+	}
 	return map[string]any{
-		"count":   s.Count,
-		"mean_ms": toMS(safeMean(s)),
-		"p50_ms":  toMS(s.Quantile(0.50)),
-		"p90_ms":  toMS(s.Quantile(0.90)),
-		"p99_ms":  toMS(s.Quantile(0.99)),
+		"count":       s.Count,
+		"mean" + unit: mean / scale,
+		"p50" + unit:  s.Quantile(0.50) / scale,
+		"p90" + unit:  s.Quantile(0.90) / scale,
+		"p99" + unit:  s.Quantile(0.99) / scale,
 	}
-}
-
-// countSummary renders a unitless histogram (pivot counts) for /v1/stats.
-func countSummary(h *obs.Histogram) map[string]any {
-	s := h.Snapshot()
-	return map[string]any{
-		"count": s.Count,
-		"mean":  safeMean(s),
-		"p50":   s.Quantile(0.50),
-		"p90":   s.Quantile(0.90),
-		"p99":   s.Quantile(0.99),
-	}
-}
-
-func safeMean(s obs.HistogramSnapshot) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // statsEndpoints is the "endpoints" section of /v1/stats.
-func (t *telemetry) statsEndpoints() map[string]any {
+func (m *metrics) statsEndpoints() map[string]any {
 	out := make(map[string]any, len(endpointNames))
 	for _, name := range endpointNames {
-		es := t.endpoints[name]
-		if es.requests.Load() == 0 {
+		n := m.requests[name].Load()
+		if n == 0 {
 			continue
 		}
 		out[name] = map[string]any{
-			"requests": es.requests.Load(),
-			"latency":  latencySummaryMS(es.latency),
+			"requests": n,
+			"latency":  summary(m.latency[name], 1e6, "_ms"),
 		}
 	}
 	return out
 }
 
 // statsSolve is the "solve" section of /v1/stats.
-func (t *telemetry) statsSolve() map[string]any {
-	stages := make(map[string]any, len(stageNames))
-	for _, name := range stageNames {
-		stages[name] = latencySummaryMS(t.stages[name])
+func (m *metrics) statsSolve() map[string]any {
+	stages := make(map[string]any, len(m.stageHist))
+	for name, h := range m.stageHist {
+		stages[name] = summary(h, 1e6, "_ms")
 	}
 	return map[string]any{
-		"pivots": countSummary(t.pivots),
+		"pivots": summary(m.pivotHist, 1, ""),
 		"stages": stages,
 	}
 }

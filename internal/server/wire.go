@@ -348,9 +348,12 @@ type SweepResponse struct {
 	Points      []SweepPoint `json:"points"`
 	Feasible    int          `json:"feasible"`
 	WarmStarted int          `json:"warm_started"`
-	Pivots      int          `json:"pivots"`
-	Cache       string       `json:"cache"` // "hit" or "miss"
-	ElapsedMS   float64      `json:"elapsed_ms"`
+	// Pivots is sweep.Stats.Pivots: the feasible points' solves only. The
+	// pivots counter on /v1/stats also counts infeasible points and
+	// discarded attempts.
+	Pivots    int     `json:"pivots"`
+	Cache     string  `json:"cache"` // "hit" or "miss"
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // errorResponse is the uniform error body.

@@ -173,16 +173,20 @@ func Pareto(ctx context.Context, m *core.Model, opts core.Options, metric string
 }
 
 // Stats summarizes how a sweep's solves went; it exists for CLI reporting
-// and tests, not for control flow.
+// and tests, not for control flow. Pivots and Refactorizations count the
+// feasible points only, each point's final solve attempt: an infeasible
+// point carries no Result, and a warm attempt a point discarded for a cold
+// solve is not in its Result.
 type Stats struct {
 	Points           int // total points
 	Feasible         int // points with a finite optimum
 	WarmStarted      int // feasible points whose LP reused a basis
-	Pivots           int // total simplex iterations across all solves
-	Refactorizations int // total basis refactorizations across all solves
+	Pivots           int // simplex iterations of the feasible points' solves
+	Refactorizations int // basis refactorizations of the feasible points' solves
 }
 
-// Tally collects Stats over a finished sweep.
+// Tally collects Stats over a finished sweep (work counts from the feasible
+// points only; see Stats).
 func Tally(points []core.ParetoPoint) Stats {
 	var s Stats
 	s.Points = len(points)
