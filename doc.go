@@ -253,7 +253,9 @@
 // the SR-dependent coefficients of the resident sparse program
 // (structure, bounds and sparsity pattern are reused; a probability
 // moving to or from exact zero falls back to one fresh assembly),
-// core.PatchModel revises the compiled Model in place the same way, and
+// core.PatchModel revises the compiled Model in place the same way — each
+// patch runs the same row generator as the matching build, so the patched
+// Model and program are bit-for-bit the rebuilt ones — and
 // core.OptimizeProblemCtx solves it warm-started from the previous optimal
 // basis under a bounded wall-clock budget — a failed or cancelled refresh
 // keeps the previous policy serving. dpmserved exposes the loop as

@@ -24,6 +24,16 @@
 // policy with Eq. 16. ParetoSweep explores the power–performance tradeoff
 // curve of Section IV-A.
 //
+// Each compiled artifact has one compiler with two sinks. The composed
+// chains come from one row generator and the metric tables from one
+// tabulation over System.MetricFns; System.Build appends the rows into
+// fresh CSR arrays, and PatchModel rewrites an existing Model's rows and
+// tables in place. Likewise one generator validates Options and emits the
+// frequency LP's objective, balance rows and bound rows; BuildFrequencyLP
+// assembles them into a new lp.Problem and PatchFrequencyLP rewrites a
+// resident one. A patched artifact is therefore bit-for-bit the built one,
+// which is what lets the online refresh path skip recompilation.
+//
 // Discounting follows the paper's session model (Fig. 5): a geometric
 // stopping time with discount factor α, equivalently a trap state entered
 // with probability 1−α each slice. All constraint bounds and reported

@@ -306,45 +306,19 @@ func annotateTimings(sp *obs.Span, t lp.Timings) {
 // is the primary caller; the function is exported so benchmarks and parity
 // tests can run the identical LP through other solvers (e.g. lp.SolveDense).
 func BuildFrequencyLP(m *Model, opts Options) (*lp.Problem, error) {
-	if opts.Alpha < 0 || opts.Alpha >= 1 {
-		return nil, fmt.Errorf("core: discount factor %g outside [0,1)", opts.Alpha)
-	}
-	if opts.Objective.Metric == "" {
-		opts.Objective.Metric = MetricPenalty
-	}
-	objTable, err := m.Metric(opts.Objective.Metric)
+	prob := lp.NewProblem(opts.Objective.Sense, m.N*m.A)
+	err := frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
+		var name string
+		if row < m.N {
+			name = fmt.Sprintf("balance[%d]", row)
+		} else {
+			name = opts.Bounds[row-m.N].rowName()
+		}
+		prob.AddConstraintNZ(name, cols, vals, rel, rhs)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	q0, err := initialDistribution(m, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	nv := m.N * m.A
-	prob := lp.NewProblem(opts.Objective.Sense, nv)
-	for s := 0; s < m.N; s++ {
-		for a := 0; a < m.A; a++ {
-			prob.Obj[s*m.A+a] = objTable.At(s, a)
-		}
-	}
-
-	alpha := opts.Alpha
-	pts := transposedChains(m)
-	var idx []int
-	var val []float64
-	for j := 0; j < m.N; j++ {
-		idx, val = balanceRowNZ(m, pts, alpha, j, idx[:0], val[:0])
-		prob.AddConstraintNZ(fmt.Sprintf("balance[%d]", j), idx, val, lp.EQ, (1-alpha)*q0[j])
-	}
-
-	for _, b := range opts.Bounds {
-		table, err := m.Metric(b.Metric)
-		if err != nil {
-			return nil, err
-		}
-		idx, val = boundRowNZ(m, table, idx[:0], val[:0])
-		prob.AddConstraintNZ(b.rowName(), idx, val, b.Rel, b.Value)
 	}
 	return prob, nil
 }
@@ -354,49 +328,79 @@ func (b Bound) rowName() string {
 	return fmt.Sprintf("%s %s %g", b.Metric, b.Rel, b.Value)
 }
 
-// transposedChains returns the per-command transposes of the model's
-// transition matrices: per state j they give the incoming transitions
-// (s, p_{s,j}(a)) each balance row needs, so one O(nnz) transpose per
-// command replaces an O(N²) column scan per row.
-func transposedChains(m *Model) []*mat.CSR {
-	pts := make([]*mat.CSR, m.A)
-	for a := 0; a < m.A; a++ {
-		pts[a] = m.P[a].T()
+// frequencyRows is the one generator of the frequency LP, shared by
+// BuildFrequencyLP and PatchFrequencyLP. It validates opts against m — the
+// discount factor, the objective and bound metrics, and q0 — then writes
+// the objective coefficients into obj (length N·A) and calls emit once per
+// constraint row, in order: row j < N is balance row j, row N+k is bound k.
+// emit receives the row's raw (column, value) pairs, its relation and its
+// right-hand side. Balance pairs are neither sorted nor merged — the column
+// of (s,a) is e_s − α·P_a(s,·)ᵀ, so a self-loop p_{j,j}(a) duplicates the
+// diagonal column — and each sink normalizes them through lp.CompressRow.
+// The pairs alias scratch storage that the next row overwrites.
+func frequencyRows(m *Model, opts Options, obj []float64, emit func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error) error {
+	if opts.Alpha < 0 || opts.Alpha >= 1 {
+		return fmt.Errorf("core: discount factor %g outside [0,1)", opts.Alpha)
 	}
-	return pts
-}
-
-// balanceRowNZ appends the raw (column, value) pairs of balance row j —
-// e_s − α·P_a(s,·)ᵀ per (s,a) column — to idx/val and returns the extended
-// slices. Pairs are neither sorted nor merged (a self-loop p_{j,j}(a)
-// duplicates the diagonal column); AddConstraintNZ and PatchFrequencyLP
-// both normalize them through lp.CompressRow.
-func balanceRowNZ(m *Model, pts []*mat.CSR, alpha float64, j int, idx []int, val []float64) ([]int, []float64) {
-	for a := 0; a < m.A; a++ {
-		idx = append(idx, j*m.A+a)
-		val = append(val, 1)
-		cols, vals := pts[a].RowNZ(j)
-		for k, s := range cols {
-			idx = append(idx, s*m.A+a)
-			val = append(val, -alpha*vals[k])
+	if opts.Objective.Metric == "" {
+		opts.Objective.Metric = MetricPenalty
+	}
+	objTable, err := m.Metric(opts.Objective.Metric)
+	if err != nil {
+		return err
+	}
+	q0, err := initialDistribution(m, opts)
+	if err != nil {
+		return err
+	}
+	bounds := make([]*mat.Matrix, len(opts.Bounds))
+	for k, b := range opts.Bounds {
+		if bounds[k], err = m.Metric(b.Metric); err != nil {
+			return err
 		}
 	}
-	return idx, val
-}
 
-// boundRowNZ appends the nonzero (column, value) pairs of a metric bound
-// row to idx/val and returns the extended slices (already sorted: the scan
-// is in column order and metric tables have no duplicate entries).
-func boundRowNZ(m *Model, table *mat.Matrix, idx []int, val []float64) ([]int, []float64) {
-	for s := 0; s < m.N; s++ {
+	// Metric tables are N×A row-major, the variable order (s,a) ↦ s·A+a.
+	copy(obj, objTable.Data)
+
+	// Row j's incoming transitions (s, p_{s,j}(a)) are row j of each
+	// command's transposed chain: one O(nnz) transpose per command replaces
+	// an O(N²) column scan per row.
+	alpha := opts.Alpha
+	pts := make([]*mat.CSR, m.A)
+	for a := range pts {
+		pts[a] = m.P[a].T()
+	}
+	var idx []int
+	var val []float64
+	for j := 0; j < m.N; j++ {
+		idx, val = idx[:0], val[:0]
 		for a := 0; a < m.A; a++ {
-			if v := table.At(s, a); v != 0 {
+			idx = append(idx, j*m.A+a)
+			val = append(val, 1)
+			cols, vals := pts[a].RowNZ(j)
+			for k, s := range cols {
 				idx = append(idx, s*m.A+a)
+				val = append(val, -alpha*vals[k])
+			}
+		}
+		if err := emit(j, idx, val, lp.EQ, (1-alpha)*q0[j]); err != nil {
+			return err
+		}
+	}
+	for k, b := range opts.Bounds {
+		idx, val = idx[:0], val[:0]
+		for i, v := range bounds[k].Data {
+			if v != 0 {
+				idx = append(idx, i)
 				val = append(val, v)
 			}
 		}
+		if err := emit(m.N+k, idx, val, b.Rel, b.Value); err != nil {
+			return err
+		}
 	}
-	return idx, val
+	return nil
 }
 
 // initialDistribution resolves and validates Options.Initial (nil selects

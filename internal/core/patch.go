@@ -34,28 +34,14 @@ var ErrPatchPattern = errors.New("core: frequency LP sparsity pattern changed")
 // any row's nonzero pattern differs from the fresh assembly
 // (ErrPatchPattern — a probability hit exactly zero or left it). Callers
 // fall back to BuildFrequencyLP on any error; a patched problem is
-// bit-for-bit the problem a fresh build would produce, so the two paths are
-// interchangeable solve inputs.
+// bit-for-bit the problem a fresh build would produce — both take their
+// rows from the one generator frequencyRows and normalize them with
+// lp.CompressRow — so the two paths are interchangeable solve inputs.
 func PatchFrequencyLP(prob *lp.Problem, m *Model, opts Options) error {
-	if opts.Alpha < 0 || opts.Alpha >= 1 {
-		return fmt.Errorf("core: discount factor %g outside [0,1)", opts.Alpha)
-	}
-	if opts.Objective.Metric == "" {
-		opts.Objective.Metric = MetricPenalty
-	}
-	objTable, err := m.Metric(opts.Objective.Metric)
-	if err != nil {
-		return err
-	}
-	q0, err := initialDistribution(m, opts)
-	if err != nil {
-		return err
-	}
 	if prob == nil {
 		return fmt.Errorf("%w: nil problem", ErrPatchShape)
 	}
-	nv := m.N * m.A
-	if prob.NumVars() != nv {
+	if nv := m.N * m.A; prob.NumVars() != nv {
 		return fmt.Errorf("%w: %d variables, want %d", ErrPatchShape, prob.NumVars(), nv)
 	}
 	if got, want := len(prob.Cons), m.N+len(opts.Bounds); got != want {
@@ -64,46 +50,18 @@ func PatchFrequencyLP(prob *lp.Problem, m *Model, opts Options) error {
 	if prob.Sense != opts.Objective.Sense {
 		return fmt.Errorf("%w: objective sense changed", ErrPatchShape)
 	}
-
-	for s := 0; s < m.N; s++ {
-		for a := 0; a < m.A; a++ {
-			prob.Obj[s*m.A+a] = objTable.At(s, a)
+	return frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
+		c := &prob.Cons[row]
+		if c.Rel != rel {
+			return fmt.Errorf("%w: row %q relation changed", ErrPatchShape, c.Name)
 		}
-	}
-
-	alpha := opts.Alpha
-	pts := transposedChains(m)
-	var idx []int
-	var val []float64
-	for j := 0; j < m.N; j++ {
-		idx, val = balanceRowNZ(m, pts, alpha, j, idx[:0], val[:0])
-		cIdx, cVal := lp.CompressRow(idx, val)
-		c := &prob.Cons[j]
-		if c.Rel != lp.EQ {
-			return fmt.Errorf("%w: balance row %d relation changed", ErrPatchShape, j)
+		cols, vals = lp.CompressRow(cols, vals)
+		if err := rewriteRow(c, cols, vals); err != nil {
+			return fmt.Errorf("row %q: %w", c.Name, err)
 		}
-		if err := rewriteRow(c, cIdx, cVal); err != nil {
-			return fmt.Errorf("balance row %d: %w", j, err)
-		}
-		c.RHS = (1 - alpha) * q0[j]
-	}
-
-	for bi, b := range opts.Bounds {
-		table, err := m.Metric(b.Metric)
-		if err != nil {
-			return err
-		}
-		c := &prob.Cons[m.N+bi]
-		if c.Rel != b.Rel {
-			return fmt.Errorf("%w: bound row %d relation changed", ErrPatchShape, bi)
-		}
-		idx, val = boundRowNZ(m, table, idx[:0], val[:0])
-		if err := rewriteRow(c, idx, val); err != nil {
-			return fmt.Errorf("bound row %q: %w", b.Metric, err)
-		}
-		c.RHS = b.Value
-	}
-	return nil
+		c.RHS = rhs
+		return nil
+	})
 }
 
 // rewriteRow copies fresh coefficients over a constraint row after checking

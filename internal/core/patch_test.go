@@ -29,7 +29,7 @@ func buildDisk(t *testing.T, p01, p10 float64) *core.Model {
 }
 
 // TestPatchFrequencyLPMatchesBuild: patching the LP of one SR onto the
-// model of a drifted SR must reproduce the freshly built LP exactly —
+// model of a drifted SR must reproduce the freshly built LP bit-for-bit —
 // objective, every row's pattern and values, and every RHS.
 func TestPatchFrequencyLPMatchesBuild(t *testing.T) {
 	opts := patchOpts()
@@ -71,8 +71,8 @@ func TestPatchFrequencyLPMatchesBuild(t *testing.T) {
 			if got.Cols[k] != exp.Cols[k] {
 				t.Fatalf("row %d nz %d: column %d, want %d", i, k, got.Cols[k], exp.Cols[k])
 			}
-			if math.Abs(got.Vals[k]-exp.Vals[k]) > 1e-15 {
-				t.Fatalf("row %d nz %d: value %g, want %g", i, k, got.Vals[k], exp.Vals[k])
+			if got.Vals[k] != exp.Vals[k] {
+				t.Fatalf("row %d nz %d: value %v, want %v (not bit-identical)", i, k, got.Vals[k], exp.Vals[k])
 			}
 		}
 	}
@@ -146,5 +146,43 @@ func TestPatchFrequencyLPShapeChecks(t *testing.T) {
 	// reusable.
 	if err := core.PatchFrequencyLP(prob, m, opts); err != nil {
 		t.Errorf("patch after refused patches: %v", err)
+	}
+}
+
+// TestPatchRefreshAllocs bounds what one online refresh of the disk model —
+// PatchModel plus PatchFrequencyLP — allocates. Both rewrite in place and
+// reuse their row generators' scratch across rows and commands. What is
+// left is one allocation per row inside lp.CompressRow's sort (397 rows)
+// plus a per-command constant (the transposed chains, the metric
+// evaluators): 643 in all, against 1292 before the generators were shared.
+// A generator that allocated once more per row would add ~400.
+func TestPatchRefreshAllocs(t *testing.T) {
+	opts := patchOpts()
+	sys1 := devices.DiskSystem(core.TwoStateSR("w", 0.02, 0.30))
+	sys2 := devices.DiskSystem(core.TwoStateSR("w", 0.35, 0.05))
+	m, err := sys1.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := core.BuildFrequencyLP(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := false
+	allocs := testing.AllocsPerRun(20, func() {
+		sys := sys1
+		if flip = !flip; flip {
+			sys = sys2
+		}
+		if err := core.PatchModel(m, sys); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.PatchFrequencyLP(prob, m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per refresh of a %d-state, %d-command model", allocs, m.N, m.A)
+	if allocs > 700 {
+		t.Errorf("one refresh allocates %.0f times, want <= 700", allocs)
 	}
 }

@@ -25,6 +25,12 @@ import (
 //
 // The returned vector has length Q+1 and sums to 1.
 func QueueRow(capacity, q int, b float64, r int) mat.Vector {
+	return queueRowInto(mat.NewVector(capacity+1), capacity, q, b, r)
+}
+
+// queueRowInto is QueueRow writing into row, which must have length Q+1;
+// the composition loop reuses one row for every (state, next SR) pair.
+func queueRowInto(row mat.Vector, capacity, q int, b float64, r int) mat.Vector {
 	if capacity < 0 {
 		panic(fmt.Sprintf("core: negative queue capacity %d", capacity))
 	}
@@ -37,7 +43,7 @@ func QueueRow(capacity, q int, b float64, r int) mat.Vector {
 	if r < 0 {
 		panic(fmt.Sprintf("core: negative arrival count %d", r))
 	}
-	row := mat.NewVector(capacity + 1)
+	clear(row)
 	switch {
 	case r == 0 && q == 0:
 		row[0] = 1

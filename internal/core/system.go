@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/lp"
 	"repro/internal/mat"
 )
 
@@ -161,8 +162,6 @@ func (sys *System) Build() (*Model, error) {
 	}
 	n := sys.NumStates()
 	a := sys.SP.A()
-	nsp, nsr, nq := sys.SP.N(), sys.SR.N(), sys.QueueCap+1
-
 	m := &Model{
 		Sys:     sys,
 		N:       n,
@@ -171,89 +170,143 @@ func (sys *System) Build() (*Model, error) {
 		Metrics: make(map[string]*mat.Matrix),
 	}
 
-	// Each command's composed matrix is accumulated as triplets and
-	// compressed to CSR; the dense form is never materialized. The SP chain
-	// is consumed row-sparse through the Provider contract — for a factored
-	// composite that row comes straight out of a Kronecker-compiled CSR, so
-	// the composition never touches a dense |S_p|×|S_p| object either.
-	// Stochasticity is validated directly on the sparse rows.
-	var hookCols []int
-	var hookVals []float64
+	// composedRows yields rows in state order, so each command's chain is
+	// appended straight into CSR arrays; the dense form is never
+	// materialized.
+	var sc rowScratch
+	nnz := 0
 	for cmd := 0; cmd < a; cmd++ {
-		chain := sys.SP.Chain(cmd)
-		if chain.Rows() != nsp || chain.Cols() != nsp {
-			return nil, fmt.Errorf("core: provider %q chain for command %d is %dx%d, want %dx%d",
-				sys.SP.ProviderName(), cmd, chain.Rows(), chain.Cols(), nsp, nsp)
+		rowPtr := make([]int, 1, n+1)
+		colIdx := make([]int, 0, nnz)
+		vals := make([]float64, 0, nnz)
+		err := sys.composedRows(cmd, &sc, func(_ int, cols []int, v []float64) error {
+			colIdx = append(colIdx, cols...)
+			vals = append(vals, v...)
+			rowPtr = append(rowPtr, len(colIdx))
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		trip := mat.NewTriplet(n, n)
-		for p := 0; p < nsp; p++ {
-			b := sys.SP.RateAt(p, cmd)
-			chainCols, chainVals := chain.RowNZ(p)
-			for r := 0; r < nsr; r++ {
-				spCols, spVals := chainCols, chainVals
-				if sys.SPRow != nil {
-					if row := sys.SPRow(p, cmd, r); row != nil {
-						if len(row) != nsp {
-							return nil, fmt.Errorf("core: SPRow override returned %d entries, want %d", len(row), nsp)
-						}
-						if !row.IsDistribution(1e-9) {
-							return nil, fmt.Errorf("core: SPRow override for (%s,%s,%s) is not a distribution",
-								sys.SP.StateNames()[p], sys.SP.CommandNames()[cmd], sys.SR.States[r])
-						}
-						hookCols, hookVals = hookCols[:0], hookVals[:0]
-						for pNext, v := range row {
-							if v != 0 {
-								hookCols = append(hookCols, pNext)
-								hookVals = append(hookVals, v)
-							}
-						}
-						spCols, spVals = hookCols, hookVals
-					}
-				}
-				for q := 0; q < nq; q++ {
-					i := sys.Index(State{SP: p, SR: r, Q: q})
-					for rNext := 0; rNext < nsr; rNext++ {
-						srP := sys.SR.P.At(r, rNext)
-						if srP == 0 {
-							continue
-						}
-						qrow := QueueRow(sys.QueueCap, q, b, sys.SR.Requests[rNext])
-						for k, pNext := range spCols {
-							base := spVals[k] * srP
-							for qNext := 0; qNext < nq; qNext++ {
-								if qrow[qNext] == 0 {
-									continue
-								}
-								j := sys.Index(State{SP: pNext, SR: rNext, Q: qNext})
-								trip.Add(i, j, base*qrow[qNext])
-							}
-						}
-					}
-				}
-			}
-		}
-		pm := trip.ToCSR()
-		if err := pm.CheckStochastic(1e-9); err != nil {
+		m.P[cmd] = mat.NewCSR(n, n, rowPtr, colIdx, vals)
+		if err := m.P[cmd].CheckStochastic(1e-9); err != nil {
 			return nil, fmt.Errorf("core: composed matrix for command %q: %w", sys.SP.CommandNames()[cmd], err)
 		}
-		m.P[cmd] = pm
+		nnz = len(colIdx)
 	}
 
-	// Metric tables: tabulate the on-demand evaluators. Model consumers get
-	// O(1) lookups; Model-free consumers (the factored evaluation and
-	// simulation paths) call the same MetricFns directly, so the two paths
-	// compute bit-identical values.
-	for name, fn := range sys.MetricFns() {
-		t := mat.NewMatrix(n, a)
-		for i := 0; i < n; i++ {
-			st := sys.StateOf(i)
-			for cmd := 0; cmd < a; cmd++ {
-				t.Set(i, cmd, fn(st, cmd))
+	fns := sys.MetricFns()
+	for name := range fns {
+		m.Metrics[name] = mat.NewMatrix(n, a)
+	}
+	sys.tabulate(fns, m.Metrics)
+	return m, nil
+}
+
+// rowScratch is composedRows' reusable working storage; one value serves
+// every command of a compilation.
+type rowScratch struct {
+	hookCols, cols []int
+	hookVals, vals []float64
+	qrow           mat.Vector
+}
+
+// composedRows is the one generator of the composed chain of command cmd
+// (paper Eq. 4), shared by Build and PatchModel. It calls emit once per
+// composed state i, in ascending state order, with row i's nonzeros sorted
+// by column and exact zeros dropped (lp.CompressRow). The slices passed to
+// emit alias sc and are overwritten by the next row. The SP chain is
+// consumed row-sparse through the Provider contract — for a factored
+// composite that row comes straight out of a Kronecker-compiled CSR — and
+// SPRow overrides are validated as they are used. Composed rows never hold
+// duplicate columns: (pNext, rNext, qNext) ↔ j is one-to-one within a row.
+func (sys *System) composedRows(cmd int, sc *rowScratch, emit func(i int, cols []int, vals []float64) error) error {
+	nsp, nsr, nq := sys.SP.N(), sys.SR.N(), sys.QueueCap+1
+	chain := sys.SP.Chain(cmd)
+	if chain.Rows() != nsp || chain.Cols() != nsp {
+		return fmt.Errorf("core: provider %q chain for command %d is %dx%d, want %dx%d",
+			sys.SP.ProviderName(), cmd, chain.Rows(), chain.Cols(), nsp, nsp)
+	}
+	if len(sc.qrow) != nq {
+		sc.qrow = mat.NewVector(nq)
+	}
+	for p := 0; p < nsp; p++ {
+		b := sys.SP.RateAt(p, cmd)
+		chainCols, chainVals := chain.RowNZ(p)
+		for r := 0; r < nsr; r++ {
+			spCols, spVals := chainCols, chainVals
+			if sys.SPRow != nil {
+				if row := sys.SPRow(p, cmd, r); row != nil {
+					if len(row) != nsp {
+						return fmt.Errorf("core: SPRow override returned %d entries, want %d", len(row), nsp)
+					}
+					if !row.IsDistribution(1e-9) {
+						return fmt.Errorf("core: SPRow override for (%s,%s,%s) is not a distribution",
+							sys.SP.StateNames()[p], sys.SP.CommandNames()[cmd], sys.SR.States[r])
+					}
+					sc.hookCols, sc.hookVals = sc.hookCols[:0], sc.hookVals[:0]
+					for pNext, v := range row {
+						if v != 0 {
+							sc.hookCols = append(sc.hookCols, pNext)
+							sc.hookVals = append(sc.hookVals, v)
+						}
+					}
+					spCols, spVals = sc.hookCols, sc.hookVals
+				}
+			}
+			for q := 0; q < nq; q++ {
+				i := sys.Index(State{SP: p, SR: r, Q: q})
+				sc.cols, sc.vals = sc.cols[:0], sc.vals[:0]
+				for rNext := 0; rNext < nsr; rNext++ {
+					srP := sys.SR.P.At(r, rNext)
+					if srP == 0 {
+						continue
+					}
+					qrow := queueRowInto(sc.qrow, sys.QueueCap, q, b, sys.SR.Requests[rNext])
+					for k, pNext := range spCols {
+						base := spVals[k] * srP
+						for qNext := 0; qNext < nq; qNext++ {
+							if qrow[qNext] == 0 {
+								continue
+							}
+							sc.cols = append(sc.cols, sys.Index(State{SP: pNext, SR: rNext, Q: qNext}))
+							sc.vals = append(sc.vals, base*qrow[qNext])
+						}
+					}
+				}
+				cols, vals := lp.CompressRow(sc.cols, sc.vals)
+				if err := emit(i, cols, vals); err != nil {
+					return err
+				}
 			}
 		}
-		m.Metrics[name] = t
 	}
-	return m, nil
+	return nil
+}
+
+// tabulate fills tables[name] — an N×A table for every metric of fns — by
+// evaluating the on-demand evaluators at every (state, command), decoding
+// each state once. Model consumers get O(1) lookups; Model-free consumers
+// (the factored evaluation and simulation paths) call the same MetricFns
+// directly, so the two paths compute bit-identical values.
+func (sys *System) tabulate(fns map[string]MetricFn, tables map[string]*mat.Matrix) {
+	type column struct {
+		fn MetricFn
+		t  *mat.Matrix
+	}
+	cols := make([]column, 0, len(fns))
+	for name, fn := range fns {
+		cols = append(cols, column{fn, tables[name]})
+	}
+	for i := 0; i < sys.NumStates(); i++ {
+		st := sys.StateOf(i)
+		for _, c := range cols {
+			row := c.t.Row(i)
+			for cmd := range row {
+				row[cmd] = c.fn(st, cmd)
+			}
+		}
+	}
 }
 
 // MetricFn evaluates one metric at a (state, command) pair.

@@ -120,8 +120,8 @@ func (s *colValSort) Swap(i, j int) {
 
 // CSR is a compressed-sparse-row matrix: row i's nonzeros live at positions
 // rowPtr[i]..rowPtr[i+1] of (colIdx, vals), with colIdx sorted within each
-// row. The zero value is not usable; build through Triplet, FromDense, or
-// another CSR.
+// row. The zero value is not usable; build through Triplet, NewCSR,
+// FromDense, or another CSR.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
@@ -141,6 +141,19 @@ func FromDense(m *Matrix) *CSR {
 		}
 	}
 	return t.ToCSR()
+}
+
+// NewCSR wraps compressed-row arrays as a rows×cols CSR matrix without
+// copying them: row i's entries are colIdx[rowPtr[i]:rowPtr[i+1]] with
+// values vals[rowPtr[i]:rowPtr[i+1]]. The caller guarantees the form every
+// other constructor produces — column indices in [0, cols), strictly
+// increasing within each row, no explicit zeros — and hands the arrays
+// over. It panics on inconsistent array lengths.
+func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
+	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || rowPtr[rows] != len(colIdx) || len(colIdx) != len(vals) {
+		panic(fmt.Sprintf("mat: compressed arrays inconsistent with a %dx%d matrix", rows, cols))
+	}
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
 // Rows returns the number of rows.
@@ -163,7 +176,7 @@ func (m *CSR) RowNZ(i int) ([]int, []float64) {
 // verifying that cols matches the stored (sorted) nonzero pattern exactly.
 // This is the in-place revision hook for callers that rebuild a structurally
 // identical matrix with drifted coefficients (core.PatchModel): the row
-// index structure — the part ToCSR pays a sort for — carries over verbatim.
+// index structure carries over verbatim.
 // A pattern mismatch returns an error with the row left unchanged.
 func (m *CSR) RewriteRowNZ(i int, cols []int, vals []float64) error {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
@@ -454,10 +467,7 @@ type CSC struct {
 // increasing within each column, no explicit zeros — and hands the arrays
 // over. It panics on inconsistent array lengths.
 func NewCSC(rows, cols int, colPtr, rowIdx []int, vals []float64) *CSC {
-	if rows < 0 || cols < 0 || len(colPtr) != cols+1 || colPtr[cols] != len(rowIdx) || len(rowIdx) != len(vals) {
-		panic(fmt.Sprintf("mat: NewCSC with inconsistent arrays for %dx%d", rows, cols))
-	}
-	return &CSC{t: &CSR{rows: cols, cols: rows, rowPtr: colPtr, colIdx: rowIdx, vals: vals}}
+	return &CSC{t: NewCSR(cols, rows, colPtr, rowIdx, vals)}
 }
 
 // Rows returns the number of rows.

@@ -167,8 +167,10 @@ type Adapter struct {
 // (typically the served model's system with its SR swapped); the SP, queue
 // structure and option set must not change across rebuilds — that
 // structural stability is what the patch path and warm starts exploit.
-// opts.Initial is ignored (the uniform distribution is used) and evaluation
-// is skipped, as in policy.Adaptive.
+// opts.Initial is ignored (the uniform distribution is used: a controller
+// joining a stream mid-way has no state to privilege), and the exact
+// cross-check evaluation is skipped to keep refreshes cheap; the LP's own
+// averages still describe the served policy.
 func New(rebuild func(*core.ServiceRequester) (*core.System, error), opts core.Options, cfg Config) (*Adapter, error) {
 	if rebuild == nil {
 		return nil, fmt.Errorf("online: nil rebuild function")

@@ -11,8 +11,12 @@
 // was solved for (maximum per-row total-variation distance, over rows with
 // enough decayed evidence) and, when the drift exceeds a threshold,
 // re-solves under a bounded wall-clock budget — warm-starting the simplex
-// from the previous optimal basis and revising the resident lp.Problem in
-// place through core.PatchFrequencyLP instead of reassembling it.
+// from the previous optimal basis and revising the resident core.Model and
+// lp.Problem in place through core.PatchModel and core.PatchFrequencyLP
+// instead of recompiling them. Each patch runs the same row generator as
+// the matching build (System.Build, core.BuildFrequencyLP) into an in-place
+// sink, so a patched refresh solves bit-for-bit the program a rebuild
+// would.
 //
 // The three refresh tiers, cheapest first:
 //
@@ -176,17 +180,6 @@ func (e *Estimator) SR(name string) (*core.ServiceRequester, error) {
 	return sr, nil
 }
 
-// Drift returns the largest per-row total-variation distance between the
-// current estimate and the transition rows of served, restricted to rows
-// whose decayed Evidence is at least minEvidence (so unseen histories,
-// which both sides fill in by convention, cannot fake drift). served must
-// have the estimator's 2^k states in extractor order — in the adaptation
-// loop it is simply the SR of the previous refresh.
-func (e *Estimator) Drift(served *core.ServiceRequester, minEvidence float64) (float64, error) {
-	_, tv, err := e.DriftAdaptive(served, minEvidence, 1, 0)
-	return tv, err
-}
-
 // rowTV returns the total-variation distance between row s of the current
 // estimate and row s of served.
 func (e *Estimator) rowTV(served *core.ServiceRequester, s int) float64 {
@@ -212,7 +205,11 @@ func (e *Estimator) rowTV(served *core.ServiceRequester, s int) float64 {
 // scaling that one global threshold cannot express. Returned are the worst
 // ratio TV(s)/threshold(s) over rows with at least minEvidence mass (≥ 1
 // means some row exceeded its trigger) and the raw TV of that worst row.
-// z = 0 degenerates to the global rule: ratio = maxTV/threshold.
+// z = 0 degenerates to the global rule: ratio = maxTV/threshold. The
+// evidence floor keeps unseen histories, which both sides fill in by
+// convention, from faking drift. served must have the estimator's 2^k
+// states in extractor order — in the adaptation loop it is simply the SR of
+// the previous refresh.
 func (e *Estimator) DriftAdaptive(served *core.ServiceRequester, minEvidence, threshold, z float64) (ratio, tv float64, err error) {
 	n := e.States()
 	if served.N() != n {

@@ -99,11 +99,11 @@ func TestEstimatorForgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dA, err := decayed.Drift(srA, 4)
+	_, dA, err := decayed.DriftAdaptive(srA, 4, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dB, err := decayed.Drift(srB, 4)
+	_, dB, err := decayed.DriftAdaptive(srB, 4, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEstimatorValidation(t *testing.T) {
 	}
 	// Drift against a wrong-size SR errors.
 	feed(t, e, []int{0, 1, 0, 1, 0})
-	if _, err := e.Drift(core.TwoStateSR("w", 0.1, 0.1), 0); err == nil {
+	if _, _, err := e.DriftAdaptive(core.TwoStateSR("w", 0.1, 0.1), 0, 1, 0); err == nil {
 		t.Errorf("drift against wrong-size SR accepted")
 	}
 }
@@ -181,14 +181,14 @@ func TestEstimatorEvidenceGating(t *testing.T) {
 	}
 	served.P.Set(3, 2, 1)
 	served.P.Set(3, 3, 0)
-	gated, err := e.Drift(served, 4)
+	_, gated, err := e.DriftAdaptive(served, 4, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gated != 0 {
 		t.Errorf("gated drift = %g, want 0 (only unseen rows moved)", gated)
 	}
-	ungated, err := e.Drift(served, 0)
+	_, ungated, err := e.DriftAdaptive(served, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDriftAdaptiveEvidenceScaling(t *testing.T) {
 		burst = append(burst, 0, 1)
 	}
 	feed(t, e, burst)
-	tvGlobal, err := e.Drift(served, minEv)
+	_, tvGlobal, err := e.DriftAdaptive(served, minEv, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestDriftAdaptiveEvidenceScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxTV, err := e.Drift(served, minEv)
+	_, maxTV, err := e.DriftAdaptive(served, minEv, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
