@@ -182,6 +182,35 @@ func TestSweepDiskTrajectoryPin(t *testing.T) {
 	}
 }
 
+// TestSolveK5TrajectoryPin pins the cold solve-k5 LP at both ends of the
+// benchmark's drops band: pivots, LU rebuilds and the objective's bits. It
+// is the one benchmark workload whose LP is wide enough (≈4.5k structural
+// columns) for the pricing scans' cost to matter, so it is the end-to-end
+// check that a change to how those scans run left the entering-column
+// choices, and hence the whole trajectory, untouched.
+func TestSolveK5TrajectoryPin(t *testing.T) {
+	m, opts := solveK5(t)
+	for _, tc := range []struct {
+		bound            float64
+		pivots, refactor int
+		objBits          uint64
+	}{
+		{0.039, 1743, 16, 0x3fec22d24ce4dfab},
+		{0.041, 1921, 18, 0x3fec1f015fe2a664},
+	} {
+		opts.Bounds[0].Value = tc.bound
+		res, err := core.Optimize(m, opts)
+		if err != nil {
+			t.Fatalf("drops <= %v: %v", tc.bound, err)
+		}
+		got := fmt.Sprintf("{%v, %d, %d, %#x}", tc.bound, res.LPIterations, res.LPRefactorizations, math.Float64bits(res.Objective))
+		want := fmt.Sprintf("{%v, %d, %d, %#x}", tc.bound, tc.pivots, tc.refactor, tc.objBits)
+		if got != want {
+			t.Errorf("drops <= %v: got %s, pinned %s", tc.bound, got, want)
+		}
+	}
+}
+
 // largeComposite builds the multi-device fixture of the sparse-pipeline
 // benchmark: three 3-state mini-disks composed into one CompositeSP
 // (Section VII network), a bursty two-state workload and a shared queue —

@@ -189,22 +189,22 @@
 //
 // # Solver performance
 //
-// The sparse path's per-pivot cost is contained by four mechanisms. The
+// The sparse path's per-pivot cost is contained by three mechanisms. The
 // FTRAN/BTRAN triangular solves are hyper-sparse: Gilbert–Peierls-style
 // symbolic reachability from the rhs support touches only the reachable
 // pattern, falling back to the dense kernel when fill passes ~10% of n,
 // with an adaptive streak gate that stops attempting symbolic walks while
-// consecutive solves keep coming out dense. The pricing scans
-// (entering-column selection, reduced-cost maintenance and recomputation)
-// fan out over a GOMAXPROCS-sized worker pool (capped at 8) in fixed
-// contiguous chunks reduced in deterministic order, so the pivot sequence
-// is bit-identical at every worker count. The refactorization cadence
+// consecutive solves keep coming out dense. The refactorization cadence
 // scales with basis size (every 120 pivots, stretched to 960 at m ≥ 4096)
 // because Markowitz elimination grows superlinearly with m while one more
 // Forrest–Tomlin eta costs only its nonzeros; stability checks still force
 // early refactorization when the chain degrades. And the elimination's row
 // merges gallop: binary-search the eliminated column, bulk-copy untouched
-// runs.
+// runs. The pricing scans (entering-column selection, reduced-cost
+// maintenance and recomputation) run sequentially in column order: a
+// chunked worker pool for them was slower than the plain scans on
+// solve-k5 and solve-k6, the only benchmarks wide enough to engage it, and
+// was removed.
 //
 // The small path's cost is the overhead around a few hundred cheap pivots,
 // so it is kept free of garbage and repeated work. The dense LU factors in

@@ -1,9 +1,8 @@
 package lp
 
-// Test handles on the two solverConfig fields no Option sets. Callers always
-// get the kernel and pricer the basis size picks and a GOMAXPROCS-sized
-// pricing pool; the tests pin both to run every kernel on small LPs and to
-// probe the parallel scans' determinism.
+// Test handle on the one solverConfig field no Option sets. Callers always
+// get the kernel and pricer the basis size picks; the tests pin the at-scale
+// configuration to run every kernel on small LPs.
 
 // ForceAtScale runs the m ≥ autoSparseMin configuration — sparse LU with
 // Forrest–Tomlin updates, Devex pricing, scale-relative pivot floors and the
@@ -12,9 +11,4 @@ package lp
 // for large bases.
 func ForceAtScale() Option {
 	return func(c *solverConfig) { c.atScale = true }
-}
-
-// withPricingWorkers pins the pricing pool size (1 = sequential).
-func withPricingWorkers(n int) Option {
-	return func(c *solverConfig) { c.pricingWorkers = n }
 }

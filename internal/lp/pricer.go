@@ -46,46 +46,23 @@ type Pricer interface {
 
 // dantzigPricer picks the most negative scale-relative reduced cost — the
 // classic rule, and the exact behavior of the pre-strategy solver.
-type dantzigPricer struct {
-	pool *workPool
-}
+type dantzigPricer struct{}
 
 func (dantzigPricer) Reset(int)                      {}
 func (dantzigPricer) NeedsPivotRow() bool            { return false }
 func (dantzigPricer) BeginPivot(_, _ int, _ float64) {}
 func (dantzigPricer) ObserveAlpha(int, float64)      {}
 
-// dantzigScan is the sequential kernel over [lo, hi); the comparison is
-// strict (dj < bestVal), so the first of equals wins — the property the
-// chunked reduction relies on.
-func dantzigScan(d, dScale mat.Vector, pos []int, lo, hi int) (int, float64) {
+// Choose scans in column order with a strict compare (dj < bestVal), so the
+// lowest index wins ties.
+func (dantzigPricer) Choose(d, dScale mat.Vector, pos []int, maxCol int) int {
 	best, bestVal := -1, 0.0
-	for j := lo; j < hi; j++ {
+	for j := 0; j < maxCol; j++ {
 		// dScale ≥ 1, so d[j] ≥ 0 can never pass the relative test — reject
 		// before loading dScale (most columns, most iterations).
 		if dj := d[j]; dj < 0 && pos[j] < 0 && dj < -costTol*dScale[j] && dj < bestVal {
 			bestVal = dj
 			best = j
-		}
-	}
-	return best, bestVal
-}
-
-func (p dantzigPricer) Choose(d, dScale mat.Vector, pos []int, maxCol int) int {
-	if !p.pool.parallel(maxCol) {
-		best, _ := dantzigScan(d, dScale, pos, 0, maxCol)
-		return best
-	}
-	pl := p.pool
-	pl.run(maxCol, func(ci, lo, hi int) {
-		pl.res[ci], pl.resVal[ci] = dantzigScan(d, dScale, pos, lo, hi)
-	})
-	// Ascending-chunk reduction with the sequential scan's strict compare:
-	// ties keep the earlier chunk, i.e. the lower column index.
-	best, bestVal := -1, 0.0
-	for ci := 0; ci < pl.workers; ci++ {
-		if pl.res[ci] >= 0 && pl.resVal[ci] < bestVal {
-			best, bestVal = pl.res[ci], pl.resVal[ci]
 		}
 	}
 	return best
@@ -98,14 +75,11 @@ func (p dantzigPricer) Choose(d, dScale mat.Vector, pos []int, maxCol int) int {
 // per unit step — without any extra FTRANs.
 type devexPricer struct {
 	gamma []float64
-	pool  *workPool
 	enter int
 	leave int
 	piv   float64
 	gq    float64
 }
-
-func newDevexPricer(pool *workPool) *devexPricer { return &devexPricer{pool: pool} }
 
 func (p *devexPricer) Reset(nTot int) {
 	if cap(p.gamma) < nTot {
@@ -119,11 +93,11 @@ func (p *devexPricer) Reset(nTot int) {
 
 func (p *devexPricer) NeedsPivotRow() bool { return true }
 
-// devexScan is the sequential kernel over [lo, hi); strict compare (score >
-// bestScore) keeps the first of equals.
-func (p *devexPricer) devexScan(d, dScale mat.Vector, pos []int, lo, hi int) (int, float64) {
+// Choose scans in column order with a strict compare (score > bestScore),
+// so the lowest index wins ties.
+func (p *devexPricer) Choose(d, dScale mat.Vector, pos []int, maxCol int) int {
 	best, bestScore := -1, 0.0
-	for j := lo; j < hi; j++ {
+	for j := 0; j < maxCol; j++ {
 		dj := d[j]
 		// dScale ≥ 1: d[j] ≥ 0 can never pass the relative test, so reject
 		// before touching pos/dScale (most columns, most iterations).
@@ -133,24 +107,6 @@ func (p *devexPricer) devexScan(d, dScale mat.Vector, pos []int, lo, hi int) (in
 		if score := dj * dj / p.gamma[j]; score > bestScore {
 			bestScore = score
 			best = j
-		}
-	}
-	return best, bestScore
-}
-
-func (p *devexPricer) Choose(d, dScale mat.Vector, pos []int, maxCol int) int {
-	if !p.pool.parallel(maxCol) {
-		best, _ := p.devexScan(d, dScale, pos, 0, maxCol)
-		return best
-	}
-	pl := p.pool
-	pl.run(maxCol, func(ci, lo, hi int) {
-		pl.res[ci], pl.resVal[ci] = p.devexScan(d, dScale, pos, lo, hi)
-	})
-	best, bestScore := -1, 0.0
-	for ci := 0; ci < pl.workers; ci++ {
-		if pl.res[ci] >= 0 && pl.resVal[ci] > bestScore {
-			best, bestScore = pl.res[ci], pl.resVal[ci]
 		}
 	}
 	return best
@@ -182,28 +138,11 @@ func (p *devexPricer) ObserveAlpha(j int, alpha float64) {
 
 // blandChoose is the Bland's-rule scan (first eligible column) the solver
 // falls back to after stalling; shared by both pricing rules because it
-// is what guarantees termination. Chunked, each chunk reports its first
-// eligible column and the lowest non-empty chunk wins — chunks are
-// contiguous and ascending, so that is the globally lowest index, exactly
-// the sequential answer.
-func blandChoose(d, dScale mat.Vector, pos []int, maxCol int, pool *workPool) int {
-	scan := func(lo, hi int) int {
-		for j := lo; j < hi; j++ {
-			if dj := d[j]; dj < 0 && pos[j] < 0 && dj < -costTol*dScale[j] {
-				return j
-			}
-		}
-		return -1
-	}
-	if !pool.parallel(maxCol) {
-		return scan(0, maxCol)
-	}
-	pool.run(maxCol, func(ci, lo, hi int) {
-		pool.res[ci] = scan(lo, hi)
-	})
-	for ci := 0; ci < pool.workers; ci++ {
-		if pool.res[ci] >= 0 {
-			return pool.res[ci]
+// is what guarantees termination.
+func blandChoose(d, dScale mat.Vector, pos []int, maxCol int) int {
+	for j := 0; j < maxCol; j++ {
+		if dj := d[j]; dj < 0 && pos[j] < 0 && dj < -costTol*dScale[j] {
+			return j
 		}
 	}
 	return -1

@@ -70,11 +70,9 @@ type revised struct {
 	ftIn, ftOut *mat.SpVec
 	btIn, btOut *mat.SpVec
 
-	// pool chunks the column-parallel pricing scans (see parprice.go); tm
-	// accumulates the per-stage wall-clock breakdown reported in
+	// tm accumulates the per-stage wall-clock breakdown reported in
 	// Solution.Timings.
-	pool *workPool
-	tm   Timings
+	tm Timings
 
 	iterations    int
 	refactors     int
@@ -132,10 +130,9 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 	// The one size fact picks the kernel and the pricer: sparse LU with
 	// Forrest–Tomlin updates and Devex at scale, dense LU with product-form
 	// etas and Dantzig below.
-	r.pool = newWorkPool(resolveWorkers(cfg.pricingWorkers))
 	if r.atScale {
 		r.fact = newSparseFactorizer(conservative)
-		r.pricer = newDevexPricer(r.pool)
+		r.pricer = &devexPricer{}
 		// Forrest–Tomlin updates leave U genuinely triangular, so the
 		// update file degrades far more slowly than product-form etas; a
 		// longer interval amortizes the Markowitz refactorization, which
@@ -158,7 +155,7 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		}
 	} else {
 		r.fact = newDenseFactorizer()
-		r.pricer = dantzigPricer{pool: r.pool}
+		r.pricer = dantzigPricer{}
 	}
 	if ca, ok := r.fact.(ctxAware); ok {
 		ca.setContext(ctx)
@@ -389,31 +386,21 @@ func (r *revised) recomputeD(cost mat.Vector) {
 		r.d = mat.NewVector(r.sf.nTot)
 		r.dScale = mat.NewVector(r.sf.nTot)
 	}
-	// Column-parallel: each j reads shared y and writes only d[j]/dScale[j],
-	// with per-column accumulation untouched — bit-identical at any worker
-	// count (see parprice.go).
-	span := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if r.pos[j] >= 0 {
-				r.d[j] = 0
-				r.dScale[j] = 1
-				continue
-			}
-			rows, vals := r.sf.a.ColNZ(j)
-			dot, abs := 0.0, 0.0
-			for k, i := range rows {
-				t := vals[k] * y[i]
-				dot += t
-				abs += math.Abs(t)
-			}
-			r.d[j] = cost[j] - dot
-			r.dScale[j] = 1 + math.Abs(cost[j]) + abs
+	for j := 0; j < r.sf.nTot; j++ {
+		if r.pos[j] >= 0 {
+			r.d[j] = 0
+			r.dScale[j] = 1
+			continue
 		}
-	}
-	if r.pool.parallel(r.sf.nTot) {
-		r.pool.run(r.sf.nTot, func(_, lo, hi int) { span(lo, hi) })
-	} else {
-		span(0, r.sf.nTot)
+		rows, vals := r.sf.a.ColNZ(j)
+		dot, abs := 0.0, 0.0
+		for k, i := range rows {
+			t := vals[k] * y[i]
+			dot += t
+			abs += math.Abs(t)
+		}
+		r.d[j] = cost[j] - dot
+		r.dScale[j] = 1 + math.Abs(cost[j]) + abs
 	}
 	r.tm.Price += time.Since(t0)
 }
@@ -430,24 +417,14 @@ func (r *revised) updateD(beta *mat.SpVec, row, col int, piv float64) {
 	r.pricer.BeginPivot(col, r.basis[row], piv)
 	factor := r.d[col] / piv
 	if factor != 0 || r.pricer.NeedsPivotRow() {
-		touched := r.pivotRow(beta) // sequential: FP accumulation order
-		// The consumer is column-parallel: every touched j updates only
-		// d[j] (one multiply, no re-association) and the pricer's γ_j —
-		// write-disjoint, so the result is worker-count-invariant. Only the
-		// parallel branch builds a closure, so a sequential pivot allocates
-		// nothing here.
-		if r.pool.parallel(len(touched)) {
-			r.pool.run(len(touched), func(_, lo, hi int) { r.applyPivotRow(touched[lo:hi], col, factor, piv) })
-		} else {
-			r.applyPivotRow(touched, col, factor, piv)
-		}
+		r.applyPivotRow(r.pivotRow(beta), col, factor, piv)
 	}
 	r.d[col] = 0
 	r.tm.Price += time.Since(t0)
 }
 
-// applyPivotRow is updateD's per-column pass over a span of the pivot row's
-// touched columns: d_j −= factor·α_j, and the pricer observes α_j.
+// applyPivotRow is updateD's per-column pass over the pivot row's touched
+// columns: d_j −= factor·α_j, and the pricer observes α_j.
 func (r *revised) applyPivotRow(touched []int32, col int, factor, piv float64) {
 	if dv, ok := r.pricer.(*devexPricer); ok {
 		// Devex weight maintenance inlined: at thousands of touched columns
@@ -490,7 +467,7 @@ func (r *revised) price(maxCol int, bland bool) int {
 	t0 := time.Now()
 	var col int
 	if bland {
-		col = blandChoose(r.d, r.dScale, r.pos, maxCol, r.pool)
+		col = blandChoose(r.d, r.dScale, r.pos, maxCol)
 	} else {
 		col = r.pricer.Choose(r.d, r.dScale, r.pos, maxCol)
 	}

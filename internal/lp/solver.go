@@ -24,14 +24,11 @@ const autoSparseMin = 256
 type solverConfig struct {
 	// atScale runs the m ≥ autoSparseMin configuration on every basis size;
 	// no option sets it, package tests do (export_test.go).
-	atScale bool
-	// pricingWorkers sizes the pricing pool (see resolveWorkers); no option
-	// sets it, package tests pin it to probe the parallel scans.
-	pricingWorkers int
-	maxPivots      int
-	wallClock      time.Duration
-	monitor        Monitor
-	monitorEvery   int
+	atScale      bool
+	maxPivots    int
+	wallClock    time.Duration
+	monitor      Monitor
+	monitorEvery int
 }
 
 // Option configures a Solver (functional-options pattern).

@@ -624,9 +624,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if isContextErr(err) {
 				s.stats.CancelledSolves.Add(1)
 			}
+			if errors.Is(err, lp.ErrBudgetExceeded) {
+				s.stats.BudgetExceeded.Add(1)
+			}
 			return nil, err
 		}
 		tally := sweep.Tally(points)
+		s.stats.Infeasible.Add(int64(tally.Points - tally.Feasible))
 		resp := &SweepResponse{
 			Model:       e.ID,
 			Points:      make([]SweepPoint, 0, len(points)),

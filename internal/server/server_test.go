@@ -393,6 +393,35 @@ func TestSolverKnobs(t *testing.T) {
 	}
 }
 
+// TestSweepOutcomeCounters: sweep solves count in the same outcome counters
+// as optimize solves — a sweep stopped by its pivot budget (422) in
+// budget_exceeded, each infeasible point in infeasible.
+func TestSweepOutcomeCounters(t *testing.T) {
+	_, base := newTestServer(t)
+	sweepReq := func(maxPivots int, values ...float64) SweepRequest {
+		return SweepRequest{
+			OptimizeRequest: OptimizeRequest{Model: "disk", Objective: "power", MaxPivots: maxPivots},
+			Sweep:           SweepSpec{Metric: "penalty", Rel: "<=", Values: values, Workers: 1},
+		}
+	}
+
+	var e errorResponse
+	if st := call(t, http.MethodPost, base+"/v1/sweep", sweepReq(1, 1.8, 1.2), &e); st != http.StatusUnprocessableEntity {
+		t.Fatalf("exhausted pivot budget: status %d, want 422 (%s)", st, e.Error)
+	}
+	if n := counter(t, base, "budget_exceeded"); n != 1 {
+		t.Errorf("budget_exceeded counter = %d after a budget-stopped sweep, want 1", n)
+	}
+
+	var sw SweepResponse
+	if st := call(t, http.MethodPost, base+"/v1/sweep", sweepReq(0, 0.8, 0.3, 1.2), &sw); st != http.StatusOK || sw.Feasible != 2 {
+		t.Fatalf("sweep: status %d, %d/3 feasible", st, sw.Feasible)
+	}
+	if n := counter(t, base, "infeasible"); n != 1 {
+		t.Errorf("infeasible counter = %d after a sweep with one infeasible point, want 1", n)
+	}
+}
+
 // TestInfeasibleCached: an infeasible verdict is a definitive answer and is
 // cached like any other.
 func TestInfeasibleCached(t *testing.T) {
