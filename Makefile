@@ -44,12 +44,14 @@ serve:
 	$(GO) run ./cmd/dpmserved -addr localhost:8080
 
 # Build dpmserved with the race detector and drive it end to end: start,
-# health check, cold solve, cache hit, a drifting workload streamed through
-# the online-adaptation endpoint (dpmfeed), clean SIGTERM shutdown.
+# health check, cold solve, cache hit, a dpmtop snapshot, a drifting
+# workload streamed through the online-adaptation endpoint (dpmfeed), clean
+# SIGTERM shutdown.
 smoke:
 	$(GO) build -race -o bin/dpmserved ./cmd/dpmserved
 	$(GO) build -o bin/dpmfeed ./cmd/dpmfeed
-	./scripts/smoke.sh bin/dpmserved bin/dpmfeed
+	$(GO) build -o bin/dpmtop ./cmd/dpmtop
+	./scripts/smoke.sh bin/dpmserved bin/dpmfeed bin/dpmtop
 
 # smoke plus a closed-loop load phase: dpmload drives mixed hit/warm/cold/
 # observe traffic at two concurrency levels against the race-instrumented
@@ -60,5 +62,6 @@ smoke:
 loadtest:
 	$(GO) build -race -o bin/dpmserved ./cmd/dpmserved
 	$(GO) build -o bin/dpmfeed ./cmd/dpmfeed
+	$(GO) build -o bin/dpmtop ./cmd/dpmtop
 	$(GO) build -o bin/dpmload ./cmd/dpmload
-	BENCH_OUT=BENCH.json ./scripts/smoke.sh bin/dpmserved bin/dpmfeed bin/dpmload
+	BENCH_OUT=BENCH.json ./scripts/smoke.sh bin/dpmserved bin/dpmfeed bin/dpmtop bin/dpmload

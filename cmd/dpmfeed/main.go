@@ -32,103 +32,78 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
-type observeRequest struct {
-	Counts         []int       `json:"counts"`
-	Horizon        float64     `json:"horizon,omitempty"`
-	Objective      string      `json:"objective,omitempty"`
-	Bounds         []boundSpec `json:"bounds,omitempty"`
-	TimeoutMS      int         `json:"timeout_ms,omitempty"`
-	Memory         int         `json:"memory,omitempty"`
-	Decay          float64     `json:"decay,omitempty"`
-	DriftThreshold float64     `json:"drift_threshold,omitempty"`
-	MinSlices      int         `json:"min_slices,omitempty"`
-	MinEvidence    float64     `json:"min_evidence,omitempty"`
-	CheckEvery     int         `json:"check_every,omitempty"`
-}
-
-type boundSpec struct {
-	Metric string  `json:"metric"`
-	Rel    string  `json:"rel"`
-	Value  float64 `json:"value"`
-}
-
-type observeResponse struct {
-	Slices       int64   `json:"slices"`
-	Drift        float64 `json:"drift"`
-	Refreshed    bool    `json:"refreshed"`
-	Trigger      string  `json:"trigger"`
-	Patched      bool    `json:"patched"`
-	WarmStarted  bool    `json:"warm_started"`
-	Pivots       int     `json:"pivots"`
-	Refreshes    int     `json:"refreshes"`
-	RefreshError string  `json:"refresh_error"`
-	Serving      bool    `json:"serving"`
-	Objective    float64 `json:"objective"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-}
-
 func main() {
-	url := flag.String("url", "http://localhost:8080", "dpmserved base URL")
-	model := flag.String("model", "disk", "model id or registered name to adapt")
-	slices := flag.Int("slices", 3000, "total workload slices to stream")
-	flip := flag.Int("flip", 0, "slice at which the regime switches (default: halfway)")
-	chunk := flag.Int("chunk", 50, "slices per observe request")
-	p01 := flag.Float64("p01", 0.03, "idle→busy probability of the first regime")
-	p10 := flag.Float64("p10", 0.25, "busy→idle probability of the first regime")
-	p01b := flag.Float64("p01b", 0.20, "idle→busy probability after the flip")
-	p10b := flag.Float64("p10b", 0.10, "busy→idle probability after the flip")
-	seed := flag.Int64("seed", 1, "workload generator seed")
+	var cfg feedConfig
+	flag.StringVar(&cfg.url, "url", "http://localhost:8080", "dpmserved base URL")
+	flag.StringVar(&cfg.model, "model", "disk", "model id or registered name to adapt")
+	flag.IntVar(&cfg.slices, "slices", 3000, "total workload slices to stream")
+	flag.IntVar(&cfg.flip, "flip", 0, "slice at which the regime switches (default: halfway)")
+	flag.IntVar(&cfg.chunk, "chunk", 50, "slices per observe request")
+	flag.Float64Var(&cfg.p01, "p01", 0.03, "idle→busy probability of the first regime")
+	flag.Float64Var(&cfg.p10, "p10", 0.25, "busy→idle probability of the first regime")
+	flag.Float64Var(&cfg.p01b, "p01b", 0.20, "idle→busy probability after the flip")
+	flag.Float64Var(&cfg.p10b, "p10b", 0.10, "busy→idle probability after the flip")
+	flag.Int64Var(&cfg.seed, "seed", 1, "workload generator seed")
 
-	objective := flag.String("objective", "power", "objective metric the refreshed policies minimize")
-	horizon := flag.Float64("horizon", 1e4, "expected session length in slices")
+	// The observe body: every chunk is sent with these settings.
+	req := &cfg.req
+	flag.StringVar(&req.Objective, "objective", "power", "objective metric the refreshed policies minimize")
+	flag.Float64Var(&req.Horizon, "horizon", 1e4, "expected session length in slices")
 	bounds := flag.String("bounds", "penalty<=1.8", "comma-separated metric bounds, e.g. 'penalty<=1.8'")
 	timeout := flag.Duration("timeout", 0, "per-refresh solve budget (0: server default)")
 
-	memory := flag.Int("memory", 1, "estimator history length k")
-	decay := flag.Float64("decay", 0.995, "estimator per-slice decay factor")
-	threshold := flag.Float64("drift-threshold", 0.05, "max per-row TV distance before a re-solve")
-	minSlices := flag.Int("min-slices", 300, "observed transitions before the first solve")
-	minEvidence := flag.Float64("min-evidence", 8, "decayed row evidence floor for the drift measure")
-	checkEvery := flag.Int("check-every", 25, "ingested slices between drift checks")
+	flag.IntVar(&req.Memory, "memory", 1, "estimator history length k")
+	flag.Float64Var(&req.Decay, "decay", 0.995, "estimator per-slice decay factor")
+	flag.Float64Var(&req.DriftThreshold, "drift-threshold", 0.05, "max per-row TV distance before a re-solve")
+	flag.IntVar(&req.MinSlices, "min-slices", 300, "observed transitions before the first solve")
+	flag.Float64Var(&req.MinEvidence, "min-evidence", 8, "decayed row evidence floor for the drift measure")
+	flag.IntVar(&req.CheckEvery, "check-every", 25, "ingested slices between drift checks")
 
-	expectDrift := flag.Bool("expect-drift", true, "exit nonzero unless ≥1 drift refresh happened")
-	quiet := flag.Bool("q", false, "only print refresh lines and the summary")
+	flag.BoolVar(&cfg.expectDrift, "expect-drift", true, "exit nonzero unless ≥1 drift refresh happened")
+	flag.BoolVar(&cfg.quiet, "q", false, "only print refresh lines and the summary")
 	flag.Parse()
 
-	if err := run(feedConfig{
-		url: strings.TrimRight(*url, "/"), model: *model,
-		slices: *slices, flip: *flip, chunk: *chunk,
-		p01: *p01, p10: *p10, p01b: *p01b, p10b: *p10b, seed: *seed,
-		objective: *objective, horizon: *horizon, bounds: *bounds, timeout: *timeout,
-		memory: *memory, decay: *decay, threshold: *threshold,
-		minSlices: *minSlices, minEvidence: *minEvidence, checkEvery: *checkEvery,
-		expectDrift: *expectDrift, quiet: *quiet,
-	}); err != nil {
+	cfg.url = strings.TrimRight(cfg.url, "/")
+	req.TimeoutMS = int(*timeout / time.Millisecond)
+	var err error
+	if req.Bounds, err = boundSpecs(*bounds); err == nil {
+		err = run(os.Stdout, cfg)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dpmfeed: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-type feedConfig struct {
-	url, model            string
-	slices, flip, chunk   int
-	p01, p10, p01b, p10b  float64
-	seed                  int64
-	objective             string
-	horizon               float64
-	bounds                string
-	timeout               time.Duration
-	memory                int
-	decay, threshold      float64
-	minSlices, checkEvery int
-	minEvidence           float64
-	expectDrift, quiet    bool
+// boundSpecs parses a -bounds flag into the wire's constraint rows.
+func boundSpecs(s string) ([]server.BoundSpec, error) {
+	bounds, err := cli.ParseBounds(s)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]server.BoundSpec, len(bounds))
+	for i, b := range bounds {
+		specs[i] = server.BoundSpec{Metric: b.Metric, Rel: b.Rel.String(), Value: b.Value}
+	}
+	return specs, nil
 }
 
-func run(cfg feedConfig) error {
+// feedConfig is one stream: the generated workload, and req, the observe
+// body every chunk is sent with (its Counts replaced by the chunk's).
+type feedConfig struct {
+	url, model           string
+	slices, flip, chunk  int
+	p01, p10, p01b, p10b float64
+	seed                 int64
+	expectDrift, quiet   bool
+	req                  server.ObserveRequest
+}
+
+func run(w io.Writer, cfg feedConfig) error {
 	if cfg.slices < 2 || cfg.chunk < 1 {
 		return fmt.Errorf("need -slices ≥ 2 and -chunk ≥ 1")
 	}
@@ -136,46 +111,27 @@ func run(cfg feedConfig) error {
 	if flip <= 0 || flip >= cfg.slices {
 		flip = cfg.slices / 2
 	}
-	coreBounds, err := cli.ParseBounds(cfg.bounds)
-	if err != nil {
-		return err
-	}
-	var specs []boundSpec
-	for _, b := range coreBounds {
-		specs = append(specs, boundSpec{Metric: b.Metric, Rel: b.Rel.String(), Value: b.Value})
-	}
 
 	rng := rand.New(rand.NewSource(cfg.seed))
 	counts := trace.Concat(
 		trace.OnOff(rng, flip, cfg.p01, cfg.p10),
 		trace.OnOff(rng, cfg.slices-flip, cfg.p01b, cfg.p10b),
 	)
-	fmt.Printf("dpmfeed: streaming %d slices at %s/v1/models/%s/observe (regime flip at %d: (%.3g,%.3g)→(%.3g,%.3g))\n",
+	fmt.Fprintf(w, "dpmfeed: streaming %d slices at %s/v1/models/%s/observe (regime flip at %d: (%.3g,%.3g)→(%.3g,%.3g))\n",
 		len(counts), cfg.url, cfg.model, flip, cfg.p01, cfg.p10, cfg.p01b, cfg.p10b)
 
 	client := &http.Client{Timeout: 5 * time.Minute}
 	driftRefreshes, refreshes, pivots := 0, 0, 0
+	req := cfg.req
 	for lo := 0; lo < len(counts); lo += cfg.chunk {
 		hi := min(lo+cfg.chunk, len(counts))
-		req := observeRequest{
-			Counts:         counts[lo:hi],
-			Horizon:        cfg.horizon,
-			Objective:      cfg.objective,
-			Bounds:         specs,
-			TimeoutMS:      int(cfg.timeout / time.Millisecond),
-			Memory:         cfg.memory,
-			Decay:          cfg.decay,
-			DriftThreshold: cfg.threshold,
-			MinSlices:      cfg.minSlices,
-			MinEvidence:    cfg.minEvidence,
-			CheckEvery:     cfg.checkEvery,
-		}
-		var resp observeResponse
+		req.Counts = counts[lo:hi]
+		var resp server.ObserveResponse
 		if err := post(client, cfg.url+"/v1/models/"+cfg.model+"/observe", &req, &resp); err != nil {
 			return fmt.Errorf("slices [%d,%d): %w", lo, hi, err)
 		}
 		if resp.RefreshError != "" {
-			fmt.Printf("slice %5d  refresh failed: %s\n", hi, resp.RefreshError)
+			fmt.Fprintf(w, "slice %5d  refresh failed: %s\n", hi, resp.RefreshError)
 			continue
 		}
 		if resp.Refreshed {
@@ -192,13 +148,13 @@ func run(cfg feedConfig) error {
 			if resp.Trigger == "drift" {
 				driftRefreshes++
 			}
-			fmt.Printf("slice %5d  %s refresh (%s, %s): drift %.3f, %d pivots, objective %.5f, %.1f ms\n",
+			fmt.Fprintf(w, "slice %5d  %s refresh (%s, %s): drift %.3f, %d pivots, objective %.5f, %.1f ms\n",
 				hi, resp.Trigger, path, solve, resp.Drift, resp.Pivots, resp.Objective, resp.ElapsedMS)
 		} else if !cfg.quiet {
-			fmt.Printf("slice %5d  ingested (drift %.3f, serving %v)\n", hi, resp.Drift, resp.Serving)
+			fmt.Fprintf(w, "slice %5d  ingested (drift %.3f, serving %v)\n", hi, resp.Drift, resp.Serving)
 		}
 	}
-	fmt.Printf("dpmfeed: done — %d refreshes (%d drift-triggered), %d refresh pivots total\n",
+	fmt.Fprintf(w, "dpmfeed: done — %d refreshes (%d drift-triggered), %d refresh pivots total\n",
 		refreshes, driftRefreshes, pivots)
 	if cfg.expectDrift && driftRefreshes == 0 {
 		return fmt.Errorf("no drift-triggered refresh over %d slices", len(counts))

@@ -75,14 +75,9 @@ func run(ctx context.Context, device string, horizon float64, minimize, sweepMet
 	if err != nil {
 		return err
 	}
-	var r lp.Rel
-	switch rel {
-	case "<=":
-		r = lp.LE
-	case ">=":
-		r = lp.GE
-	default:
-		return fmt.Errorf("relation %q must be <= or >=", rel)
+	r, err := cli.ParseRel(rel)
+	if err != nil {
+		return err
 	}
 
 	opts := core.Options{

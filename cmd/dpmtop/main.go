@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -27,49 +28,9 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/server"
 )
-
-type solveRow struct {
-	ID               int64              `json:"id"`
-	Model            string             `json:"model"`
-	Endpoint         string             `json:"endpoint"`
-	Trace            string             `json:"trace"`
-	Event            string             `json:"event"`
-	Phase            string             `json:"phase"`
-	Pivots           int                `json:"pivots"`
-	Refactorizations int                `json:"refactorizations"`
-	Objective        float64            `json:"objective"`
-	PrimalInf        float64            `json:"primal_inf"`
-	DualInf          float64            `json:"dual_inf"`
-	EtaLen           int                `json:"eta_len"`
-	FactorNNZ        int                `json:"factor_nnz"`
-	Perturbed        bool               `json:"perturbed"`
-	GrowthFactor     float64            `json:"growth_factor"`
-	FTRejections     int                `json:"ft_rejections"`
-	ElapsedMS        float64            `json:"elapsed_ms"`
-	Stages           map[string]float64 `json:"stages_ms"`
-}
-
-type journalEvent struct {
-	Time  time.Time      `json:"time"`
-	Kind  string         `json:"kind"`
-	Trace string         `json:"trace"`
-	Attrs map[string]any `json:"attrs"`
-}
-
-type solvesPayload struct {
-	Solves []solveRow     `json:"solves"`
-	Events []journalEvent `json:"events"`
-}
-
-type statsPayload struct {
-	Counters     map[string]int64 `json:"counters"`
-	Gauges       map[string]int64 `json:"gauges"`
-	DroppedSpans int              `json:"dropped_spans"`
-	CacheSize    int              `json:"cache_size"`
-	Models       int              `json:"models"`
-	UptimeS      float64          `json:"uptime_s"`
-}
 
 func main() {
 	url := flag.String("url", "http://127.0.0.1:8080", "base URL of the dpmserved daemon")
@@ -80,15 +41,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *url, *interval, *n, *plain); err != nil && ctx.Err() == nil {
+	if err := run(ctx, os.Stdout, *url, *interval, *n, *plain); err != nil && ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "dpmtop: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, url string, interval time.Duration, n int, plain bool) error {
+func run(ctx context.Context, w io.Writer, url string, interval time.Duration, n int, plain bool) error {
 	client := &http.Client{Timeout: 10 * time.Second}
-	var prev *statsPayload
+	var prev *server.StatsResponse
 	var prevAt time.Time
 	for i := 0; n == 0 || i < n; i++ {
 		if i > 0 {
@@ -98,18 +59,18 @@ func run(ctx context.Context, url string, interval time.Duration, n int, plain b
 			case <-time.After(interval):
 			}
 		}
-		var solves solvesPayload
+		var solves server.SolvesResponse
 		if err := getJSON(ctx, client, url+"/v1/solves", &solves); err != nil {
 			return err
 		}
-		var stats statsPayload
+		var stats server.StatsResponse
 		if err := getJSON(ctx, client, url+"/v1/stats", &stats); err != nil {
 			return err
 		}
 		if !plain {
-			fmt.Print("\033[H\033[2J")
+			fmt.Fprint(w, "\033[H\033[2J")
 		}
-		render(os.Stdout, url, &solves, &stats, prev, prevAt)
+		render(w, url, &solves, &stats, prev, prevAt)
 		prev, prevAt = &stats, time.Now()
 	}
 	return nil
@@ -131,7 +92,7 @@ func getJSON(ctx context.Context, client *http.Client, url string, v any) error 
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func render(w *os.File, url string, solves *solvesPayload, stats *statsPayload, prev *statsPayload, prevAt time.Time) {
+func render(w io.Writer, url string, solves *server.SolvesResponse, stats, prev *server.StatsResponse, prevAt time.Time) {
 	pivotRate := ""
 	if prev != nil {
 		dt := time.Since(prevAt).Seconds()

@@ -76,7 +76,11 @@
 //     DELETE /v1/solves/{id} (cancel one in-flight solve),
 //     GET /v1/healthz, GET /v1/stats, GET /metrics, GET /v1/trace — see
 //     the README's "Serving mode" and "Live solve introspection"
-//     sections for curl examples and cache semantics;
+//     sections for curl examples and cache semantics. Every request and
+//     response body is declared once, as an exported type of the package
+//     (OptimizeRequest, ObserveResponse, StatsResponse, SolvesResponse,
+//     …), and the in-repo clients — cmd/dpmfeed, cmd/dpmtop and
+//     internal/load — encode and decode with those types;
 //   - internal/online — the streaming adaptation subsystem behind the
 //     observe endpoint: an incremental exponentially-decayed form of the
 //     trace extractor (O(1) per slice), a drift controller comparing the
@@ -223,7 +227,9 @@
 // moves only the swept bound's right-hand side, and a point warm-started
 // from the previous point's basis reuses that solve's standard form, row
 // mirror and factorization, returning bit for bit what a fresh warm solve
-// returns. Pivot trajectories are bit-identical to the allocating path.
+// returns. A cold sweep runs the same loop without carrying a basis
+// forward, so each point is exactly a fresh solve of its LP. Pivot
+// trajectories are bit-identical to the allocating path.
 //
 // Each solve accounts for its own time: lp.Solution.Timings splits the
 // wall clock into ftran/btran/price/factor/update, declared once by

@@ -482,58 +482,48 @@ func ParetoSweep(m *Model, opts Options, metric string, rel lp.Rel, boundValues 
 // ParetoSweepCtx is ParetoSweep with cancellation — checked between points
 // and, through the lp layer, inside each solve's pivot loop — and an
 // optional cold mode that disables basis reuse entirely (including any
-// caller-supplied Options.WarmBasis), so every point builds its LP and
-// solves it from scratch. It is the chunk worker of package sweep.
+// caller-supplied Options.WarmBasis), so every point is solved from
+// scratch. It is the chunk worker of package sweep.
 //
-// The warm mode builds the frequency LP once and keeps it resident
-// (lp.Resident): each point only moves the swept bound's right-hand side,
-// and a solve warm-started from the previous point's basis reuses that
-// solve's standard form and basis factorization, so it pays one FTRAN and
-// its own pivots instead of an LP assembly and an LU rebuild. Its results
-// are bit-identical to solving every point afresh from the previous
-// feasible point's basis. Each point's Result, Basis included, is its own
-// snapshot.
+// The frequency LP is built once and kept resident (lp.Resident): each
+// point only moves the swept bound's right-hand side. In warm mode a solve
+// warm-started from the previous point's basis reuses that solve's standard
+// form and basis factorization, so it pays one FTRAN and its own pivots
+// instead of an LP assembly and an LU rebuild; its results are
+// bit-identical to solving every point afresh from the previous feasible
+// point's basis. In cold mode every solve starts without a basis, which is
+// exactly a fresh Solver.Solve of the point's LP. Each point's Result,
+// Basis included, is its own snapshot.
 func ParetoSweepCtx(ctx context.Context, m *Model, opts Options, metric string, rel lp.Rel, boundValues []float64, cold bool) ([]ParetoPoint, error) {
 	points := make([]ParetoPoint, 0, len(boundValues))
 	if len(boundValues) == 0 {
 		return points, nil
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	o := opts
 	o.Bounds = append(append([]Bound{}, opts.Bounds...), Bound{Metric: metric, Rel: rel, Value: boundValues[0]})
 	swept := &o.Bounds[len(o.Bounds)-1]
-	var prob *lp.Problem
-	var resident *lp.Resident
-	row := 0 // the swept bound's row, the LP's last
 	if cold {
 		o.WarmBasis = nil
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		_, sp := obs.StartSpan(ctx, "build")
-		var err error
-		prob, err = BuildFrequencyLP(m, o)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		resident = o.lpSolver().Resident(prob)
-		row = len(prob.Cons) - 1
 	}
+	_, sp := obs.StartSpan(ctx, "build")
+	prob, err := BuildFrequencyLP(m, o)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	resident := o.lpSolver().Resident(prob)
+	row := len(prob.Cons) - 1 // the swept bound's row
 	for _, v := range boundValues {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		swept.Value = v
-		var r *Result
-		var err error
-		if cold {
-			r, err = OptimizeCtx(ctx, m, o)
-		} else {
-			resident.SetRHS(row, v)
-			prob.Cons[row].Name = swept.rowName()
-			r, err = optimizeProblem(ctx, m, o, prob, resident)
-		}
+		resident.SetRHS(row, v)
+		prob.Cons[row].Name = swept.rowName()
+		r, err := optimizeProblem(ctx, m, o, prob, resident)
 		switch {
 		case err == nil:
 			if !cold {

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // Kind names, also the keys of Result.Kinds.
@@ -363,28 +364,20 @@ func (w *worker) issue(ctx context.Context, cfg Config, mix Mix) {
 
 // request builds one body for the chosen kind.
 func (w *worker) request(kind, model string) (string, any) {
+	penalty := func(v float64) []server.BoundSpec {
+		return []server.BoundSpec{{Metric: "penalty", Rel: "<=", Value: v}}
+	}
 	switch kind {
 	case KindHit:
 		// One fixed query: everything after the first solve is an exact hit.
-		return "/v1/optimize", optimizeBody{
-			Model:  model,
-			Bounds: []boundSpec{{Metric: "penalty", Rel: "<=", Value: 1.5}},
-		}
+		return "/v1/optimize", server.OptimizeRequest{Model: model, Bounds: penalty(1.5)}
 	case KindWarm:
 		// Fresh bound value, same family: warm-started solves.
-		v := 1.2 + 1.3*w.rng.Float64()
-		return "/v1/optimize", optimizeBody{
-			Model:  model,
-			Bounds: []boundSpec{{Metric: "penalty", Rel: "<=", Value: v}},
-		}
+		return "/v1/optimize", server.OptimizeRequest{Model: model, Bounds: penalty(1.2 + 1.3*w.rng.Float64())}
 	case KindCold:
 		// Fresh horizon, fresh family: cold solves.
 		h := 1e4 * (1 + 99*w.rng.Float64())
-		return "/v1/optimize", optimizeBody{
-			Model:   model,
-			Horizon: h,
-			Bounds:  []boundSpec{{Metric: "penalty", Rel: "<=", Value: 1.5}},
-		}
+		return "/v1/optimize", server.OptimizeRequest{Model: model, Horizon: h, Bounds: penalty(1.5)}
 	}
 	// Observe: a small slice batch with no optimization options, so every
 	// request is compatible with the adapter the first one created.
@@ -392,29 +385,11 @@ func (w *worker) request(kind, model string) (string, any) {
 	for i := range counts {
 		counts[i] = w.rng.Intn(4)
 	}
-	return "/v1/models/" + model + "/observe", observeBody{Counts: counts}
-}
-
-// Minimal wire mirrors (kept local so the generator exercises the server
-// purely over HTTP, like an external client).
-type boundSpec struct {
-	Metric string  `json:"metric"`
-	Rel    string  `json:"rel"`
-	Value  float64 `json:"value"`
-}
-
-type optimizeBody struct {
-	Model   string      `json:"model"`
-	Horizon float64     `json:"horizon,omitempty"`
-	Bounds  []boundSpec `json:"bounds,omitempty"`
-}
-
-type observeBody struct {
-	Counts []int `json:"counts"`
+	return "/v1/models/" + model + "/observe", server.ObserveRequest{Counts: counts}
 }
 
 // post issues one JSON POST and returns the response's cache mode (empty
-// for non-optimize responses). Any non-2xx status is an error.
+// for observe responses, which carry none). Any non-2xx status is an error.
 func post(ctx context.Context, client *http.Client, url string, body any) (string, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -434,9 +409,7 @@ func post(ctx context.Context, client *http.Client, url string, body any) (strin
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var out struct {
-		Cache string `json:"cache"`
-	}
+	var out server.OptimizeResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return "", fmt.Errorf("%s: decoding response: %w", url, err)
 	}

@@ -232,17 +232,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		resp.Objective = res.Objective
 		resp.Averages = res.Averages
 		if req.IncludePolicy {
-			sys := oe.adapter.CurrentSystem()
-			pj := &PolicyJSON{
-				Commands: sys.SP.CommandNames(),
-				States:   make([]string, res.Policy.N()),
-				Dist:     make([][]float64, res.Policy.N()),
-			}
-			for i := range pj.States {
-				pj.States[i] = sys.StateName(i)
-				pj.Dist[i] = res.Policy.CommandDist(i)
-			}
-			resp.Policy = pj
+			resp.Policy = policyJSON(oe.adapter.CurrentSystem(), res)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

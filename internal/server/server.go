@@ -339,11 +339,12 @@ func (s *Server) timeout(ms int) (time.Duration, error) {
 	if ms == 0 {
 		return s.cfg.DefaultTimeout, nil
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+	// Clamp in milliseconds: converting first overflows time.Duration for
+	// large requests and wraps the budget negative.
+	if time.Duration(ms) > s.cfg.MaxTimeout/time.Millisecond {
+		return s.cfg.MaxTimeout, nil
 	}
-	return d, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // ---- handlers ----
@@ -516,16 +517,7 @@ func (s *Server) optimizeResponse(e *modelEntry, req *OptimizeRequest, res *core
 	resp.Objective = res.Objective
 	resp.Averages = res.Averages
 	if req.IncludePolicy {
-		pj := &PolicyJSON{
-			Commands: e.Sys.SP.CommandNames(),
-			States:   make([]string, res.Policy.N()),
-			Dist:     make([][]float64, res.Policy.N()),
-		}
-		for i := range pj.States {
-			pj.States[i] = e.Sys.StateName(i)
-			pj.Dist[i] = res.Policy.CommandDist(i)
-		}
-		resp.Policy = pj
+		resp.Policy = policyJSON(e.Sys, res)
 	}
 	return resp
 }
@@ -690,17 +682,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := map[string]any{
-		"counters":      s.stats.reg.Snapshot(),
-		"endpoints":     s.stats.statsEndpoints(),
-		"solve":         s.stats.statsSolve(),
-		"gauges":        s.stats.inflight.Snapshot(),
-		"dropped_spans": s.recorder.DroppedSpans(),
-		"cache_size":    s.cache.len(),
-		"models":        s.reg.size(),
-		"uptime_s":      time.Since(s.start).Seconds(),
-	}
-	writeJSON(w, http.StatusOK, stats)
+	writeJSON(w, http.StatusOK, &StatsResponse{
+		CacheSize:    s.cache.len(),
+		Counters:     s.stats.reg.Snapshot(),
+		DroppedSpans: s.recorder.DroppedSpans(),
+		Endpoints:    s.stats.statsEndpoints(),
+		Gauges:       s.stats.inflight.Snapshot(),
+		Models:       s.reg.size(),
+		Solve:        s.stats.statsSolve(),
+		UptimeS:      time.Since(s.start).Seconds(),
+	})
 }
 
 // handleTrace is GET /v1/trace: the most recent retained request traces,

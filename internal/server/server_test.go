@@ -252,6 +252,35 @@ func TestDeadlineCancelsSolve(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutClamps: a timeout_ms beyond what time.Duration holds in
+// nanoseconds is clamped to MaxTimeout like any other oversized budget,
+// on every endpoint that takes one, instead of wrapping negative (an
+// instant 504 on optimize and sweep, a rejected adapter config on observe).
+func TestHugeTimeoutClamps(t *testing.T) {
+	s, base := newTestServer(t)
+	const huge = 10_000_000_000_000 // ms; ×1e6 overflows int64 nanoseconds
+	if d, err := s.timeout(huge); err != nil || d != s.cfg.MaxTimeout {
+		t.Errorf("timeout(%d) = %v, %v; want MaxTimeout %v", huge, d, err, s.cfg.MaxTimeout)
+	}
+	opt := OptimizeRequest{Model: "disk", Bounds: []BoundSpec{{Metric: "penalty", Rel: "<=", Value: 1.4}}, TimeoutMS: huge}
+	var or OptimizeResponse
+	if st := call(t, http.MethodPost, base+"/v1/optimize", opt, &or); st != http.StatusOK || !or.Feasible {
+		t.Errorf("optimize: status %d, %+v", st, or)
+	}
+	sw := SweepRequest{OptimizeRequest: opt, Sweep: SweepSpec{Metric: "loss", Rel: "<=", Values: []float64{0.3, 0.5}}}
+	var sr SweepResponse
+	if st := call(t, http.MethodPost, base+"/v1/sweep", sw, &sr); st != http.StatusOK || len(sr.Points) != 2 {
+		t.Errorf("sweep: status %d, %+v", st, sr)
+	}
+	ob := ObserveRequest{OptimizeRequest: OptimizeRequest{TimeoutMS: huge}, Counts: []int{0, 1, 0}}
+	for i := range 2 { // the second batch restates the budget the adapter was created with
+		var resp ObserveResponse
+		if st := call(t, http.MethodPost, base+"/v1/models/disk/observe", ob, &resp); st != http.StatusOK {
+			t.Errorf("observe %d: status %d", i, st)
+		}
+	}
+}
+
 // TestRegisterUserModel: posting SP/SR parameters compiles a resident
 // model; reposting identical content is a no-op returning the same id; the
 // model then serves optimize queries.

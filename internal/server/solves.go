@@ -208,6 +208,15 @@ type SolveInfo struct {
 	Stages map[string]float64 `json:"stages_ms,omitempty"`
 }
 
+// SolvesResponse is the body of GET /v1/solves: the most recent
+// solve-journal events, newest first, and the live table, oldest flight
+// first. Events encode first, so everything from the "solves" key on is
+// the live table.
+type SolvesResponse struct {
+	Events []obs.Event `json:"events"`
+	Solves []SolveInfo `json:"solves"`
+}
+
 // info renders the row. Pivot/refactorization totals combine finished
 // attempts with the attempt currently in flight.
 func (f *solveFlight) info() SolveInfo {
@@ -260,10 +269,7 @@ func (s *Server) handleSolves(w http.ResponseWriter, r *http.Request) {
 	for _, f := range flights {
 		infos = append(infos, f.info())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"solves": infos,
-		"events": s.solves.journal.Last(32),
-	})
+	writeJSON(w, http.StatusOK, &SolvesResponse{Events: s.solves.journal.Last(32), Solves: infos})
 }
 
 // handleSolveCancel is DELETE /v1/solves/{id}: cancel one in-flight solve.

@@ -53,48 +53,42 @@ func recorded(endpoint string) bool {
 	return true
 }
 
-// summary renders a histogram as the quantile summary served on /v1/stats:
-// count, mean and p50/p90/p99, each divided by scale and keyed with unit
-// ("_ms" for nanosecond latencies, "" for pivot counts).
-func summary(h *obs.Histogram, scale float64, unit string) map[string]any {
+// summarize renders a histogram as the quantile summary served on
+// /v1/stats, every value divided by scale.
+func summarize(h *obs.Histogram, scale float64) Summary {
 	s := h.Snapshot()
 	mean := 0.0
 	if s.Count > 0 {
 		mean = s.Sum / float64(s.Count)
 	}
-	return map[string]any{
-		"count":       s.Count,
-		"mean" + unit: mean / scale,
-		"p50" + unit:  s.Quantile(0.50) / scale,
-		"p90" + unit:  s.Quantile(0.90) / scale,
-		"p99" + unit:  s.Quantile(0.99) / scale,
+	return Summary{
+		Count: s.Count,
+		Mean:  mean / scale,
+		P50:   s.Quantile(0.50) / scale,
+		P90:   s.Quantile(0.90) / scale,
+		P99:   s.Quantile(0.99) / scale,
 	}
 }
 
+// latencySummary summarizes a nanosecond histogram in milliseconds.
+func latencySummary(h *obs.Histogram) LatencySummary { return LatencySummary(summarize(h, 1e6)) }
+
 // statsEndpoints is the "endpoints" section of /v1/stats.
-func (m *metrics) statsEndpoints() map[string]any {
-	out := make(map[string]any, len(endpointNames))
+func (m *metrics) statsEndpoints() map[string]EndpointStats {
+	out := make(map[string]EndpointStats, len(endpointNames))
 	for _, name := range endpointNames {
-		n := m.requests[name].Load()
-		if n == 0 {
-			continue
-		}
-		out[name] = map[string]any{
-			"requests": n,
-			"latency":  summary(m.latency[name], 1e6, "_ms"),
+		if n := m.requests[name].Load(); n > 0 {
+			out[name] = EndpointStats{Latency: latencySummary(m.latency[name]), Requests: n}
 		}
 	}
 	return out
 }
 
 // statsSolve is the "solve" section of /v1/stats.
-func (m *metrics) statsSolve() map[string]any {
-	stages := make(map[string]any, len(m.stageHist))
+func (m *metrics) statsSolve() SolveStats {
+	st := SolveStats{Pivots: summarize(m.pivotHist, 1), Stages: make(map[string]LatencySummary, len(m.stageHist))}
 	for name, h := range m.stageHist {
-		stages[name] = summary(h, 1e6, "_ms")
+		st.Stages[name] = latencySummary(h)
 	}
-	return map[string]any{
-		"pivots": summary(m.pivotHist, 1, ""),
-		"stages": stages,
-	}
+	return st
 }

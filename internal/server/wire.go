@@ -219,6 +219,18 @@ type PolicyJSON struct {
 	Dist     [][]float64 `json:"dist"`
 }
 
+// policyJSON renders res's policy over the state and command names of sys,
+// the system res was solved on.
+func policyJSON(sys *core.System, res *core.Result) *PolicyJSON {
+	n := res.Policy.N()
+	pj := &PolicyJSON{States: make([]string, n), Commands: sys.SP.CommandNames(), Dist: make([][]float64, n)}
+	for i := range n {
+		pj.States[i] = sys.StateName(i)
+		pj.Dist[i] = res.Policy.CommandDist(i)
+	}
+	return pj
+}
+
 // OptimizeResponse is the result of one optimize query.
 type OptimizeResponse struct {
 	Model     string             `json:"model"`
@@ -354,6 +366,52 @@ type SweepResponse struct {
 	Pivots    int     `json:"pivots"`
 	Cache     string  `json:"cache"` // "hit" or "miss"
 	ElapsedMS float64 `json:"elapsed_ms"`
+}
+
+// StatsResponse is the body of GET /v1/stats: the counters of the metric
+// registry (the same numbers /metrics exposes), per-endpoint and per-stage
+// quantile summaries, the flight recorder's gauges and the readings taken
+// at render time. Fields are declared in key order, as a map would encode.
+type StatsResponse struct {
+	CacheSize    int                      `json:"cache_size"`
+	Counters     map[string]int64         `json:"counters"`
+	DroppedSpans int                      `json:"dropped_spans"`
+	Endpoints    map[string]EndpointStats `json:"endpoints"` // endpoints that served traffic
+	Gauges       map[string]int64         `json:"gauges"`
+	Models       int                      `json:"models"`
+	Solve        SolveStats               `json:"solve"`
+	UptimeS      float64                  `json:"uptime_s"`
+}
+
+// EndpointStats is one endpoint's request count and latency summary.
+type EndpointStats struct {
+	Latency  LatencySummary `json:"latency"`
+	Requests int64          `json:"requests"`
+}
+
+// SolveStats is the per-attempt solver work: pivots per attempt and each
+// lp.Timings stage's wall clock.
+type SolveStats struct {
+	Pivots Summary                   `json:"pivots"`
+	Stages map[string]LatencySummary `json:"stages"`
+}
+
+// Summary is a histogram's count, mean and quantiles.
+type Summary struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+}
+
+// LatencySummary is a Summary in milliseconds, keyed with the unit.
+type LatencySummary struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean_ms"`
+	P50   float64 `json:"p50_ms"`
+	P90   float64 `json:"p90_ms"`
+	P99   float64 `json:"p99_ms"`
 }
 
 // errorResponse is the uniform error body.

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Smoke test for dpmserved: start the daemon, verify health, run one
-# optimize query end to end (cold solve, then an exact cache hit), stream a
-# short drifting workload at the online-adaptation endpoint (dpmfeed) and
-# assert a warm drift refresh happened, and shut it down cleanly. CI runs
-# this against a race-instrumented daemon (`make smoke`); it needs only
-# bash + curl + the two binaries.
+# optimize query end to end (cold solve, then an exact cache hit), take a
+# one-shot dpmtop snapshot, stream a short drifting workload at the
+# online-adaptation endpoint (dpmfeed) and assert a warm drift refresh
+# happened, and shut it down cleanly. CI runs this against a
+# race-instrumented daemon (`make smoke`); it needs only bash + curl + the
+# three binaries.
 #
-# With a third argument (path to dpmload), a load phase follows: the
+# With a fourth argument (path to dpmload), a load phase follows: the
 # closed-loop generator drives a mixed workload at two concurrency levels
 # with -require-p99, the measured quantiles merge into $BENCH_OUT (default
 # smoke-bench.json next to the log), and GET /v1/trace must return recorded
@@ -14,9 +15,11 @@
 # assertion that the serving numbers in BENCH.json were actually measured.
 set -euo pipefail
 
-BIN="${1:?usage: smoke.sh path/to/dpmserved path/to/dpmfeed [path/to/dpmload]}"
-FEED="${2:?usage: smoke.sh path/to/dpmserved path/to/dpmfeed [path/to/dpmload]}"
-LOAD="${3:-}"
+USAGE="usage: smoke.sh path/to/dpmserved path/to/dpmfeed path/to/dpmtop [path/to/dpmload]"
+BIN="${1:?$USAGE}"
+FEED="${2:?$USAGE}"
+TOP="${3:?$USAGE}"
+LOAD="${4:-}"
 LOG="$(mktemp)"
 trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
 
@@ -105,6 +108,11 @@ has "$AFTER" '"kind": "solve_finish"' || fail "journal has no solve_finish" "$AF
 GAUGES=$(curl -sSf "$URL/metrics")
 has "$GAUGES" '^dpmserved_solves_inflight 0$' || { echo "smoke: solves_inflight gauge not back to 0"; echo "$GAUGES" | grep solves; exit 1; }
 
+# dpmtop: one plain snapshot of /v1/solves and /v1/stats, decoded with the
+# daemon's own wire types, must render its counters line.
+TOPOUT=$("$TOP" -url "$URL" -n 1 -plain) || { echo "smoke: dpmtop failed"; exit 1; }
+has "$TOPOUT" '^served: optimize ' || fail "dpmtop printed no served: line" "$TOPOUT"
+
 # Online adaptation: stream a short two-regime trace at the race-instrumented
 # daemon. dpmfeed itself exits non-zero unless at least one drift-triggered
 # refresh happened (-expect-drift default); the counters then assert the
@@ -121,7 +129,7 @@ has "$METRICS" '^dpmserved_online_warm_total [1-9]' \
 has "$METRICS" '^dpmserved_online_patched_total [1-9]' \
   || { echo "smoke: no patched online refresh recorded"; echo "$METRICS" | grep online; exit 1; }
 
-PHASES="cold solve, cache hit, composite preset, trace retrieval, live /v1/solves mid-flight, online drift refresh"
+PHASES="cold solve, cache hit, composite preset, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh"
 if [ -n "$LOAD" ]; then
   # Load phase: closed-loop mixed traffic at two concurrency levels against
   # the same (race-instrumented, under CI) daemon. -require-p99 makes
