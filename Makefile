@@ -9,7 +9,7 @@ GO ?= go
 SHELL := bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build lint test benchcheck bench serve smoke loadtest
+.PHONY: all build lint test benchcheck bench serve smoke loadtest fuzz
 
 all: build lint test benchcheck bench smoke loadtest
 
@@ -30,6 +30,20 @@ test:
 # so that an API change here cannot silently break the benchmark.
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Run every Fuzz* target in turn for FUZZTIME each (go test -fuzz takes one
+# target in one package at a time); new failing inputs land in the target's
+# testdata/fuzz directory. Not part of `all`: `go test ./...` already runs
+# each target's seed corpus.
+FUZZTIME ?= 30s
+
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$target for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # Three iterations per benchmark: enough to smooth single-sample noise now
 # that cmd/benchtrend gates CI on these numbers, still cheap enough for

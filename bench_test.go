@@ -306,9 +306,11 @@ func BenchmarkLargeComposite(b *testing.B) {
 //     before masking, 648 system states × 7 commands after) — power
 //     minimization under a drop-rate bound, with the solver work (pivots,
 //     basis refactorizations, factor nonzeros) reported next to wall time.
-//     At this size the auto solver runs the sparse LU + Forrest–Tomlin
-//     kernel with Devex pricing; the dense-LU "before" leg of the same
-//     instance is the 3× headline of the sparse-basis refactor.
+//     The 649-row basis is past the sparse-kernel threshold, so the solver
+//     runs the sparse LU + Forrest–Tomlin kernel with Devex pricing. The
+//     basis size alone picks the kernel, and there is no dense-LU leg to
+//     compare against. B/op is the record of that kernel's storage reuse:
+//     every refactorization of the solve factors into one SparseLU.
 //   - solve-k6: the same query on the six-component, queue-4 platform
 //     (9,720 system states, ~7.8·10⁴ LP columns) — a basis size where the
 //     dense m×m kernel is not allocatable in reasonable memory and only the

@@ -193,7 +193,7 @@
 //
 // # Solver performance
 //
-// The sparse path's per-pivot cost is contained by three mechanisms. The
+// The sparse path's per-pivot cost is contained by four mechanisms. The
 // FTRAN/BTRAN triangular solves are hyper-sparse: Gilbert–Peierls-style
 // symbolic reachability from the rhs support touches only the reachable
 // pattern, falling back to the dense kernel when fill passes ~10% of n,
@@ -204,11 +204,16 @@
 // Forrest–Tomlin eta costs only its nonzeros; stability checks still force
 // early refactorization when the chain degrades. And the elimination's row
 // merges gallop: binary-search the eliminated column, bulk-copy untouched
-// runs. The pricing scans (entering-column selection, reduced-cost
-// maintenance and recomputation) run sequentially in column order: a
-// chunked worker pool for them was slower than the plain scans on
-// solve-k5 and solve-k6, the only benchmarks wide enough to engage it, and
-// was removed.
+// runs. Finally the kernel owns its storage, as the dense one does:
+// mat.SparseLU.Refactor factors each basis of a solve into the arrays of
+// the previous factorization (V's rows in one compacting arena, L and the
+// Forrest–Tomlin etas in reused buffers, the Markowitz buckets and all
+// solve scratch kept), bit-identical to a fresh FactorColumns, so a cold
+// solve-k5 solve allocates about 9 MB instead of 41 MB. The pricing scans
+// (entering-column selection, reduced-cost maintenance and recomputation)
+// run sequentially in column order: a chunked worker pool for them was
+// slower than the plain scans on solve-k5 and solve-k6, the only
+// benchmarks wide enough to engage it, and was removed.
 //
 // The small path's cost is the overhead around a few hundred cheap pivots,
 // so it is kept free of garbage and repeated work. The dense LU factors in

@@ -6,6 +6,7 @@ import (
 	"encoding"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -100,4 +101,29 @@ func TestSolveWarmCancelledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled in chain", err)
 	}
+}
+
+// FuzzBasisUnmarshalBinary feeds untrusted bytes to the basis decoder. No
+// input may panic, and every input it accepts must re-marshal to an
+// encoding that decodes to the same Basis. (Accepted bytes need not equal
+// the re-marshaled ones: a varint may arrive in a longer-than-minimal
+// form.)
+func FuzzBasisUnmarshalBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b Basis
+		if err := b.UnmarshalBinary(data); err != nil {
+			return
+		}
+		enc, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary of an accepted basis: %v", err)
+		}
+		var again Basis
+		if err := again.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("re-marshaled %v does not decode: %v", b.String(), err)
+		}
+		if !slices.Equal(again.cols, b.cols) || again.nv != b.nv || again.ns != b.ns || again.na != b.na {
+			t.Fatalf("round trip changed the basis: %v cols %v, then %v cols %v", b.String(), b.cols, again.String(), again.cols)
+		}
+	})
 }

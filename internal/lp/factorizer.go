@@ -202,12 +202,15 @@ func (f *denseFactorizer) Health() mat.HealthStats { return mat.HealthStats{} }
 // sparseFactorizer wraps mat.SparseLU: Markowitz-ordered sparse LU with
 // threshold partial pivoting, updated in place by Forrest–Tomlin column
 // replacements. tau is the pivot threshold (raised in conservative mode to
-// favor stability over sparsity).
+// favor stability over sparsity). Like the dense kernel it owns its
+// storage: every refactorization of a solve — and of a Resident's later
+// re-solves — factors into the one SparseLU, failed refactorizations
+// included, so steady-state pivots and refactorizations allocate nothing.
 type sparseFactorizer struct {
-	tau    float64
-	f      *mat.SparseLU
-	acc    mat.HealthStats                  // counter totals of retired factorizations
-	debugf func(format string, args ...any) // context-bound LUDEBUG sink, set via setContext
+	tau float64
+	lu  mat.SparseLU    // its Debugf is the context-bound LUDEBUG sink, set via setContext
+	f   *mat.SparseLU   // &lu while it holds a valid factorization, else nil
+	acc mat.HealthStats // counter totals of retired factorizations
 }
 
 func newSparseFactorizer(conservative bool) *sparseFactorizer {
@@ -219,10 +222,7 @@ func newSparseFactorizer(conservative bool) *sparseFactorizer {
 }
 
 func (s *sparseFactorizer) setContext(ctx context.Context) {
-	s.debugf = func(format string, args ...any) { obs.Debugf(ctx, "lu", format, args...) }
-	if s.f != nil {
-		s.f.Debugf = s.debugf
-	}
+	s.lu.Debugf = func(format string, args ...any) { obs.Debugf(ctx, "lu", format, args...) }
 }
 
 func (s *sparseFactorizer) Refactor(a *mat.CSC, basis []int) error {
@@ -232,15 +232,13 @@ func (s *sparseFactorizer) Refactor(a *mat.CSC, basis []int) error {
 		// activity since the last refactorization.
 		s.acc.AddCounters(s.f.Health())
 	}
-	f, err := mat.FactorColumns(len(basis), func(i int) ([]int, []float64) {
+	s.f = nil
+	if err := s.lu.Refactor(len(basis), func(i int) ([]int, []float64) {
 		return a.ColNZ(basis[i])
-	}, s.tau)
-	if err != nil {
-		s.f = nil
+	}, s.tau); err != nil {
 		return err
 	}
-	f.Debugf = s.debugf
-	s.f = f
+	s.f = &s.lu
 	return nil
 }
 
@@ -253,9 +251,17 @@ func (s *sparseFactorizer) resetCounters() {
 	}
 }
 
-func (s *sparseFactorizer) Ftran(v mat.Vector) mat.Vector { return s.f.Solve(v) }
+// Ftran solves B x = v in place: the result is v itself.
+func (s *sparseFactorizer) Ftran(v mat.Vector) mat.Vector {
+	s.f.SolveInto(v, v)
+	return v
+}
 
-func (s *sparseFactorizer) Btran(c mat.Vector) mat.Vector { return s.f.SolveT(c) }
+// Btran solves Bᵀ y = c in place: the result is c itself.
+func (s *sparseFactorizer) Btran(c mat.Vector) mat.Vector {
+	s.f.SolveTInto(c, c)
+	return c
+}
 
 func (s *sparseFactorizer) FtranSp(b, x *mat.SpVec) { s.f.SolveSp(b, x) }
 

@@ -3,9 +3,10 @@ package mat
 // HealthStats is the numerical-health record of a SparseLU: the signals a
 // solve monitor samples to judge how close the factorization is to trouble.
 // GrowthFactor, MinDiag and MaxDiag describe the current factorization
-// (recomputed by every FactorColumns); the three counters accumulate over
-// the factorization's lifetime — callers that refactorize (the LP layer)
-// fold counters across instances to report per-solve totals.
+// (recomputed by every Refactor); the three counters accumulate from a
+// Refactor to the next, which zeroes them — callers that refactorize (the
+// LP layer) fold counters across factorizations to report per-solve
+// totals.
 type HealthStats struct {
 	// GrowthFactor is the element growth of the elimination: the largest
 	// |entry| of the factored U over the largest |entry| of the input
@@ -45,7 +46,7 @@ func (h *HealthStats) AddCounters(o HealthStats) {
 }
 
 // Health returns the factorization's numerical-health record: growth and
-// diagonal range from the last FactorColumns, counters accumulated since.
+// diagonal range from the last Refactor, counters accumulated since.
 func (f *SparseLU) Health() HealthStats { return f.health }
 
 // ResetCounters zeroes the lifetime counters, keeping the per-factorization

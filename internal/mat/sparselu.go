@@ -30,13 +30,21 @@ package mat
 //   - V, the permuted upper factor, row-major: rows[r] holds sorted
 //     (col, val) pairs; entry (r,c) implies pos(r) ≤ pos(c) under the mutable
 //     position maps, with equality exactly on the diagonal pairing
-//     (rowAtPos[k], colAtPos[k]).
+//     (rowAtPos[k], colAtPos[k]). The rows are windows into one arena: an
+//     elimination merge writes the new row at the arena's tail, and a full
+//     arena is compacted into a spare one.
 //   - colRows[c], the column structure of V: row ids that may hold an entry
 //     in column c. Lists are lazily maintained — deletions leave stale ids,
 //     re-insertions may duplicate — and every walk validates entries against
 //     the row storage and deduplicates with a visit stamp.
 //   - The forward transform F (B = F·V): the initial L as per-position
-//     multiplier columns, then one sparse row eta per Forrest–Tomlin update.
+//     multiplier columns (windows into one append-only array), then one
+//     sparse row eta per Forrest–Tomlin update.
+//
+// All of it, with the factorization's scratch, belongs to the SparseLU and
+// outlives a factorization: Refactor factors the next matrix into the same
+// storage, so a solver that refactorizes basis after basis stops
+// allocating once the storage has grown to fit.
 
 import (
 	"fmt"
@@ -52,7 +60,11 @@ var luDebug = obs.DebugOn("lu")
 
 // SparseLU holds a sparse LU factorization of a square matrix, ready to
 // solve B x = b and Bᵀ y = c and to absorb Forrest–Tomlin column updates.
-// Create with FactorColumns.
+// The zero value is an empty factorization; Refactor factors a matrix into
+// the receiver, reusing the storage of its previous factorizations, so a
+// caller that refactorizes one basis after another (the revised simplex)
+// allocates only while the storage grows to the largest factorization it
+// has seen. FactorColumns is Refactor into a new SparseLU.
 type SparseLU struct {
 	// Debugf, when non-nil, receives LUDEBUG-gated trace lines. The LP layer
 	// installs a context-bound hook here so kernel diagnostics carry the
@@ -61,9 +73,15 @@ type SparseLU struct {
 
 	n int
 
-	// V rows, by original row id.
+	// V rows, by original row id: capacity-capped windows into the arena
+	// (vCols, vVals), so a row cannot grow into its neighbour. A row that
+	// needs to grow moves to the arena's tail (see vReserve); the window it
+	// leaves is garbage until the next compaction.
 	rowCols [][]int
 	rowVals [][]float64
+	// The arena (len = used prefix) and the compaction target it swaps with.
+	vCols, vColsB []int
+	vVals, vValsB []float64
 	// Lazily-maintained column structure of V (see package comment).
 	colRows [][]int
 
@@ -72,41 +90,58 @@ type SparseLU struct {
 	colAtPos, posOfCol []int
 
 	// Initial L: lRows[k]/lVals[k] are the multiplier rows eliminated by the
-	// pivot at position k, in original row ids. lPivRow[k] is the pivot row
-	// that drove elimination step k — frozen at factorization time, because
-	// Forrest–Tomlin rotations permute rowAtPos afterwards while L stays
-	// tied to the rows it was built from.
+	// pivot at position k, in original row ids — windows into lIdx/lMul,
+	// where step k's multipliers occupy [lStart[k], lStart[k+1]). lPivRow[k]
+	// is the pivot row that drove elimination step k — frozen at
+	// factorization time, because Forrest–Tomlin rotations permute rowAtPos
+	// afterwards while L stays tied to the rows it was built from.
 	lRows   [][]int
 	lVals   [][]float64
+	lIdx    []int
+	lMul    []float64
+	lStart  []int
 	lPivRow []int
 	nnzL    int
 
-	// Forrest–Tomlin row etas, applied after L in append order.
+	// Forrest–Tomlin row etas, applied after L in append order. The backing
+	// array keeps the etas a refactorization retired, whose storage the
+	// next updates overwrite.
 	etas []ftEta
 
 	updates int
 
-	// Workspace (length n), reused across solves and updates.
+	// Workspace (length n), reused across solves and updates: w is all-zero
+	// between operations, tmp is the dense Solve/SolveT scratch.
 	w     []float64
+	tmp   Vector
 	stamp []int
 	visit int
 
-	// Merge scratch for combineRow, grown as needed: rows are merged here
-	// and copied back into (reused) row storage, so the inner elimination
-	// loop allocates only when a row outgrows its capacity.
-	mCols []int
-	mVals []float64
+	// Refactor's scratch: the Markowitz buckets, the pivot flags, the row
+	// counts, the search's candidate lists and the pivot-row copy.
+	mk         mkwState
+	pivotedRow []bool
+	doneCol    []bool
+	rowNNZ     []int
+	rs, bestRs []int
+	vs, bestVs []float64
+	pCols      []int
+	pVals      []float64
 
 	// Hyper-sparse solve scratch (see spvec.go): the step inverse of
-	// lPivRow, the lazy transpose of the L pattern, the ordered-worklist
-	// bitmask, a second stamp domain (row-pattern marks that coexist with
-	// the mask inside SolveTSp), and the update-spike vector.
-	lStep    []int
-	rowSteps [][]int32
-	mask     workMask
-	stampB   []int
-	visitB   int
-	spk      *SpVec
+	// lPivRow, the lazy transpose of the L pattern (windows into
+	// rowStepEntries, built on first use), the ordered-worklist bitmask, a
+	// second stamp domain (row-pattern marks that coexist with the mask
+	// inside SolveTSp), and the update-spike vector.
+	lStep          []int
+	rowSteps       [][]int32
+	rowStepsBuilt  bool
+	rowStepOff     []int
+	rowStepEntries []int32
+	mask           workMask
+	stampB         []int
+	visitB         int
+	spk            *SpVec
 
 	// Adaptive density gate of SolveSp (see spvec.go): consecutive
 	// densified results, and the countdown to the next sparse re-probe.
@@ -114,7 +149,7 @@ type SparseLU struct {
 	spProbe  int
 
 	// Numerical-health record (see health.go): growth/diagonal fields set
-	// by FactorColumns, counters accumulated by Update and the solves.
+	// by Refactor, counters accumulated by Update and the solves.
 	health HealthStats
 
 	utouch []int // Update's re-elimination scatter touch list, reused
@@ -129,63 +164,84 @@ type ftEta struct {
 }
 
 // FactorColumns computes a sparse LU factorization of the n×n matrix whose
-// column j is given by col(j) as parallel (row, value) slices (rows sorted,
-// no duplicates — the contract of CSC.ColNZ). tau in (0,1] is the threshold
-// partial-pivoting parameter: a pivot candidate must satisfy
-// |a_ij| ≥ tau·max|a_*j|; larger values favor stability over sparsity
-// (0.1 is the customary default, 0.5 a conservative setting). It returns
-// ErrSingular when no acceptable pivot exists.
+// column j is given by col(j); it is Refactor into a new SparseLU.
 func FactorColumns(n int, col func(j int) ([]int, []float64), tau float64) (*SparseLU, error) {
+	f := new(SparseLU)
+	if err := f.Refactor(n, col, tau); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// resize returns s with length n, keeping its elements — and the storage
+// they own — wherever the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		t := make([]T, n)
+		copy(t, s[:cap(s)])
+		return t
+	}
+	return s[:n]
+}
+
+// Refactor replaces the receiver's factorization with a sparse LU
+// factorization of the n×n matrix whose column j is given by col(j) as
+// parallel (row, value) slices (rows sorted, no duplicates — the contract of
+// CSC.ColNZ). tau in (0,1] is the threshold partial-pivoting parameter: a
+// pivot candidate must satisfy |a_ij| ≥ tau·max|a_*j|; larger values favor
+// stability over sparsity (0.1 is the customary default, 0.5 a conservative
+// setting). It returns ErrSingular when no acceptable pivot exists; the
+// receiver then holds an empty factorization until the next Refactor.
+//
+// The factors, health record and every later solve and update are
+// bit-identical to those of a fresh FactorColumns on the same matrix: the
+// previous factorization contributes storage only. The Debugf hook is kept;
+// the health counters restart from zero.
+func (f *SparseLU) Refactor(n int, col func(j int) ([]int, []float64), tau float64) error {
 	if n < 0 {
-		panic("mat: FactorColumns with negative dimension")
+		panic("mat: SparseLU.Refactor with negative dimension")
 	}
 	if tau <= 0 || tau > 1 {
 		tau = 0.1
 	}
-	f := &SparseLU{
-		n:        n,
-		rowCols:  make([][]int, n),
-		rowVals:  make([][]float64, n),
-		colRows:  make([][]int, n),
-		rowAtPos: make([]int, n),
-		posOfRow: make([]int, n),
-		colAtPos: make([]int, n),
-		posOfCol: make([]int, n),
-		lRows:    make([][]int, n),
-		lVals:    make([][]float64, n),
-		lPivRow:  make([]int, n),
-		w:        make([]float64, n),
-		stamp:    make([]int, n),
-	}
+	f.reset(n)
 
 	// Gather the columns into row-major working storage. Column input order
 	// is ascending j, so each row's col list arrives sorted. A counting pass
-	// sizes each row exactly (with headroom for fill) before the fill pass.
+	// sizes each row exactly before the fill pass lays the rows out back to
+	// back in the arena.
 	maxAbs := 0.0
-	colCount := make([]int, n)
-	rowNNZ := make([]int, n)
+	colCount, rowNNZ := f.mk.colCount, f.rowNNZ
+	nnz := 0
 	for j := 0; j < n; j++ {
 		rows, vals := col(j)
 		for k, r := range rows {
 			if r < 0 || r >= n {
-				panic(fmt.Sprintf("mat: FactorColumns row %d outside [0,%d)", r, n))
+				panic(fmt.Sprintf("mat: SparseLU.Refactor row %d outside [0,%d)", r, n))
 			}
 			if vals[k] != 0 {
 				rowNNZ[r]++
 				colCount[j]++
+				nnz++
 			}
 		}
 	}
+	// Elimination fill lands at the arena's tail; twice the input leaves
+	// room for it before the first compaction.
+	if cap(f.vCols) < 2*nnz {
+		f.vCols = make([]int, 0, 2*nnz)
+		f.vVals = make([]float64, 0, 2*nnz)
+	}
+	f.vCols, f.vVals = f.vCols[:nnz], f.vVals[:nnz]
+	off := 0
 	for r := 0; r < n; r++ {
-		if c := rowNNZ[r]; c > 0 {
-			f.rowCols[r] = make([]int, 0, 2*c)
-			f.rowVals[r] = make([]float64, 0, 2*c)
-		}
+		end := off + rowNNZ[r]
+		f.rowCols[r] = f.vCols[off:off:end]
+		f.rowVals[r] = f.vVals[off:off:end]
+		off = end
 	}
 	for j := 0; j < n; j++ {
-		if c := colCount[j]; c > 0 {
-			f.colRows[j] = make([]int, 0, 2*c)
-		}
+		f.colRows[j] = f.colRows[j][:0]
 		rows, vals := col(j)
 		for k, r := range rows {
 			v := vals[k]
@@ -210,39 +266,23 @@ func FactorColumns(n int, col func(j int) ([]int, []float64), tau float64) (*Spa
 	// walks live candidates. (An append-only bucket scheme with stale-entry
 	// validation makes the search cost scale with total fill instead of with
 	// candidates examined — on 10⁴-row bases that dominated factorization.)
-	mk := newMkwState(colCount, n)
-	pivotedRow := make([]bool, n)
-	doneCol := make([]bool, n)
-
-	// rowAt returns the value of (r, c) via binary search of row r.
-	rowAt := func(r, c int) (float64, bool) {
-		cols := f.rowCols[r]
-		lo, hi := 0, len(cols)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cols[mid] < c {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(cols) && cols[lo] == c {
-			return f.rowVals[r][lo], true
-		}
-		return 0, false
-	}
+	mk := &f.mk
+	mk.init(n)
+	pivotedRow, doneCol := f.pivotedRow, f.doneCol
 
 	type cand struct {
 		row, col int
 		val      float64
 		cost     int
 	}
-	var rs []int // candidate scratch, reused across search steps
-	var vs []float64
-	var bestRs []int // snapshot of the winning column's live entries
-	var bestVs []float64
-	var pCols []int // pivot row with the pivot column stripped, shared by merges
-	var pVals []float64
+	rs, vs := f.rs, f.vs                 // candidate scratch, reused across search steps
+	bestRs, bestVs := f.bestRs, f.bestVs // snapshot of the winning column's live entries
+	pCols, pVals := f.pCols, f.pVals     // pivot row with the pivot column stripped, shared by merges
+	lIdx, lMul := f.lIdx[:0], f.lMul[:0]
+	defer func() {
+		f.rs, f.vs, f.bestRs, f.bestVs, f.pCols, f.pVals = rs, vs, bestRs, bestVs, pCols, pVals
+		f.lIdx, f.lMul = lIdx, lMul
+	}()
 
 	for k := 0; k < n; k++ {
 		// Markowitz pivot search: scan columns in increasing count order,
@@ -264,7 +304,7 @@ func FactorColumns(n int, col func(j int) ([]int, []float64), tau float64) (*Spa
 						continue
 					}
 					f.stamp[r] = f.visit
-					if v, ok := rowAt(r, j); ok {
+					if v, ok := f.valueAt(r, j); ok {
 						rs = append(rs, r)
 						vs = append(vs, v)
 						if a := math.Abs(v); a > colMax {
@@ -302,7 +342,8 @@ func FactorColumns(n int, col func(j int) ([]int, []float64), tau float64) (*Spa
 			}
 		}
 		if best.cost == math.MaxInt {
-			return nil, ErrSingular
+			f.reset(0)
+			return ErrSingular
 		}
 
 		pr, pc, piv := best.row, best.col, best.val
@@ -333,18 +374,25 @@ func FactorColumns(n int, col func(j int) ([]int, []float64), tau float64) (*Spa
 		// already collected, deduplicated, and validated the winning column's
 		// entries — walk the snapshot rather than colRows[pc] again. (No row
 		// changed between the search and here; only pr became pivoted.)
+		f.lStart[k] = len(lIdx)
 		for i, r := range bestRs {
 			if r == pr {
 				continue
 			}
 			m := bestVs[i] / piv
-			f.lRows[k] = append(f.lRows[k], r)
-			f.lVals[k] = append(f.lVals[k], m)
-			f.nnzL++
+			lIdx = append(lIdx, r)
+			lMul = append(lMul, m)
 			f.combineRow(r, pc, m, pCols, pVals, doneCol, mk)
 		}
-		f.lRows[k] = compactInts(f.lRows[k])
-		f.lVals[k] = compactFloats(f.lVals[k])
+	}
+	// L's windows, and the step inverse of lPivRow for the hyper-sparse
+	// passes.
+	f.lStart[n] = len(lIdx)
+	f.nnzL = len(lIdx)
+	for k := 0; k < n; k++ {
+		lo, hi := f.lStart[k], f.lStart[k+1]
+		f.lRows[k], f.lVals[k] = lIdx[lo:hi:hi], lMul[lo:hi:hi]
+		f.lStep[f.lPivRow[k]] = k
 	}
 
 	// Health record: element growth (largest |U entry| after elimination
@@ -375,7 +423,48 @@ func FactorColumns(n int, col func(j int) ([]int, []float64), tau float64) (*Spa
 		}
 		f.health.MinDiag, f.health.MaxDiag = minD, maxD
 	}
-	return f, nil
+	return nil
+}
+
+// reset sizes every per-dimension array for an n×n factorization and clears
+// the state a factorization accumulates — etas, counters, the solve gate,
+// the lazy L transpose — keeping all storage for reuse.
+func (f *SparseLU) reset(n int) {
+	f.n = n
+	f.rowCols, f.rowVals = resize(f.rowCols, n), resize(f.rowVals, n)
+	f.colRows = resize(f.colRows, n)
+	f.rowAtPos, f.posOfRow = resize(f.rowAtPos, n), resize(f.posOfRow, n)
+	f.colAtPos, f.posOfCol = resize(f.colAtPos, n), resize(f.posOfCol, n)
+	f.lRows, f.lVals = resize(f.lRows, n), resize(f.lVals, n)
+	f.lStart, f.lPivRow = resize(f.lStart, n+1), resize(f.lPivRow, n)
+	f.nnzL = 0
+	f.vCols, f.vVals = f.vCols[:0], f.vVals[:0]
+	f.etas = f.etas[:0]
+	f.updates = 0
+
+	f.w = resize(f.w, n)
+	clear(f.w)
+	f.tmp = resize(f.tmp, n)
+	f.stamp = resize(f.stamp, n)
+
+	f.mk.colCount = resize(f.mk.colCount, n)
+	clear(f.mk.colCount)
+	f.rowNNZ = resize(f.rowNNZ, n)
+	clear(f.rowNNZ)
+	f.pivotedRow, f.doneCol = resize(f.pivotedRow, n), resize(f.doneCol, n)
+	clear(f.pivotedRow)
+	clear(f.doneCol)
+
+	f.lStep = resize(f.lStep, n)
+	f.rowStepsBuilt = false
+	f.mask = resize(f.mask, (n+63)/64)
+	f.mask.clear()
+	f.stampB = resize(f.stampB, n)
+	if f.spk != nil && f.spk.N() != n {
+		f.spk = nil
+	}
+	f.spStreak, f.spProbe = 0, 0
+	f.health = HealthStats{}
 }
 
 // mkwState maintains the Markowitz count buckets: doubly-linked lists of
@@ -389,22 +478,18 @@ type mkwState struct {
 	n          int
 }
 
-func newMkwState(colCount []int, n int) *mkwState {
-	m := &mkwState{
-		colCount: colCount,
-		head:     make([]int, n+1),
-		next:     make([]int, n),
-		prev:     make([]int, n),
-		minCount: n + 1,
-		n:        n,
-	}
+// init links columns 0..n-1 by their counts in colCount, reusing the list
+// storage of earlier factorizations.
+func (m *mkwState) init(n int) {
+	m.head = resize(m.head, n+1)
+	m.next, m.prev = resize(m.next, n), resize(m.prev, n)
+	m.minCount, m.n = n+1, n
 	for c := range m.head {
 		m.head[c] = -1
 	}
 	for j := 0; j < n; j++ {
 		m.link(j)
 	}
-	return m
 }
 
 func (m *mkwState) bucket(j int) int { return boundCount(m.colCount[j], m.n) }
@@ -467,15 +552,14 @@ func boundCount(c, n int) int {
 // combineRow applies row_r ← row_r − m·row_pivot, where (bcs, bvs) is the
 // pivot row with the pivot column pc already stripped; row r's own pc entry
 // is dropped exactly during the merge. Column counts and buckets are
-// maintained for fill and exact cancellations.
+// maintained for fill and exact cancellations. The merged row is written
+// straight to the arena's tail and becomes row r there, so the merge needs
+// no scratch and no copy back.
 func (f *SparseLU) combineRow(r, pc int, m float64, bcs []int, bvs []float64, doneCol []bool, mk *mkwState) {
+	start := f.vReserve(len(f.rowCols[r]) + len(bcs))
 	ac, av := f.rowCols[r], f.rowVals[r]
-	if need := len(ac) + len(bcs); cap(f.mCols) < need {
-		f.mCols = make([]int, 0, 2*need)
-		f.mVals = make([]float64, 0, 2*need)
-	}
-	nc := f.mCols[:0]
-	nv := f.mVals[:0]
+	nc := f.vCols[start:start]
+	nv := f.vVals[start:start]
 	la, lb := len(ac), len(bcs)
 	// Locate the eliminated entry pc once (rows are sorted, and a combined
 	// row always holds pc — it is drawn from the pivot column's pattern), so
@@ -548,30 +632,53 @@ func (f *SparseLU) combineRow(r, pc int, m float64, bcs []int, bvs []float64, do
 			}
 		}
 	}
-	// Swap rather than copy back: the merge scratch becomes the row, and the
-	// row's old storage becomes the next merge's scratch. (Copying back into
-	// the row when it fits was measured slower — the copy traffic costs more
-	// than the occasional scratch re-allocation the swap causes.)
-	f.rowCols[r], f.mCols = nc, ac[:0]
-	f.rowVals[r], f.mVals = nv, av[:0]
+	end := start + len(nc)
+	f.rowCols[r], f.rowVals[r] = f.vCols[start:end:end], f.vVals[start:end:end]
+	f.vCols, f.vVals = f.vCols[:end], f.vVals[:end]
 }
 
-func compactInts(s []int) []int {
-	if len(s) == 0 {
-		return nil
+// vReserve makes room for need entries at the arena's tail and returns the
+// tail's offset. When the tail is short it compacts: the live row windows,
+// spare capacity included, are copied back to back into the spare buffer,
+// which becomes the arena. The spare buffer is first grown to twice what
+// that needs if the windows would fill more than half of it, so a
+// compaction frees at least as much as it keeps (amortized O(1) per
+// appended entry) and fill creeping up across updates does not reallocate
+// at every compaction.
+func (f *SparseLU) vReserve(need int) int {
+	if len(f.vCols)+need <= cap(f.vCols) {
+		return len(f.vCols)
 	}
-	out := make([]int, len(s))
-	copy(out, s)
-	return out
+	live := 0
+	for _, cols := range f.rowCols {
+		live += cap(cols)
+	}
+	if want := 2 * (live + need); cap(f.vColsB) < want {
+		f.vColsB = make([]int, 0, 2*want)
+		f.vValsB = make([]float64, 0, 2*want)
+	}
+	nc, nv := f.vColsB[:0], f.vValsB[:0]
+	for r, cols := range f.rowCols {
+		lo, hi, end := len(nc), len(nc)+len(cols), len(nc)+cap(cols)
+		nc = append(nc, cols[:cap(cols)]...)
+		nv = append(nv, f.rowVals[r][:cap(cols)]...)
+		f.rowCols[r], f.rowVals[r] = nc[lo:hi:end], nv[lo:hi:end]
+	}
+	f.vColsB, f.vValsB = f.vCols[:0], f.vVals[:0]
+	f.vCols, f.vVals = nc, nv
+	return len(nc)
 }
 
-func compactFloats(s []float64) []float64 {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]float64, len(s))
-	copy(out, s)
-	return out
+// moveRow relocates row r to the arena's tail with capacity for size
+// entries, so it can grow in place.
+func (f *SparseLU) moveRow(r, size int) {
+	start := f.vReserve(size)
+	n := len(f.rowCols[r])
+	f.vCols, f.vVals = f.vCols[:start+size], f.vVals[:start+size]
+	copy(f.vCols[start:], f.rowCols[r])
+	copy(f.vVals[start:], f.rowVals[r])
+	f.rowCols[r] = f.vCols[start : start+n : start+size]
+	f.rowVals[r] = f.vVals[start : start+n : start+size]
 }
 
 // N returns the dimension of the factored matrix.
@@ -621,37 +728,40 @@ func (f *SparseLU) applyForward(y Vector) {
 // Solve solves B x = b through the factorization and any absorbed updates.
 // b is not modified; the result is indexed by column slot.
 func (f *SparseLU) Solve(b Vector) Vector {
-	if len(b) != f.n {
+	x := NewVector(len(b))
+	f.SolveInto(x, b)
+	return x
+}
+
+// SolveInto is Solve writing into x, which may alias b; it allocates
+// nothing.
+func (f *SparseLU) SolveInto(x, b Vector) {
+	if len(b) != f.n || len(x) != f.n {
 		panic("mat: SparseLU.Solve dimension mismatch")
 	}
-	y := b.Clone()
+	y := f.tmp
+	copy(y, b)
 	f.applyForward(y)
-	x := NewVector(f.n)
-	for k := f.n - 1; k >= 0; k-- {
-		r, c := f.rowAtPos[k], f.colAtPos[k]
-		s := y[r]
-		cols, vals := f.rowCols[r], f.rowVals[r]
-		diag := 0.0
-		for i, cc := range cols {
-			if cc == c {
-				diag = vals[i]
-				continue
-			}
-			s -= vals[i] * x[cc]
-		}
-		x[c] = s / diag
-	}
-	return x
+	f.backwardDense(y, x, f.n-1)
 }
 
 // SolveT solves the transposed system Bᵀ y = c through the factorization and
 // any absorbed updates. c is indexed by column slot and not modified; the
 // result is indexed by row. This is the BTRAN of the revised simplex.
 func (f *SparseLU) SolveT(c Vector) Vector {
-	if len(c) != f.n {
+	w := NewVector(len(c))
+	f.SolveTInto(w, c)
+	return w
+}
+
+// SolveTInto is SolveT writing into w, which may alias c; it allocates
+// nothing.
+func (f *SparseLU) SolveTInto(w, c Vector) {
+	if len(c) != f.n || len(w) != f.n {
 		panic("mat: SparseLU.SolveT dimension mismatch")
 	}
-	w := NewVector(f.n)
+	c = f.tmp[:copy(f.tmp, c)]
+	clear(w)
 	// Vᵀ forward solve in position order, by row scatter: fixing w at
 	// position k scatters row rₖ's contributions forward into the per-column
 	// accumulators (every entry (r, c) of V has pos(r) ≤ pos(c), so the
@@ -680,25 +790,8 @@ func (f *SparseLU) SolveT(c Vector) Vector {
 	}
 	// Eta transposes in reverse append order, then Lᵀ in reverse position
 	// order.
-	for i := len(f.etas) - 1; i >= 0; i-- {
-		e := &f.etas[i]
-		t := w[e.row]
-		if t == 0 {
-			continue
-		}
-		for j, r := range e.rows {
-			w[r] -= e.vals[j] * t
-		}
-	}
-	for k := f.n - 1; k >= 0; k-- {
-		rows, vals := f.lRows[k], f.lVals[k]
-		s := 0.0
-		for i, r := range rows {
-			s += vals[i] * w[r]
-		}
-		w[f.lPivRow[k]] -= s
-	}
-	return w
+	f.etaTDense(w)
+	f.lTDense(w)
 }
 
 // valueAt returns V[r][c] via binary search of row r.
@@ -749,7 +842,6 @@ func (f *SparseLU) Update(slot int, rows []int, vals []float64) error {
 	// Spike: the entering column pushed through the forward transforms.
 	// Hyper-sparsely — the entering column has a handful of nonzeros, so
 	// the spike support is what keeps updates O(nnz) instead of O(n).
-	f.ensureSpScratch()
 	if f.spk == nil {
 		f.spk = NewSpVec(f.n)
 	}
@@ -816,15 +908,20 @@ func (f *SparseLU) Update(slot int, rows []int, vals []float64) error {
 
 	// Re-eliminate row rt against the rows now above it. Scatter the row,
 	// then walk positions t..n-2 in order; fill lands strictly ahead of the
-	// scan, so one pass suffices. (touched reuses per-factorization scratch;
-	// eRows/eVals cannot — they are retained in the appended eta.)
+	// scan, so one pass suffices. The multipliers go straight into the
+	// storage of the next eta slot, which a refactorization may have
+	// retired with room to spare.
 	touched := f.utouch[:0]
 	for i, c := range f.rowCols[rt] {
 		f.w[c] = f.rowVals[rt][i]
 		touched = append(touched, c)
 	}
-	var eRows []int
-	var eVals []float64
+	ne := len(f.etas)
+	if ne == cap(f.etas) {
+		f.etas = append(f.etas, ftEta{})[:ne]
+	}
+	eta := &f.etas[:ne+1][ne]
+	eRows, eVals := eta.rows[:0], eta.vals[:0]
 	growth := 0.0
 	for p := t; p < f.n-1; p++ {
 		c := f.colAtPos[p]
@@ -864,6 +961,7 @@ func (f *SparseLU) Update(slot int, rows []int, vals []float64) error {
 	newDiag := f.w[slot]
 	f.clearScatter(touched)
 	f.utouch = touched
+	eta.rows, eta.vals = eRows, eVals
 
 	// Stability: the rotated diagonal must carry real magnitude relative to
 	// the spike, and the elimination multipliers must not have exploded.
@@ -879,12 +977,13 @@ func (f *SparseLU) Update(slot int, rows []int, vals []float64) error {
 	// other entries were consumed by the elimination. Its stale ids in other
 	// columns' lists are dropped lazily; the diagonal must be registered in
 	// column slot (the spike may have been zero at rt — fill created it).
-	f.rowCols[rt] = append(f.rowCols[rt][:0], slot)
-	f.rowVals[rt] = append(f.rowVals[rt][:0], newDiag)
+	f.rowCols[rt], f.rowVals[rt] = f.rowCols[rt][:0], f.rowVals[rt][:0]
+	f.insertRowEntry(rt, slot, newDiag)
 	f.colRows[slot] = append(f.colRows[slot], rt)
 
 	if len(eRows) > 0 {
-		f.etas = append(f.etas, ftEta{row: rt, rows: eRows, vals: eVals})
+		eta.row = rt
+		f.etas = f.etas[:ne+1]
 	}
 	f.updates++
 	return nil
@@ -918,7 +1017,8 @@ func (f *SparseLU) removeRowEntry(r, c int) {
 }
 
 // insertRowEntry sets V[r][c] = v, inserting in column-sorted position (or
-// overwriting an existing entry).
+// overwriting an existing entry). A full row first moves to the arena's
+// tail with room to grow.
 func (f *SparseLU) insertRowEntry(r, c int, v float64) {
 	cols := f.rowCols[r]
 	lo, hi := 0, len(cols)
@@ -934,10 +1034,15 @@ func (f *SparseLU) insertRowEntry(r, c int, v float64) {
 		f.rowVals[r][lo] = v
 		return
 	}
-	f.rowCols[r] = append(cols, 0)
-	copy(f.rowCols[r][lo+1:], f.rowCols[r][lo:])
-	f.rowCols[r][lo] = c
-	f.rowVals[r] = append(f.rowVals[r], 0)
-	copy(f.rowVals[r][lo+1:], f.rowVals[r][lo:])
-	f.rowVals[r][lo] = v
+	if len(cols) == cap(cols) {
+		f.moveRow(r, 2*len(cols)+4)
+		cols = f.rowCols[r]
+	}
+	vals := f.rowVals[r]
+	cols, vals = cols[:len(cols)+1], vals[:len(vals)+1]
+	copy(cols[lo+1:], cols[lo:])
+	cols[lo] = c
+	copy(vals[lo+1:], vals[lo:])
+	vals[lo] = v
+	f.rowCols[r], f.rowVals[r] = cols, vals
 }

@@ -122,8 +122,6 @@ func (f *SparseLU) maxReach() int {
 // consume them, and early exits call clear().
 type workMask []uint64
 
-func newWorkMask(n int) workMask { return make(workMask, (n+63)/64) }
-
 func (m workMask) set(k int) { m[k>>6] |= 1 << (uint(k) & 63) }
 
 func (m workMask) clear() {
@@ -175,51 +173,37 @@ func (m workMask) nextDown(k int) int {
 	}
 }
 
-// ensureSpScratch sizes the scratch the hyper-sparse passes need beyond the
-// factorization's own workspace: the worklist mask, a second stamp domain
-// (row-pattern marks that must coexist with the mask inside SolveTSp), and
-// the step inverse of lPivRow.
-func (f *SparseLU) ensureSpScratch() {
-	if f.mask == nil {
-		f.mask = newWorkMask(f.n)
-	}
-	if f.stampB == nil {
-		f.stampB = make([]int, f.n)
-	}
-	if f.lStep == nil {
-		f.lStep = make([]int, f.n)
-		for k := 0; k < f.n; k++ {
-			f.lStep[f.lPivRow[k]] = k
-		}
-	}
-}
-
 // ensureRowSteps builds the transpose of the L pattern: rowSteps[r] lists
 // the elimination steps whose multiplier set includes row r, the edge list
 // the hyper-sparse Lᵀ pass walks. L is frozen at factorization time
 // (Forrest–Tomlin updates extend the eta file, not L), so one lazy O(nnz L)
-// build serves the factorization's whole lifetime.
+// build serves the factorization's whole lifetime. The lists are windows
+// into one buffer, sized by a counting pass and kept across
+// refactorizations.
 func (f *SparseLU) ensureRowSteps() {
-	if f.rowSteps != nil {
+	if f.rowStepsBuilt {
 		return
 	}
-	cnt := make([]int32, f.n)
-	for k := 0; k < f.n; k++ {
-		for _, r := range f.lRows[k] {
-			cnt[r]++
-		}
+	f.rowStepsBuilt = true
+	off := resize(f.rowStepOff, f.n+1)
+	clear(off)
+	for _, r := range f.lIdx {
+		off[r+1]++
 	}
-	f.rowSteps = make([][]int32, f.n)
-	for r, c := range cnt {
-		if c > 0 {
-			f.rowSteps[r] = make([]int32, 0, c)
-		}
+	for r := 0; r < f.n; r++ {
+		off[r+1] += off[r]
+	}
+	buf := resize(f.rowStepEntries, f.nnzL)
+	f.rowSteps = resize(f.rowSteps, f.n)
+	for r := 0; r < f.n; r++ {
+		f.rowSteps[r] = buf[off[r]:off[r]:off[r+1]]
 	}
 	for k := 0; k < f.n; k++ {
 		for _, r := range f.lRows[k] {
 			f.rowSteps[r] = append(f.rowSteps[r], int32(k))
 		}
 	}
+	f.rowStepOff, f.rowStepEntries = off, buf
 }
 
 // forwardSp applies F⁻¹ in place to the sparse vector y (indexed by row):
@@ -234,7 +218,6 @@ func (f *SparseLU) forwardSp(y *SpVec) {
 		f.applyForward(y.Val)
 		return
 	}
-	f.ensureSpScratch()
 	limit := f.maxReach()
 
 	// Reachable L steps, in ascending order: seed with the steps of the rhs
@@ -358,7 +341,6 @@ func (f *SparseLU) SolveSp(b, x *SpVec) {
 		f.health.DenseSolves++
 		return
 	}
-	f.ensureSpScratch()
 	limit := f.maxReach()
 
 	// Reachable V positions, in descending order: seed with the positions
@@ -438,12 +420,11 @@ func (f *SparseLU) SolveTSp(c, y *SpVec) {
 	}
 	y.Reset()
 	if c.Dense || len(c.Ind) > f.maxReach() {
-		copy(y.Val, f.SolveT(c.Val))
+		f.SolveTInto(y.Val, c.Val)
 		y.Dense = true
 		f.health.DenseSolves++
 		return
 	}
-	f.ensureSpScratch()
 	limit := f.maxReach()
 
 	// Vᵀ forward pass over reachable positions in ascending order, with the
