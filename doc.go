@@ -31,8 +31,8 @@
 //     results (sweep.Map), and chunked warm-started Pareto tracing
 //     (sweep.Pareto, one resident LP per chunk) that reproduces the
 //     sequential curve point for point with identical objectives;
-//   - internal/markov — Markov-chain analysis over a minimal operator
-//     interface (markov.Op: one distribution step plus row sampling), so a
+//   - internal/markov — Markov-chain analysis over one operator interface
+//     (markov.Op: a distribution step, a value step and row sampling), so a
 //     chain is either an explicit CSR or a matrix-free operator
 //     (markov.NewOp). Stationary distributions, discounted values and
 //     occupancies dispatch between the dense-LU direct solves (small
@@ -185,11 +185,12 @@
 //
 // Resource bounds: lp.WithMaxPivots stops a solve after a pivot budget with
 // Status lp.BudgetExceeded (an error matching lp.ErrBudgetExceeded — a
-// resource verdict, not a statement about the problem), and
-// lp.WithWallClock derives a deadline context. The budget threads end to
-// end: core.Options carries LPMaxPivots, dpmserved accepts max_pivots per
-// request (fingerprinted into its cache key), and the online adapter's
-// Config.PivotBudget meters refresh work deterministically.
+// resource verdict, not a statement about the problem), and a wall-clock
+// budget is the deadline of the context passed to Solve. The budget threads
+// end to end: core.Options carries LPMaxPivots, dpmserved accepts
+// max_pivots per request (fingerprinted into its cache key), and the online
+// adapter meters refresh work with the LPMaxPivots of the options it is
+// built with.
 //
 // # Solver performance
 //

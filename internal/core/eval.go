@@ -16,7 +16,7 @@ package core
 // expanded Model (Π-sized joint CSR per command) is never compiled.
 //
 // SystemOp (one fixed command) and PolicyOp (a stationary randomized policy
-// mixing SystemOps) implement markov.Op and markov.ValueOp, so every
+// mixing SystemOps) implement markov.Op, so every
 // iterative chain query — stationary distributions, discounted values,
 // discounted occupancies — and the simulator's row sampling run against them
 // directly; EvaluateFactored is the Model-free mirror of Evaluate.
@@ -29,7 +29,7 @@ import (
 )
 
 // SystemOp applies the composed chain of a hook-free System under one fixed
-// command, matrix-free. It implements markov.Op and markov.ValueOp.
+// command, matrix-free. It implements markov.Op.
 //
 // MulVec/MulVecT (and the Into variants) share per-operator scratch and must
 // not run concurrently on one SystemOp; RowSample and the accessors are safe
@@ -232,8 +232,8 @@ func sampleDenseRow(row []float64, u float64) int {
 // PolicyOp applies the composed chain of a system under a stationary
 // randomized policy — P^π = Σ_a π(s,a)·P_a rowwise (Eq. 5) — by mixing the
 // per-command SystemOps. Commands the policy never issues are skipped
-// entirely. It implements markov.Op and markov.ValueOp; like SystemOp, the
-// matvec methods share scratch and must not run concurrently.
+// entirely. It implements markov.Op; like SystemOp, the matvec methods
+// share scratch and must not run concurrently.
 type PolicyOp struct {
 	n    int
 	pol  *Policy

@@ -81,7 +81,7 @@ func TestPolicyChainComposition(t *testing.T) {
 		t.Fatalf("Chain: %v", err)
 	}
 	want := m.P[0].Dense().Scale(0.5).AddMatrixScaled(0.5, m.P[1].Dense())
-	if chain2.P().MaxAbsDiff(want) > 1e-12 {
+	if chain2.Sparse().Dense().MaxAbsDiff(want) > 1e-12 {
 		t.Errorf("mixed-policy chain wrong")
 	}
 }

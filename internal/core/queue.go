@@ -25,12 +25,19 @@ import (
 //
 // The returned vector has length Q+1 and sums to 1.
 func QueueRow(capacity, q int, b float64, r int) mat.Vector {
-	return queueRowInto(mat.NewVector(capacity+1), capacity, q, b, r)
+	cols, vals, n := queueStep(capacity, q, b, r)
+	row := mat.NewVector(capacity + 1)
+	for k := range n {
+		row[cols[k]] = vals[k]
+	}
+	return row
 }
 
-// queueRowInto is QueueRow writing into row, which must have length Q+1;
-// the composition loop reuses one row for every (state, next SR) pair.
-func queueRowInto(row mat.Vector, capacity, q int, b float64, r int) mat.Vector {
+// queueStep returns QueueRow's nonzeros — at most two — in ascending column
+// order: row[cols[k]] = vals[k] for k < n. The composition loop expands
+// them directly, so a composed row costs O(its nonzeros) rather than a scan
+// of all Q+1 backlogs.
+func queueStep(capacity, q int, b float64, r int) (cols [2]int, vals [2]float64, n int) {
 	if capacity < 0 {
 		panic(fmt.Sprintf("core: negative queue capacity %d", capacity))
 	}
@@ -43,20 +50,25 @@ func queueRowInto(row mat.Vector, capacity, q int, b float64, r int) mat.Vector 
 	if r < 0 {
 		panic(fmt.Sprintf("core: negative arrival count %d", r))
 	}
-	clear(row)
+	add := func(col int, v float64) {
+		if v != 0 {
+			cols[n], vals[n] = col, v
+			n++
+		}
+	}
 	switch {
 	case r == 0 && q == 0:
-		row[0] = 1
+		add(0, 1)
 	case r == 0:
-		row[q-1] += b
-		row[q] += 1 - b
-	case q+r > capacity:
-		row[capacity] = 1
+		add(q-1, b)
+		add(q, 1-b)
+	case r > capacity-q: // q+r > capacity, without overflowing on huge r
+		add(capacity, 1)
 	default:
-		row[q+r-1] += b
-		row[q+r] += 1 - b
+		add(q+r-1, b)
+		add(q+r, 1-b)
 	}
-	return row
+	return cols, vals, n
 }
 
 // QueueMatrix returns the full (Q+1)×(Q+1) queue transition matrix for fixed
@@ -79,9 +91,11 @@ func LostRequests(capacity, q int, b float64, r int) float64 {
 	if r == 0 {
 		return 0
 	}
-	// With probability b one slot frees this slice.
-	lossServed := float64(maxInt(0, q+r-1-capacity))
-	lossUnserved := float64(maxInt(0, q+r-capacity))
+	// With probability b one slot frees this slice. The excess q+r−capacity
+	// is formed as r−(capacity−q), which cannot overflow on huge r.
+	excess := r - (capacity - q)
+	lossServed := float64(maxInt(0, excess-1))
+	lossUnserved := float64(maxInt(0, excess))
 	return b*lossServed + (1-b)*lossUnserved
 }
 

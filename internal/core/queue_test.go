@@ -70,6 +70,15 @@ func TestQueueRowCornerCases(t *testing.T) {
 	if row[2] != 1 {
 		t.Errorf("b=0 hold row = %v", row)
 	}
+	// Arrival counts near MaxInt (a posted model may carry any) still fill
+	// the queue: q+r must not wrap around.
+	row = QueueRow(2, 1, 0.5, math.MaxInt)
+	if row[2] != 1 {
+		t.Errorf("huge-arrival row = %v, want all mass on 2", row)
+	}
+	if got := LostRequests(2, 1, 0.5, math.MaxInt); got < 1e18 {
+		t.Errorf("LostRequests with huge arrivals = %g", got)
+	}
 }
 
 func TestQueueRowPanics(t *testing.T) {

@@ -208,7 +208,7 @@ func (sys *System) Build() (*Model, error) {
 type rowScratch struct {
 	hookCols, cols []int
 	hookVals, vals []float64
-	qrow           mat.Vector
+	sr             *mat.CSR // the SR chain, row-sparse (built on first use)
 }
 
 // composedRows is the one generator of the composed chain of command cmd
@@ -218,8 +218,11 @@ type rowScratch struct {
 // emit alias sc and are overwritten by the next row. The SP chain is
 // consumed row-sparse through the Provider contract — for a factored
 // composite that row comes straight out of a Kronecker-compiled CSR — and
-// SPRow overrides are validated as they are used. Composed rows never hold
-// duplicate columns: (pNext, rNext, qNext) ↔ j is one-to-one within a row.
+// SPRow overrides are validated as they are used. The SR chain is consumed
+// row-sparse too, and a queue row contributes only its (at most two)
+// nonzeros, so a compilation costs O(the nonzeros it emits). Composed rows
+// never hold duplicate columns: (pNext, rNext, qNext) ↔ j is one-to-one
+// within a row.
 func (sys *System) composedRows(cmd int, sc *rowScratch, emit func(i int, cols []int, vals []float64) error) error {
 	nsp, nsr, nq := sys.SP.N(), sys.SR.N(), sys.QueueCap+1
 	chain := sys.SP.Chain(cmd)
@@ -227,13 +230,14 @@ func (sys *System) composedRows(cmd int, sc *rowScratch, emit func(i int, cols [
 		return fmt.Errorf("core: provider %q chain for command %d is %dx%d, want %dx%d",
 			sys.SP.ProviderName(), cmd, chain.Rows(), chain.Cols(), nsp, nsp)
 	}
-	if len(sc.qrow) != nq {
-		sc.qrow = mat.NewVector(nq)
+	if sc.sr == nil {
+		sc.sr = mat.FromDense(sys.SR.P)
 	}
 	for p := 0; p < nsp; p++ {
 		b := sys.SP.RateAt(p, cmd)
 		chainCols, chainVals := chain.RowNZ(p)
 		for r := 0; r < nsr; r++ {
+			srCols, srVals := sc.sr.RowNZ(r)
 			spCols, spVals := chainCols, chainVals
 			if sys.SPRow != nil {
 				if row := sys.SPRow(p, cmd, r); row != nil {
@@ -257,20 +261,14 @@ func (sys *System) composedRows(cmd int, sc *rowScratch, emit func(i int, cols [
 			for q := 0; q < nq; q++ {
 				i := sys.Index(State{SP: p, SR: r, Q: q})
 				sc.cols, sc.vals = sc.cols[:0], sc.vals[:0]
-				for rNext := 0; rNext < nsr; rNext++ {
-					srP := sys.SR.P.At(r, rNext)
-					if srP == 0 {
-						continue
-					}
-					qrow := queueRowInto(sc.qrow, sys.QueueCap, q, b, sys.SR.Requests[rNext])
+				for kr, rNext := range srCols {
+					srP := srVals[kr]
+					qCols, qVals, qn := queueStep(sys.QueueCap, q, b, sys.SR.Requests[rNext])
 					for k, pNext := range spCols {
 						base := spVals[k] * srP
-						for qNext := 0; qNext < nq; qNext++ {
-							if qrow[qNext] == 0 {
-								continue
-							}
-							sc.cols = append(sc.cols, sys.Index(State{SP: pNext, SR: rNext, Q: qNext}))
-							sc.vals = append(sc.vals, base*qrow[qNext])
+						for t := range qn {
+							sc.cols = append(sc.cols, sys.Index(State{SP: pNext, SR: rNext, Q: qCols[t]}))
+							sc.vals = append(sc.vals, base*qVals[t])
 						}
 					}
 				}
@@ -319,6 +317,7 @@ type MetricFn func(st State, cmd int) float64
 // per visited state instead, paying O(1) memory rather than O(|S|·|A|)
 // tables.
 func (sys *System) MetricFns() map[string]MetricFn {
+	sr := mat.FromDense(sys.SR.P)
 	fns := map[string]MetricFn{
 		MetricPower: func(st State, cmd int) float64 {
 			return sys.SP.PowerAt(st.SP, cmd)
@@ -346,10 +345,9 @@ func (sys *System) MetricFns() map[string]MetricFn {
 		MetricDrops: func(st State, cmd int) float64 {
 			b := sys.SP.RateAt(st.SP, cmd)
 			exp := 0.0
-			for rNext := 0; rNext < sys.SR.N(); rNext++ {
-				if p := sys.SR.P.At(st.SR, rNext); p != 0 {
-					exp += p * LostRequests(sys.QueueCap, st.Q, b, sys.SR.Requests[rNext])
-				}
+			cols, vals := sr.RowNZ(st.SR)
+			for k, rNext := range cols {
+				exp += vals[k] * LostRequests(sys.QueueCap, st.Q, b, sys.SR.Requests[rNext])
 			}
 			return exp
 		},

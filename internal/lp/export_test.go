@@ -1,7 +1,7 @@
 package lp
 
 // Test handle on the one solverConfig field no Option sets. Callers always
-// get the kernel and pricer the basis size picks; the tests pin the at-scale
+// get the kernel and pricing rule the basis size picks; the tests pin the at-scale
 // configuration to run every kernel on small LPs.
 
 // ForceAtScale runs the m ≥ autoSparseMin configuration — sparse LU with

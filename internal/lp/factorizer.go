@@ -21,12 +21,6 @@ import (
 	"repro/internal/obs"
 )
 
-// ctxAware lets a kernel receive the solve context without widening the
-// Factorizer interface: LUDEBUG diagnostics emitted deep inside
-// mat.SparseLU then carry the owning request's trace ID instead of
-// interleaving anonymously with other solves.
-type ctxAware interface{ setContext(ctx context.Context) }
-
 // Factorizer is the strategy interface for the simplex basis kernel: it
 // maintains a factorization of the m×m basis matrix B across pivots.
 // Implementations are stateful and single-solve; after Update returns an
@@ -221,6 +215,9 @@ func newSparseFactorizer(conservative bool) *sparseFactorizer {
 	return &sparseFactorizer{tau: tau}
 }
 
+// setContext binds the LUDEBUG sink to the solve context, so diagnostics
+// emitted deep inside mat.SparseLU carry the owning request's trace ID
+// instead of interleaving anonymously with other solves.
 func (s *sparseFactorizer) setContext(ctx context.Context) {
 	s.lu.Debugf = func(format string, args ...any) { obs.Debugf(ctx, "lu", format, args...) }
 }

@@ -217,9 +217,8 @@ const (
 	IterationLimit
 	Numerical
 	// Cancelled reports that the solve was abandoned because the caller's
-	// context was cancelled or its deadline expired (Solver.Solve, or the
-	// deadline installed by WithWallClock); the pivot loops check the
-	// context once per iteration, so cancellation takes effect within a
+	// context was cancelled or its deadline expired; the pivot loops check
+	// the context once per iteration, so cancellation takes effect within a
 	// solve, not just between solves.
 	Cancelled
 	// BudgetExceeded reports that the solve consumed its pivot budget

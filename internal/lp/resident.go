@@ -14,12 +14,12 @@ import (
 
 // Resident is a Solver bound to one Problem whose right-hand sides change
 // between solves through SetRHS. It retains the last Optimal solve's
-// standard form, row mirror, pricer and basis factorization (which that
-// solve left as an exact factorization of its optimal basis), so a re-solve
-// warm-started from that basis skips the standard-form assembly and the LU
-// rebuild and goes straight to the warm-start tail: the artificial check,
-// dual-simplex repair if the rhs change made the basis primal infeasible,
-// phase 2 and verification.
+// standard form, row mirror, Devex weights and basis factorization (which
+// that solve left as an exact factorization of its optimal basis), so a
+// re-solve warm-started from that basis skips the standard-form assembly
+// and the LU rebuild and goes straight to the warm-start tail: the
+// artificial check, dual-simplex repair if the rhs change made the basis
+// primal infeasible, phase 2 and verification.
 //
 // Solve(ctx, warm) is Solver.Solve(ctx, p, warm) on the Problem's current
 // data: status, X, objective, pivots, WarmStarted, the final factorization
@@ -108,16 +108,14 @@ func (rs *Resident) Solve(ctx context.Context, warm *Basis) (*Solution, *Basis, 
 // work counters, stage timings, the kernel's health counters, the flight
 // recorder's per-attempt state — and the basic values are marked stale, so
 // the first refactor recomputes them from the (changed) exact rhs. The
-// basis, the factorization, the row mirror and the pricer's storage carry
-// over; every phase recomputes the reduced costs and resets the pricer on
-// entry, as it does on a fresh state.
+// basis, the factorization, the row mirror and the Devex weights' storage
+// carry over; every phase recomputes the reduced costs and resets the
+// weights on entry, as it does on a fresh state.
 func (r *revised) rearm(ctx context.Context) {
 	r.ctx = ctx
 	r.deadline, r.hasDeadline = ctx.Deadline()
-	if ca, ok := r.fact.(ctxAware); ok {
-		ca.setContext(ctx)
-	}
 	if sp, ok := r.fact.(*sparseFactorizer); ok {
+		sp.setContext(ctx)
 		sp.resetCounters()
 	}
 	r.bWork = r.sf.b

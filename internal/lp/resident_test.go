@@ -218,18 +218,22 @@ func TestResidentBudgetAndCancellation(t *testing.T) {
 			t.Errorf("budget %d: no point exhausted its budget", budget)
 		}
 	}
-	// The wall clock is per solve: a resident re-solve gets a fresh
-	// deadline, not the expired one of the solve before it. (The crossing
-	// LP solves in microseconds, far inside the clock.)
+	// The wall clock is per solve: a resident re-solve under a fresh
+	// deadline runs against that deadline, not the expired one of the
+	// solve before it. (The crossing LP solves in microseconds, far inside
+	// the clock.)
 	cp, crow := crossingLP()
-	rs := lp.NewSolver(lp.WithWallClock(50 * time.Millisecond)).Resident(cp)
-	ctx := context.Background()
+	rs := lp.NewSolver().Resident(cp)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	_, basis, err := rs.Solve(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(60 * time.Millisecond)
 	rs.SetRHS(crow, 1)
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	sol, _, err := rs.Solve(ctx, basis)
 	if err != nil || sol.Refactorizations != 0 {
 		t.Errorf("resident re-solve after the previous solve's deadline passed: err %v, %d refactorizations (want a resident solve)", err, sol.Refactorizations)

@@ -7,7 +7,7 @@ package lp
 //   - a Factorizer holding the current m×m basis factorization — dense LU
 //     plus product-form etas, or Markowitz sparse LU with Forrest–Tomlin
 //     updates (see factorizer.go),
-//   - a Pricer choosing entering columns — Dantzig or Devex (see
+//   - the entering-column rule — Dantzig, or Devex weights at scale (see
 //     pricer.go), and
 //   - the current basic values.
 //
@@ -44,7 +44,7 @@ type revised struct {
 	basis       []int // column index per row
 	pos         []int // column -> basis row, or -1
 	fact        Factorizer
-	pricer      Pricer
+	devex       devex // Devex weights; priced and maintained only when atScale
 	xB          mat.Vector
 	cB          mat.Vector // basic costs, the duals' BTRAN input (see duals)
 	bWork       mat.Vector // rhs used for basic-value recomputation (perturbed during a cold solve)
@@ -127,12 +127,13 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		r.conservative = true
 	}
 
-	// The one size fact picks the kernel and the pricer: sparse LU with
-	// Forrest–Tomlin updates and Devex at scale, dense LU with product-form
-	// etas and Dantzig below.
+	// The one size fact picks the kernel and the pricing rule: sparse LU
+	// with Forrest–Tomlin updates and Devex at scale, dense LU with
+	// product-form etas and Dantzig below.
 	if r.atScale {
-		r.fact = newSparseFactorizer(conservative)
-		r.pricer = &devexPricer{}
+		sp := newSparseFactorizer(conservative)
+		sp.setContext(ctx)
+		r.fact = sp
 		// Forrest–Tomlin updates leave U genuinely triangular, so the
 		// update file degrades far more slowly than product-form etas; a
 		// longer interval amortizes the Markowitz refactorization, which
@@ -155,10 +156,6 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		}
 	} else {
 		r.fact = newDenseFactorizer()
-		r.pricer = dantzigPricer{}
-	}
-	if ca, ok := r.fact.(ctxAware); ok {
-		ca.setContext(ctx)
 	}
 
 	r.rowCols = make([][]int32, sf.m)
@@ -408,15 +405,16 @@ func (r *revised) recomputeD(cost mat.Vector) {
 // updateD applies the tableau objective-row update after a pivot at (row,
 // col) with pivot element piv = α_col: d ← d − (d_col/piv)·α, where
 // α_j = βᵀa_j is the pivot row and β = B⁻ᵀe_row in the pre-pivot basis.
-// The entering column lands exactly at zero. The same pass streams the
-// pivot row into the pricer (Devex weight maintenance rides along at O(1)
-// per touched column); weight-based pricers force the pass even on
-// degenerate pivots where d itself is unchanged.
+// The entering column lands exactly at zero. At scale the same pass
+// maintains the Devex weights (O(1) per touched column), which forces it
+// even on degenerate pivots where d itself is unchanged.
 func (r *revised) updateD(beta *mat.SpVec, row, col int, piv float64) {
 	t0 := time.Now()
-	r.pricer.BeginPivot(col, r.basis[row], piv)
+	if r.atScale {
+		r.devex.beginPivot(col, r.basis[row], piv)
+	}
 	factor := r.d[col] / piv
-	if factor != 0 || r.pricer.NeedsPivotRow() {
+	if factor != 0 || r.atScale {
 		r.applyPivotRow(r.pivotRow(beta), col, factor, piv)
 	}
 	r.d[col] = 0
@@ -424,15 +422,14 @@ func (r *revised) updateD(beta *mat.SpVec, row, col int, piv float64) {
 }
 
 // applyPivotRow is updateD's per-column pass over the pivot row's touched
-// columns: d_j −= factor·α_j, and the pricer observes α_j.
+// columns: d_j −= factor·α_j, and at scale the Devex weights absorb α_j.
 func (r *revised) applyPivotRow(touched []int32, col int, factor, piv float64) {
-	if dv, ok := r.pricer.(*devexPricer); ok {
-		// Devex weight maintenance inlined: at thousands of touched columns
-		// per pivot the per-column interface call is measurable. The
-		// arithmetic is exactly ObserveAlpha's; d[col] is overwritten with
-		// zero by updateD, so skipping the entering column entirely is
-		// equivalent.
-		gamma, gq := dv.gamma, dv.gq
+	if r.atScale {
+		// γ_j ← max(γ_j, (α_j/α_q)²·γ_q): the entering direction's footprint
+		// on column j, measured in the reference framework. d[col] is
+		// overwritten with zero by updateD, so skipping the entering column
+		// entirely is equivalent.
+		gamma, gq := r.devex.gamma, r.devex.gq
 		for _, j := range touched {
 			a := r.acell[j].v
 			if a == 0 || int(j) == col {
@@ -448,28 +445,29 @@ func (r *revised) applyPivotRow(touched []int32, col int, factor, piv float64) {
 		}
 		return
 	}
+	// Below scale updateD makes this pass only when factor != 0.
 	for _, j := range touched {
 		if a := r.acell[j].v; a != 0 {
-			if factor != 0 {
-				r.d[j] -= factor * a
-			}
-			r.pricer.ObserveAlpha(int(j), a)
+			r.d[j] -= factor * a
 		}
 	}
 }
 
 // price picks the entering column among [0, maxCol) from the maintained
-// reduced costs: by the size-selected pricing rule normally, or first
-// eligible under Bland's rule. A column counts as improving only when its
-// reduced cost clears the scale-relative tolerance −costTol·dScale (see
-// recomputeD). Returns -1 at optimality.
+// reduced costs: by the size-selected pricing rule (Devex at scale, Dantzig
+// below) normally, or first eligible under Bland's rule. A column counts as
+// improving only when its reduced cost clears the scale-relative tolerance
+// −costTol·dScale (see recomputeD). Returns -1 at optimality.
 func (r *revised) price(maxCol int, bland bool) int {
 	t0 := time.Now()
 	var col int
-	if bland {
+	switch {
+	case bland:
 		col = blandChoose(r.d, r.dScale, r.pos, maxCol)
-	} else {
-		col = r.pricer.Choose(r.d, r.dScale, r.pos, maxCol)
+	case r.atScale:
+		col = r.devex.choose(r.d, r.dScale, r.pos, maxCol)
+	default:
+		col = dantzigChoose(r.d, r.dScale, r.pos, maxCol)
 	}
 	r.tm.Price += time.Since(t0)
 	return col
@@ -644,7 +642,9 @@ func (r *revised) runPhase(cost mat.Vector, maxCol int) Status {
 	stallAfter := 200 + 20*(r.sf.m+r.sf.nTot)
 	limit := 1000 + 400*(r.sf.m+r.sf.nTot)
 	r.recomputeD(cost)
-	r.pricer.Reset(r.sf.nTot)
+	if r.atScale {
+		r.devex.reset(r.sf.nTot)
+	}
 	for iter := 0; ; iter++ {
 		if iter > limit {
 			return IterationLimit
@@ -940,11 +940,13 @@ func (r *revised) dualSimplex() bool {
 	limit := 1000 + 400*(r.sf.m+r.sf.nTot)
 	r.setMonPhase("dual", r.sf.cost2, real)
 	r.recomputeD(r.sf.cost2)
-	// Dual pivots stream through updateD, which maintains the pricer's
+	// Dual pivots stream through updateD, which maintains the Devex
 	// weights; a warm start gets here before any phase has set them up. The
 	// weights never steer a dual pivot, and the next runPhase resets them
 	// again, so this changes no pivot choice.
-	r.pricer.Reset(r.sf.nTot)
+	if r.atScale {
+		r.devex.reset(r.sf.nTot)
+	}
 	for iter := 0; ; iter++ {
 		if iter > limit || r.cancelled() || r.budgetExceeded() {
 			return false

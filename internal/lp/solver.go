@@ -1,15 +1,14 @@
 package lp
 
 // Solver: the package's one entry point. Construct a Solver with functional
-// options setting a pivot budget, a wall-clock budget or a flight recorder,
-// then call Solve with a context and an optional warm basis. The basis
-// kernel and the pricing rule are not options: newRevised picks both from
-// the basis size (see autoSparseMin).
+// options setting a pivot budget or a flight recorder, then call Solve with
+// a context and an optional warm basis. A wall-clock budget is the context's
+// deadline. The basis kernel and the pricing rule are not options:
+// newRevised picks both from the basis size (see autoSparseMin).
 
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
 // autoSparseMin is the basis size at which the solver switches from dense LU
@@ -26,7 +25,6 @@ type solverConfig struct {
 	// no option sets it, package tests do (export_test.go).
 	atScale      bool
 	maxPivots    int
-	wallClock    time.Duration
 	monitor      Monitor
 	monitorEvery int
 }
@@ -44,17 +42,9 @@ func WithMaxPivots(n int) Option {
 	return func(c *solverConfig) { c.maxPivots = n }
 }
 
-// WithWallClock bounds the wall-clock time of one Solve call by deriving a
-// deadline context; expiry surfaces as Status Cancelled with an error
-// unwrapping to context.DeadlineExceeded, indistinguishable from a caller
-// deadline (it is one).
-func WithWallClock(d time.Duration) Option {
-	return func(c *solverConfig) { c.wallClock = d }
-}
-
 // Solver is a configured LP solver. The zero value (and NewSolver with no
-// options) has no pivot budget and no wall clock. A Solver is immutable and
-// safe for concurrent use; all solve state lives per call.
+// options) has no pivot budget. A Solver is immutable and safe for
+// concurrent use; all solve state lives per call.
 type Solver struct {
 	cfg solverConfig
 }
@@ -95,11 +85,6 @@ func (s *Solver) solve(ctx context.Context, p *Problem, warm *Basis, resident *r
 		ctx = context.Background()
 	}
 	cfg := s.cfg
-	if cfg.wallClock > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.wallClock)
-		defer cancel()
-	}
 
 	var sf *stdForm
 	var sol *Solution

@@ -172,11 +172,13 @@ func TestWithMaxPivotsWarmReportsWork(t *testing.T) {
 	}
 }
 
-// TestWithWallClock verifies the wall-clock option surfaces as Cancelled
-// with a deadline cause.
+// TestWithWallClock verifies a wall-clock budget — a per-call deadline
+// context — surfaces as Cancelled with a deadline cause.
 func TestWithWallClock(t *testing.T) {
 	p := parityProblems()["balance-stiff"]
-	sol, _, err := NewSolver(WithWallClock(time.Nanosecond)).Solve(context.Background(), p, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	sol, _, err := NewSolver().Solve(ctx, p, nil)
 	if sol.Status != Cancelled {
 		t.Fatalf("status = %v, want Cancelled", sol.Status)
 	}

@@ -136,14 +136,14 @@ func TestDiscountedOccupancyIterMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestDispatchThreshold: above DirectLimit the default entry points route to
+// TestDispatchThreshold: above directLimit the default entry points route to
 // the iterative path and still agree with the direct oracle.
 func TestDispatchThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	c := randChain(t, rng, 12)
-	old := DirectLimit
-	DirectLimit = 4 // force the iterative path through the public API
-	defer func() { DirectLimit = old }()
+	old := directLimit
+	directLimit = 4 // force the iterative path through the public API
+	defer func() { directLimit = old }()
 
 	direct, err := c.stationaryDirect()
 	if err != nil {
@@ -248,37 +248,4 @@ func TestNewOpMatrixFree(t *testing.T) {
 	if _, err := lazy.ExpectedHittingTimes(map[int]bool{0: true}); err == nil {
 		t.Fatalf("matrix-free hitting times did not error")
 	}
-}
-
-// TestPDenseLimit: the dense view materializes only below DenseLimit.
-func TestPDenseLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	old := DenseLimit
-	DenseLimit = 8
-	defer func() { DenseLimit = old }()
-
-	small := randChain(t, rng, 4)
-	if p := small.P(); p.Rows != 4 {
-		t.Fatalf("small dense view is %dx%d", p.Rows, p.Cols)
-	}
-
-	big := randChain(t, rng, 12)
-	// New() was given the dense matrix, so the cached view is returned even
-	// above the limit — only *materialization* is refused.
-	if p := big.P(); p.Rows != 12 {
-		t.Fatalf("pre-existing dense view is %dx%d", p.Rows, p.Cols)
-	}
-
-	csrBig, err := NewCSR(big.Sparse(), 0)
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("P() above DenseLimit did not panic")
-			}
-		}()
-		csrBig.P()
-	}()
 }

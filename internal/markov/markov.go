@@ -5,10 +5,10 @@
 // and expected hitting times (used to verify device models against
 // data-sheet transition times, Table I).
 //
-// Chains consume their transition structure through the Op interface (one
-// distribution step, one successor sample — see op.go), so a chain can be an
-// explicit CSR matrix or a matrix-free operator such as a lazy Kronecker
-// product. Explicit chains are stored in compressed-sparse-row form
+// Chains consume their transition structure through the Op interface (a
+// distribution step, a value step, a successor sample — see op.go), so a
+// chain can be an explicit CSR matrix or a matrix-free operator such as a
+// lazy Kronecker product. Explicit chains are stored in compressed-sparse-row form
 // (internal/mat's CSR): composed DPM chains are extremely sparse — the queue
 // law of Eq. 3 is banded and the component chains have tiny out-degrees — so
 // distribution steps and hitting-time assembly run in O(nnz). The direct
@@ -17,14 +17,13 @@
 // transition matrix, transpose, or clone is ever materialized) and hand them
 // to the dense LU — one dense system per query, the same "dense
 // factorization of only the system that needs it" discipline the revised
-// simplex uses for its basis. Chains above DirectLimit states, and all
+// simplex uses for its basis. Chains above directLimit states, and all
 // matrix-free chains, answer the same queries iteratively (op.go) at one
 // operator application per sweep.
 package markov
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mat"
 )
@@ -32,20 +31,15 @@ import (
 // Chain is a stationary discrete-time Markov chain over states 0..N-1. Its
 // transition structure is consumed through the Op interface; chains built
 // from an explicit matrix (New/NewCSR) additionally keep the CSR form, which
-// enables the direct dense-LU solve paths and the dense P() view. Chains
-// wrapped around a matrix-free operator (NewOp) use the iterative paths
-// exclusively.
+// enables the direct dense-LU solve paths. Chains wrapped around a
+// matrix-free operator (NewOp) use the iterative paths exclusively.
 type Chain struct {
-	op        Op
-	p         *mat.CSR // nil for matrix-free chains
-	denseOnce sync.Once
-	dense     *mat.Matrix // lazily cached dense view for P()
+	op Op
+	p  *mat.CSR // nil for matrix-free chains
 }
 
 // New validates that p is square and row-stochastic (within tol; pass 0 for
 // the default) and wraps it in a Chain, compressing it to sparse form.
-// The matrix is not copied for the dense view; callers must not mutate it
-// afterwards.
 func New(p *mat.Matrix, tol float64) (*Chain, error) {
 	if p.Rows != p.Cols {
 		return nil, fmt.Errorf("markov: transition matrix is %dx%d, want square", p.Rows, p.Cols)
@@ -54,7 +48,7 @@ func New(p *mat.Matrix, tol float64) (*Chain, error) {
 		return nil, fmt.Errorf("markov: %w", err)
 	}
 	csr := mat.FromDense(p)
-	return &Chain{op: csr, p: csr, dense: p}, nil
+	return &Chain{op: csr, p: csr}, nil
 }
 
 // NewCSR validates that p is square and row-stochastic on its sparse form
@@ -83,31 +77,6 @@ func MustNew(p *mat.Matrix, tol float64) *Chain {
 // N returns the number of states.
 func (c *Chain) N() int { return c.op.Rows() }
 
-// P returns the transition matrix as a dense view, materializing (and
-// caching) it on first use; the once-guard keeps a read-only Chain safe to
-// share across goroutines. Callers must not mutate the result; sparse-aware
-// callers should prefer Sparse or Op.
-//
-// Materializing a dense |S|² view of a large chain is never what a caller
-// wants — on a 10⁴-state composite it would allocate ~800 MB to answer
-// queries the CSR/operator form answers in O(nnz) — so P panics when it
-// would materialize a view above DenseLimit states, and on matrix-free
-// chains (which have no matrix to densify at any size).
-func (c *Chain) P() *mat.Matrix {
-	c.denseOnce.Do(func() {
-		if c.dense == nil {
-			if c.p == nil {
-				panic(fmt.Sprintf("markov: P() on a matrix-free chain (%T); use Op or the iterative queries", c.op))
-			}
-			if n := c.N(); n > DenseLimit {
-				panic(fmt.Sprintf("markov: P() would materialize a dense %d×%d view (limit %d); use Sparse or Op", n, n, DenseLimit))
-			}
-			c.dense = c.p.Dense()
-		}
-	})
-	return c.dense
-}
-
 // Sparse returns the CSR transition matrix, or nil for a matrix-free chain.
 // Callers must not mutate it.
 func (c *Chain) Sparse() *mat.CSR { return c.p }
@@ -119,7 +88,9 @@ func (c *Chain) Op() Op { return c.op }
 // application (O(nnz) for explicit chains, the factored sweep cost for lazy
 // ones).
 func (c *Chain) Step(dist mat.Vector) mat.Vector {
-	return c.op.MulVecT(dist)
+	next := mat.NewVector(c.N())
+	c.op.MulVecTInto(next, dist)
+	return next
 }
 
 // Evolve returns the distribution after k steps.
@@ -132,14 +103,14 @@ func (c *Chain) Evolve(dist mat.Vector, k int) mat.Vector {
 }
 
 // Stationary returns a stationary distribution π with π = πP and Σπ = 1.
-// Explicit chains below DirectLimit states solve the balance equations
+// Explicit chains below directLimit states solve the balance equations
 // directly (one dense LU, one balance row replaced by normalization); larger
 // or matrix-free chains take StationaryIter with the default tolerance.
 // For an irreducible chain this is the unique stationary distribution; for
 // a reducible chain the direct path returns one stationary distribution (or
 // ErrSingular if the replacement system happens to be singular).
 func (c *Chain) Stationary() (mat.Vector, error) {
-	if c.p == nil || c.N() > DirectLimit {
+	if c.p == nil || c.N() > directLimit {
 		return c.StationaryIter(0, 0)
 	}
 	return c.stationaryDirect()
@@ -185,7 +156,7 @@ func (c *Chain) stationaryDirect() (mat.Vector, error) {
 
 // DiscountedValue returns v = Σ_{t≥0} αᵗ Pᵗ cost, the total expected
 // discounted cost from each starting state. Explicit chains below
-// DirectLimit states solve (I − αP) v = cost directly; larger or matrix-free
+// directLimit states solve (I − αP) v = cost directly; larger or matrix-free
 // chains take DiscountedValueIter with the default tolerance — unless α is
 // so close to 1 that the iteration cannot reach tolerance within the default
 // cap, in which case an explicit chain falls back to the direct solve (slow
@@ -193,7 +164,7 @@ func (c *Chain) stationaryDirect() (mat.Vector, error) {
 // This is the value vector of the optimality equations in Appendix A.
 // It requires 0 <= α < 1.
 func (c *Chain) DiscountedValue(cost mat.Vector, alpha float64) (mat.Vector, error) {
-	if c.p == nil || c.N() > DirectLimit {
+	if c.p == nil || c.N() > directLimit {
 		stiff := geomIters(alpha, DefaultIterTol*(1-alpha)) > DefaultMaxIter
 		if c.p == nil || !stiff {
 			return c.DiscountedValueIter(cost, alpha, 0, 0)
@@ -239,12 +210,12 @@ func (c *Chain) discountedValueDirect(cost mat.Vector, alpha float64) (mat.Vecto
 // assembled straight from the sparse form. Σy = 1 whenever Σq0 = 1. These
 // are the (scaled) state frequencies of LP2.
 //
-// Explicit chains below DirectLimit states solve directly; larger or
+// Explicit chains below directLimit states solve directly; larger or
 // matrix-free chains take DiscountedOccupancyIter with the default
 // tolerance, except that an explicit chain whose α is too stiff for the
 // default iteration budget falls back to the direct solve.
 func (c *Chain) DiscountedOccupancy(q0 mat.Vector, alpha float64) (mat.Vector, error) {
-	if c.p == nil || c.N() > DirectLimit {
+	if c.p == nil || c.N() > directLimit {
 		stiff := geomIters(alpha, DefaultIterTol) > DefaultMaxIter
 		if c.p == nil || !stiff {
 			return c.DiscountedOccupancyIter(q0, alpha, 0, 0)

@@ -119,7 +119,7 @@ func TestDiscountedValueMatchesSeries(t *testing.T) {
 	scale := 1.0
 	for step := 0; step < 400; step++ {
 		ref.AddScaled(scale, cur.MulVec(cost))
-		cur = cur.Mul(c.P())
+		cur = cur.Mul(c.Sparse().Dense())
 		scale *= alpha
 	}
 	if v.MaxAbsDiff(ref) > 1e-8 {

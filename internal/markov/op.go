@@ -3,16 +3,17 @@ package markov
 // The operator interface and the iterative (matrix-free) solver paths.
 //
 // A Chain consumes its transition matrix only through Op: one distribution
-// step (MulVecT), one successor sample (RowSample), and the dimensions. Any
-// structure that can do those — an explicit CSR, a lazy Kronecker product
-// (mat.KronOp), or the composed system operator core builds from SP×SR×queue
-// factors — is a chain, and the iterative algorithms below evaluate
-// stationary distributions, discounted values and discounted occupancies
-// against it without ever materializing Π-sized joint nonzeros, at
-// O(cost(MulVecT)) per iteration and O(n) extra memory.
+// step (MulVecTInto), one value step (MulVecInto), one successor sample
+// (RowSample), and the dimensions. Any structure that can do those — an
+// explicit CSR, a lazy Kronecker product (mat.KronOp), or the composed
+// system and policy operators core builds from SP×SR×queue factors — is a
+// chain, and the iterative algorithms below evaluate stationary
+// distributions, discounted values and discounted occupancies against it
+// without ever materializing Π-sized joint nonzeros, at O(cost(one step))
+// per iteration and O(n) extra memory.
 //
 // The direct dense-LU solves in markov.go remain the small-n path (below
-// DirectLimit) and the parity oracle the iterative paths are tested against.
+// directLimit) and the parity oracle the iterative paths are tested against.
 
 import (
 	"fmt"
@@ -21,46 +22,32 @@ import (
 	"repro/internal/mat"
 )
 
-// Op is the minimal transition-operator contract a Chain needs: dimensions,
-// one distribution step, and one successor sample. Implementations must be
-// row-stochastic linear operators over states 0..Rows()-1.
+// Op is the transition-operator contract a Chain needs: dimensions, one
+// distribution step, one value step, and one successor sample.
+// Implementations must be row-stochastic linear operators over states
+// 0..Rows()-1.
 //
-// Implemented by *mat.CSR, *mat.KronOp, and core's composed system
-// operators.
+// Implemented by *mat.CSR, *mat.KronOp, and core's SystemOp and PolicyOp.
 type Op interface {
 	// Rows and Cols return the (square) operator dimensions.
 	Rows() int
 	Cols() int
-	// MulVecT returns dist·P — the distribution after one step.
-	MulVecT(dist mat.Vector) mat.Vector
+	// MulVecTInto writes dst = x·P — the distribution after one step. dst
+	// must not alias x.
+	MulVecTInto(dst, x mat.Vector)
+	// MulVecInto writes dst = P·v — the expected next-step value. dst must
+	// not alias v.
+	MulVecInto(dst, v mat.Vector)
 	// RowSample draws a successor of state i using uniforms from u.
 	RowSample(i int, u func() float64) int
 }
 
-// ValueOp is implemented by operators that can also apply P·v (column
-// vectors) — required by the iterative DiscountedValue path.
-type ValueOp interface {
-	Op
-	MulVec(v mat.Vector) mat.Vector
-}
-
-// mulVecTIntoOp and mulVecIntoOp are optional allocation-free fast paths the
-// iterative loops prefer when available.
-type mulVecTIntoOp interface{ MulVecTInto(dst, x mat.Vector) }
-type mulVecIntoOp interface{ MulVecInto(dst, x mat.Vector) }
-
-var (
-	// DirectLimit is the state-count threshold below which Stationary,
-	// DiscountedValue and DiscountedOccupancy use the direct dense-LU solve
-	// on an explicit CSR chain; above it (or on a matrix-free chain) they
-	// take the iterative path with the default tolerances. Exported so tests
-	// can force either path.
-	DirectLimit = 2048
-
-	// DenseLimit is the state-count threshold above which P() refuses to
-	// materialize a dense |S|² view (see P).
-	DenseLimit = 4096
-)
+// directLimit is the state-count threshold below which Stationary,
+// DiscountedValue and DiscountedOccupancy use the direct dense-LU solve on
+// an explicit CSR chain; above it (or on a matrix-free chain) they take the
+// iterative path with the default tolerances. A var so tests can force
+// either path.
+var directLimit = 2048
 
 // Defaults for the iterative paths; the explicit *Iter entry points accept
 // zero to mean these.
@@ -73,30 +60,11 @@ const (
 	DefaultMaxIter = 200000
 )
 
-// stepT applies one distribution step dst = x·P, using the allocation-free
-// fast path when the operator has one.
-func stepT(op Op, dst, x mat.Vector) mat.Vector {
-	if fast, ok := op.(mulVecTIntoOp); ok {
-		fast.MulVecTInto(dst, x)
-		return dst
-	}
-	return op.MulVecT(x)
-}
-
-// stepV applies dst = P·v likewise.
-func stepV(op ValueOp, dst, v mat.Vector) mat.Vector {
-	if fast, ok := op.(mulVecIntoOp); ok {
-		fast.MulVecInto(dst, v)
-		return dst
-	}
-	return op.MulVec(v)
-}
-
 // NewOp wraps a transition operator in a Chain. An explicit *mat.CSR is
 // validated row-stochastic (within tol; 0 means the default) and retains the
 // direct solve paths; any other operator is validated by applying it to the
-// all-ones vector when it implements ValueOp (P·1 = 1 for a stochastic
-// matrix), and uses the iterative paths exclusively.
+// all-ones vector (P·1 = 1 for a stochastic matrix), and uses the iterative
+// paths exclusively.
 func NewOp(op Op, tol float64) (*Chain, error) {
 	if csr, ok := op.(*mat.CSR); ok {
 		return NewCSR(csr, tol)
@@ -107,17 +75,16 @@ func NewOp(op Op, tol float64) (*Chain, error) {
 	if tol <= 0 {
 		tol = mat.DefaultTol
 	}
-	if vop, ok := op.(ValueOp); ok {
-		n := op.Rows()
-		ones := mat.NewVector(n)
-		for i := range ones {
-			ones[i] = 1
-		}
-		r := vop.MulVec(ones)
-		for i, v := range r {
-			if math.Abs(v-1) > tol*float64(n+1) {
-				return nil, fmt.Errorf("markov: operator row %d sums to %g, want 1", i, v)
-			}
+	n := op.Rows()
+	ones := mat.NewVector(n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	r := mat.NewVector(n)
+	op.MulVecInto(r, ones)
+	for i, v := range r {
+		if math.Abs(v-1) > tol*float64(n+1) {
+			return nil, fmt.Errorf("markov: operator row %d sums to %g, want 1", i, v)
 		}
 	}
 	return &Chain{op: op}, nil
@@ -157,7 +124,7 @@ func geomIters(alpha, tol float64) int {
 // stationary distributions (λ = 1), so the iteration converges for every
 // finite chain with a unique stationary distribution. Convergence is
 // declared when the L1 change per sweep drops below tol; zero tol/maxIter
-// mean the defaults. Cost: one MulVecT per iteration, O(n) extra memory.
+// mean the defaults. Cost: one MulVecTInto per iteration, O(n) extra memory.
 func (c *Chain) StationaryIter(tol float64, maxIter int) (mat.Vector, error) {
 	n := c.N()
 	if n == 0 {
@@ -168,9 +135,9 @@ func (c *Chain) StationaryIter(tol float64, maxIter int) (mat.Vector, error) {
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
-	buf := mat.NewVector(n)
+	next := mat.NewVector(n)
 	for it := 0; it < maxIter; it++ {
-		next := stepT(c.op, buf, pi)
+		c.op.MulVecTInto(next, pi)
 		// Damped update and L1 drift in one pass; renormalize to absorb
 		// roundoff mass leakage.
 		diff, sum := 0.0, 0.0
@@ -192,15 +159,14 @@ func (c *Chain) StationaryIter(tol float64, maxIter int) (mat.Vector, error) {
 			return pi, nil
 		}
 	}
-	return nil, fmt.Errorf("markov: stationary iteration did not converge within %d sweeps (last tol target %g); raise maxIter or use a chain below DirectLimit", maxIter, tol)
+	return nil, fmt.Errorf("markov: stationary iteration did not converge within %d sweeps (last tol target %g); raise maxIter or use an explicit chain of at most %d states", maxIter, tol, directLimit)
 }
 
 // DiscountedValueIter computes v = Σ_{t≥0} αᵗ Pᵗ cost by the fixed-point
 // iteration v ← cost + αPv, which contracts at rate α in the sup norm;
 // iteration stops when the a-posteriori error bound α/(1−α)·‖v_{t+1}−v_t‖∞
-// drops below tol. It requires the chain's operator to implement ValueOp
-// (P·v). Zero tol/maxIter mean the defaults; an α too close to 1 for the
-// budget returns an error up front rather than spinning.
+// drops below tol. Zero tol/maxIter mean the defaults; an α too close to 1
+// for the budget returns an error up front rather than spinning.
 func (c *Chain) DiscountedValueIter(cost mat.Vector, alpha, tol float64, maxIter int) (mat.Vector, error) {
 	if alpha < 0 || alpha >= 1 {
 		return nil, fmt.Errorf("markov: discount factor %g outside [0,1)", alpha)
@@ -208,19 +174,15 @@ func (c *Chain) DiscountedValueIter(cost mat.Vector, alpha, tol float64, maxIter
 	if len(cost) != c.N() {
 		return nil, fmt.Errorf("markov: cost vector length %d, want %d", len(cost), c.N())
 	}
-	vop, ok := c.op.(ValueOp)
-	if !ok {
-		return nil, fmt.Errorf("markov: operator %T cannot apply P·v; DiscountedValue needs a ValueOp", c.op)
-	}
 	tol, maxIter = iterParams(tol, maxIter)
 	if need := geomIters(alpha, tol*(1-alpha)); need > maxIter {
 		return nil, fmt.Errorf("markov: discounted value iteration at α=%g needs ≈%d sweeps for tol %g, over the %d cap; raise maxIter or use the direct path", alpha, need, tol, maxIter)
 	}
 	n := c.N()
 	v := cost.Clone()
-	buf := mat.NewVector(n)
+	pv := mat.NewVector(n)
 	for it := 0; it < maxIter; it++ {
-		pv := stepV(vop, buf, v)
+		c.op.MulVecInto(pv, v)
 		diff := 0.0
 		for i := range pv {
 			nv := cost[i] + alpha*pv[i]
@@ -256,10 +218,10 @@ func (c *Chain) DiscountedOccupancyIter(q0 mat.Vector, alpha, tol float64, maxIt
 	n := c.N()
 	y := q0.Clone().Scale(1 - alpha)
 	z := q0.Clone()
-	buf := mat.NewVector(n)
+	next := mat.NewVector(n)
 	w := (1 - alpha) * alpha
 	for t := 1; t <= need; t++ {
-		next := stepT(c.op, buf, z)
+		c.op.MulVecTInto(next, z)
 		copy(z, next)
 		y.AddScaled(w, z)
 		w *= alpha

@@ -129,20 +129,6 @@ func TestSparseChainHittingTimes(t *testing.T) {
 	}
 }
 
-func TestChainDenseViewCached(t *testing.T) {
-	c, err := NewCSR(sparseBanded(4, 0.5), 0)
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
-	p1, p2 := c.P(), c.P()
-	if p1 != p2 {
-		t.Errorf("dense view not cached")
-	}
-	if p1.MaxAbsDiff(c.Sparse().Dense()) != 0 {
-		t.Errorf("dense view differs from sparse content")
-	}
-}
-
 func TestStationarySparseBig(t *testing.T) {
 	// A 200-state banded chain: the sparse path must handle it exactly; the
 	// uniform distribution is stationary for the symmetric ring.

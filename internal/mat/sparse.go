@@ -131,16 +131,25 @@ type CSR struct {
 
 // FromDense compresses a dense matrix, dropping exact zeros.
 func FromDense(m *Matrix) *CSR {
-	t := NewTriplet(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				t.Add(i, j, v)
-			}
+	nnz := 0
+	for _, v := range m.Data {
+		if v != 0 {
+			nnz++
 		}
 	}
-	return t.ToCSR()
+	rowPtr := make([]int, m.Rows+1)
+	colIdx := make([]int, 0, nnz)
+	vals := make([]float64, 0, nnz)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			if v != 0 {
+				colIdx = append(colIdx, j)
+				vals = append(vals, v)
+			}
+		}
+		rowPtr[i+1] = len(colIdx)
+	}
+	return &CSR{rows: m.Rows, cols: m.Cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
 // NewCSR wraps compressed-row arrays as a rows×cols CSR matrix without

@@ -12,7 +12,8 @@ import (
 )
 
 // Config tunes an Adapter. The zero value of any field selects the
-// documented default.
+// documented default. The solver options of a re-solve, its pivot budget
+// included, are the core.Options given to New.
 type Config struct {
 	// Memory is the extractor history length k (default 1: the paper's
 	// two-state workload model).
@@ -47,12 +48,6 @@ type Config struct {
 	// is cancelled mid-pivot when it expires and the previous policy stays
 	// in place (0: only the caller's context bounds the solve).
 	SolveBudget time.Duration
-	// PivotBudget bounds the simplex pivots of one re-solve — a
-	// deterministic sibling of SolveBudget for deployments that meter work
-	// rather than time. An exhausted budget surfaces as lp.BudgetExceeded
-	// and is treated exactly like a cancelled refresh: counted in
-	// FailedRefreshes, previous policy keeps serving (0: unlimited).
-	PivotBudget int
 }
 
 // WithDefaults returns the configuration with every zero field replaced by
@@ -170,7 +165,10 @@ type Adapter struct {
 // opts.Initial is ignored (the uniform distribution is used: a controller
 // joining a stream mid-way has no state to privilege), and the exact
 // cross-check evaluation is skipped to keep refreshes cheap; the LP's own
-// averages still describe the served policy.
+// averages still describe the served policy. opts.LPMaxPivots bounds the
+// pivots of each re-solve: an exhausted budget is treated exactly like a
+// cancelled refresh — counted in FailedRefreshes, previous policy keeps
+// serving.
 func New(rebuild func(*core.ServiceRequester) (*core.System, error), opts core.Options, cfg Config) (*Adapter, error) {
 	if rebuild == nil {
 		return nil, fmt.Errorf("online: nil rebuild function")
@@ -180,15 +178,12 @@ func New(rebuild func(*core.ServiceRequester) (*core.System, error), opts core.O
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DriftThreshold < 0 || cfg.MinSlices < 1 || cfg.MinEvidence < 0 || cfg.CheckEvery < 1 || cfg.SolveBudget < 0 || cfg.PivotBudget < 0 {
+	if cfg.DriftThreshold < 0 || cfg.MinSlices < 1 || cfg.MinEvidence < 0 || cfg.CheckEvery < 1 || cfg.SolveBudget < 0 {
 		return nil, fmt.Errorf("online: invalid config %+v", cfg)
 	}
 	opts.Initial = nil // uniform; the controller has no state to privilege
 	opts.SkipEvaluation = true
 	opts.WarmBasis = nil
-	if cfg.PivotBudget > 0 {
-		opts.LPMaxPivots = cfg.PivotBudget
-	}
 	return &Adapter{cfg: cfg, opts: opts, rebuild: rebuild, est: est}, nil
 }
 

@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -58,6 +59,9 @@ import (
 )
 
 // Config tunes the server. The zero value gets sensible defaults from New.
+// New always registers every cli device preset; a sweep takes at most
+// maxSweepPoints values, and a posted model must fit maxModelStates and
+// maxModelNNZ.
 type Config struct {
 	// CacheSize bounds the number of cached query results/bases (default
 	// 512). Sweeps insert one entry per feasible point.
@@ -67,14 +71,9 @@ type Config struct {
 	// 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Presets disables built-in model registration when false is wanted;
-	// nil-safe default is to register every cli device preset.
-	SkipPresets bool
 	// BaseContext is the root of every solve context; cancelling it drains
 	// the solver (default context.Background()).
 	BaseContext context.Context
-	// MaxSweepPoints bounds one sweep request (default 4096).
-	MaxSweepPoints int
 	// TraceBuffer bounds the ring of finished request traces retrievable
 	// via GET /v1/trace (default 256).
 	TraceBuffer int
@@ -86,6 +85,9 @@ type Config struct {
 	// status, duration, trace ID) through the obs logger.
 	AccessLog bool
 }
+
+// maxSweepPoints bounds one sweep request's value grid.
+const maxSweepPoints = 4096
 
 // maxObserveSlices bounds one observe request's count batch; a feeder
 // streaming faster than this per request should chunk (and would defeat the
@@ -125,9 +127,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 2 * time.Minute
 	}
-	if cfg.MaxSweepPoints <= 0 {
-		cfg.MaxSweepPoints = 4096
-	}
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
 	}
@@ -146,15 +145,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.stats = newMetrics(s)
 	s.solves = newSolveTable(s.stats)
-	if !cfg.SkipPresets {
-		for _, name := range cli.DeviceNames() {
-			d, err := cli.NewDevice(name, 0, 0)
-			if err != nil {
-				return nil, fmt.Errorf("server: building preset %q: %w", name, err)
-			}
-			if _, _, err := s.reg.register(d.Sys, d.Desc); err != nil {
-				return nil, fmt.Errorf("server: registering preset %q: %w", name, err)
-			}
+	for _, name := range cli.DeviceNames() {
+		d, err := cli.NewDevice(name, 0, 0)
+		if err != nil {
+			return nil, fmt.Errorf("server: building preset %q: %w", name, err)
+		}
+		if _, _, err := s.reg.register(d.Sys, d.Desc); err != nil {
+			return nil, fmt.Errorf("server: registering preset %q: %w", name, err)
 		}
 	}
 	s.routes()
@@ -547,8 +544,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if n := len(req.Sweep.Values); n == 0 || n > s.cfg.MaxSweepPoints {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep needs 1..%d values, got %d", s.cfg.MaxSweepPoints, n))
+	if n := len(req.Sweep.Values); n == 0 || n > maxSweepPoints {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep needs 1..%d values, got %d", maxSweepPoints, n))
 		return
 	}
 	timeout, err := s.timeout(req.TimeoutMS)
@@ -727,13 +724,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ---- plumbing ----
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 8<<20), v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes one JSON value from rd into v, refusing fields v
+// does not declare.
+func decodeStrict(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

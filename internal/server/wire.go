@@ -138,6 +138,19 @@ type ModelSpec struct {
 	QueueCap int     `json:"queue_cap,omitempty"`
 }
 
+// Posted-model size limits. Build's time and memory are linear in the
+// composed chain's states and transition nonzeros, so toSystem rejects a
+// model whose counts exceed these before anything is compiled; the largest
+// model they admit compiles in well under a second.
+const (
+	// maxModelStates bounds the composed state count |S_p|·|S_r|·(queue_cap+1).
+	maxModelStates = 1 << 16
+	// maxModelNNZ bounds Σ_a nnz(P_a)·nnz(P_SR)·2·(queue_cap+1), an upper
+	// bound on the nonzeros of the compiled per-command chains (a queue row
+	// has at most two).
+	maxModelNNZ = 1 << 21
+)
+
 func (ms *ModelSpec) toSystem() (*core.System, string, error) {
 	if ms.Preset != "" {
 		if ms.SP != nil || ms.SR != nil {
@@ -163,6 +176,19 @@ func (ms *ModelSpec) toSystem() (*core.System, string, error) {
 	if ms.QueueCap < 0 {
 		return nil, "", fmt.Errorf("model spec: negative queue_cap %d", ms.QueueCap)
 	}
+	// In float64 the products cannot overflow, and they stay exact below
+	// 2⁵³, far above either limit.
+	nq := float64(ms.QueueCap) + 1
+	if states := float64(sp.N()) * float64(sr.N()) * nq; states > maxModelStates {
+		return nil, "", fmt.Errorf("model spec: %.4g composed states, over the limit of %d", states, maxModelStates)
+	}
+	spNNZ := 0
+	for _, p := range sp.P {
+		spNNZ += nnz(p)
+	}
+	if nz := float64(spNNZ) * float64(nnz(sr.P)) * 2 * nq; nz > maxModelNNZ {
+		return nil, "", fmt.Errorf("model spec: up to %.4g composed transition nonzeros, over the limit of %d", nz, maxModelNNZ)
+	}
 	sys := &core.System{
 		Name:     orDefault(ms.Name, sp.Name+"+"+sr.Name),
 		SP:       sp,
@@ -170,6 +196,17 @@ func (ms *ModelSpec) toSystem() (*core.System, string, error) {
 		QueueCap: ms.QueueCap,
 	}
 	return sys, "user-posted model", nil
+}
+
+// nnz counts the nonzero entries of m.
+func nnz(m *mat.Matrix) int {
+	n := 0
+	for _, v := range m.Data {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // ModelInfo describes one registered model (GET /v1/models and the

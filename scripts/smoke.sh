@@ -5,7 +5,8 @@
 # online-adaptation endpoint (dpmfeed) and assert a warm drift refresh
 # happened, and shut it down cleanly. CI runs this against a
 # race-instrumented daemon (`make smoke`); it needs only bash + curl + the
-# three binaries.
+# three binaries. A model too large to compile quickly must be refused with
+# 400 without stalling the daemon.
 #
 # With a fourth argument (path to dpmload), a load phase follows: the
 # closed-loop generator drives a mixed workload at two concurrency levels
@@ -58,6 +59,18 @@ HREQ='{"model":"heterogeneous","objective":"power","bounds":[{"metric":"penalty"
 HET=$(curl -sSf -X POST -d "$HREQ" "$URL/v1/optimize")
 echo "$HET" | grep -q '"status": "optimal"' || fail "heterogeneous solve not optimal" "$HET"
 echo "$HET" | grep -q '"cache": "cold"' || fail "heterogeneous query not a cold solve" "$HET"
+
+# Posted-model size limits: a one-state SP and SR behind a 100000-slot
+# queue composes to 100001 states, over the limit. It must be refused with
+# 400 before anything compiles, and the daemon must answer right after.
+BIG='{"sp":{"p":[[[1]]],"service_rate":[[0.5]],"power":[[1]]},"sr":{"p":[[1]],"requests":[1]},"queue_cap":100000}'
+BIG_OUT="$(mktemp)"
+BIG_CODE=$(curl -sS -o "$BIG_OUT" -w '%{http_code}' -X POST -d "$BIG" "$URL/v1/models")
+[ "$BIG_CODE" = 400 ] || fail "oversized model got status $BIG_CODE, want 400" "$(cat "$BIG_OUT")"
+grep -q 'over the limit' "$BIG_OUT" || fail "oversized model refused for another reason" "$(cat "$BIG_OUT")"
+rm -f "$BIG_OUT"
+HEALTH=$(curl -sSf --max-time 5 "$URL/v1/healthz")
+echo "$HEALTH" | grep -q '"status": "ok"' || fail "healthz not ok after the oversized model" "$HEALTH"
 
 # has VAR PATTERN: grep without -q so the whole (large) input is consumed —
 # with -q, grep exits at the first match and the echo side of the pipe dies
@@ -129,7 +142,7 @@ has "$METRICS" '^dpmserved_online_warm_total [1-9]' \
 has "$METRICS" '^dpmserved_online_patched_total [1-9]' \
   || { echo "smoke: no patched online refresh recorded"; echo "$METRICS" | grep online; exit 1; }
 
-PHASES="cold solve, cache hit, composite preset, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh"
+PHASES="cold solve, cache hit, composite preset, oversized model refused, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh"
 if [ -n "$LOAD" ]; then
   # Load phase: closed-loop mixed traffic at two concurrency levels against
   # the same (race-instrumented, under CI) daemon. -require-p99 makes
