@@ -32,8 +32,8 @@
 //     (sweep.Pareto, one resident LP per chunk) that reproduces the
 //     sequential curve point for point with identical objectives;
 //   - internal/markov — Markov-chain analysis over one operator interface
-//     (markov.Op: a distribution step, a value step and row sampling), so a
-//     chain is either an explicit CSR or a matrix-free operator
+//     (markov.Op: a distribution step and a value step), so a chain is
+//     either an explicit CSR or a matrix-free operator
 //     (markov.NewOp). Stationary distributions, discounted values and
 //     occupancies dispatch between the dense-LU direct solves (small
 //     explicit chains — also the parity oracle) and iterative matrix-free
@@ -51,8 +51,8 @@
 //     matrices with an LU solver, the sparse kernel (triplet builder,
 //     CSR/CSC, sparse×dense products, stochastic validation on sparse
 //     form) that the composed chains and the LP columns live in, and the
-//     sparse Kronecker kernels (mat.Kron, mat.KronAll) that compile
-//     product chains directly in CSR and the lazy Kronecker operator
+//     sparse Kronecker kernel (mat.KronAll) that compiles product
+//     chains directly in CSR and the lazy Kronecker operator
 //     (mat.KronOp) that applies and samples the product without forming
 //     it;
 //   - internal/devices — the paper's case-study models (example system,

@@ -1,11 +1,14 @@
 package cli
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/devices"
 	"repro/internal/lp"
+	"repro/internal/mat"
 )
 
 func TestNewDeviceAll(t *testing.T) {
@@ -116,5 +119,58 @@ func TestPrintHelpers(t *testing.T) {
 	PrintAverages(&sb, res.Averages)
 	if !strings.Contains(sb.String(), "power") {
 		t.Errorf("averages output missing power:\n%s", sb.String())
+	}
+}
+
+// TestFingerprintGolden pins the content fingerprint of every preset, plus a
+// 256-state SR whose dense matrix spans many of the canonical writer's
+// buffer flushes. Persisted cache files are keyed by these digests, so a
+// change to the canonical encoding must show up here, not as silently
+// orphaned cache entries.
+func TestFingerprintGolden(t *testing.T) {
+	want := map[string]string{
+		"example":       "c8df301c0747be3021e85c453e091fb70cbf680013e3fc3eec74121548af82a9",
+		"baseline":      "7a609864fac8d95a4fd4ce772e48c2577b71020b913aa53f3ff0218849ab4bfc",
+		"disk":          "cd7dcd9eb54150a9bfb9330fdb362e183ac9de133bf054f0a0912f971ee74143",
+		"webserver":     "06ed9a34e9c8683615d8cd8831bd1ab90eedca4f71e851eefd9b83c9792876e5",
+		"cpu":           "72dc44f474ec14278040a0f2786c526e0c5bf3f893bcae6906e59576b7b8a8d3",
+		"multidisk":     "bf3d569f6686021c35aa0ebaff0800301d4b2ae05f22917d88894a93d6623125",
+		"heterogeneous": "10810e87c72a27961caec60ef3d1233a4ca0c0be74f3fa595ff55e1d9ad8bb6f",
+	}
+	if len(DeviceNames()) != len(want) {
+		t.Fatalf("%d presets, %d pinned digests", len(DeviceNames()), len(want))
+	}
+	for _, name := range DeviceNames() {
+		d, err := NewDevice(name, 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fp, err := d.Sys.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: Fingerprint: %v", name, err)
+		}
+		if fp != want[name] {
+			t.Errorf("%s: fingerprint %s, pinned %s", name, fp, want[name])
+		}
+	}
+
+	const n = 256
+	p := mat.NewMatrix(n, n)
+	for i := range p.Data {
+		p.Data[i] = 1 / float64(n)
+	}
+	sr := &core.ServiceRequester{Name: "uniform", States: make([]string, n), P: p, Requests: make([]int, n)}
+	for i := range sr.States {
+		sr.States[i] = fmt.Sprintf("r%d", i)
+		sr.Requests[i] = i % 2
+	}
+	sys := devices.ExampleSystem()
+	sys.SR = sr
+	fp, err := sys.Fingerprint()
+	if err != nil {
+		t.Fatalf("uniform SR: Fingerprint: %v", err)
+	}
+	if want := "519f645e9a72c9704ab888db65f242588987141a8f84eb6443e8a9b7bc9a7565"; fp != want {
+		t.Errorf("uniform %d-state SR: fingerprint %s, pinned %s", n, fp, want)
 	}
 }

@@ -324,14 +324,6 @@ func (f *FactoredSP) CompiledChains() int {
 	return n
 }
 
-// PartStates returns the per-part state indices of joint state s. The slice
-// is shared; callers must not mutate it.
-func (f *FactoredSP) PartStates(s int) []int { return f.stateIdx[s] }
-
-// PartCommands returns the per-part original command indices of joint
-// command a. The slice is shared; callers must not mutate it.
-func (f *FactoredSP) PartCommands(a int) []int { return f.cmdIdx[a] }
-
 // RateAt evaluates the combined service rate b(s,a) from the factors.
 func (f *FactoredSP) RateAt(s, a int) float64 { return f.rate(f.stateIdx[s], f.cmdIdx[a]) }
 
@@ -375,8 +367,8 @@ func (f *FactoredSP) WriteCanonical(w io.Writer) error {
 	c.str("ratetag", f.rateTag)
 	c.str("allowtag", f.allowTag)
 	c.count("parts", len(f.parts))
-	if c.err != nil {
-		return c.err
+	if err := c.flush(); err != nil {
+		return err
 	}
 	for _, p := range f.parts {
 		if err := p.WriteCanonical(w); err != nil {
@@ -392,5 +384,5 @@ func (f *FactoredSP) WriteCanonical(w io.Writer) error {
 			c.count("a", a)
 		}
 	}
-	return c.err
+	return c.flush()
 }

@@ -217,7 +217,7 @@ func TestCompositeMasking(t *testing.T) {
 		t.Fatalf("masked command count %d, want %d", f.A(), want)
 	}
 	for a := 0; a < f.A(); a++ {
-		if !atMostOne(f.PartCommands(a)) {
+		if !atMostOne(f.cmdIdx[a]) {
 			t.Errorf("command %d (%s) violates the mask", a, f.CommandNames()[a])
 		}
 	}
@@ -233,8 +233,8 @@ func TestCompositeMasking(t *testing.T) {
 		t.Fatalf("subset command count %d, want %d", got, want)
 	}
 	for a := 0; a < f2.A(); a++ {
-		if f2.PartCommands(a)[1] != 0 {
-			t.Errorf("command %d uses part-1 command %d, want 0", a, f2.PartCommands(a)[1])
+		if f2.cmdIdx[a][1] != 0 {
+			t.Errorf("command %d uses part-1 command %d, want 0", a, f2.cmdIdx[a][1])
 		}
 	}
 }

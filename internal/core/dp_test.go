@@ -47,7 +47,7 @@ func TestValueIterationMatchesLP(t *testing.T) {
 	}
 	// Both DP policies are deterministic and optimal (Theorem A.1).
 	for name, r := range map[string]*DPResult{"VI": vi, "PI": pi} {
-		if !r.Policy.IsDeterministic(1e-12) {
+		if len(r.Policy.RandomizedStates(1e-12)) != 0 {
 			t.Errorf("%s policy not deterministic", name)
 		}
 		ev, err := Evaluate(m, r.Policy, q0, alpha)

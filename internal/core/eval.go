@@ -16,10 +16,11 @@ package core
 // expanded Model (Π-sized joint CSR per command) is never compiled.
 //
 // SystemOp (one fixed command) and PolicyOp (a stationary randomized policy
-// mixing SystemOps) implement markov.Op, so every
-// iterative chain query — stationary distributions, discounted values,
-// discounted occupancies — and the simulator's row sampling run against them
-// directly; EvaluateFactored is the Model-free mirror of Evaluate.
+// mixing SystemOps) implement markov.Op, so every iterative chain query —
+// stationary distributions, discounted values, discounted occupancies — runs
+// against them directly; EvaluateFactored is the Model-free mirror of
+// Evaluate. The simulator does not use these operators: it steps through
+// FactoredSP.SampleNext and its own row walks (internal/sim).
 
 import (
 	"fmt"
@@ -31,9 +32,8 @@ import (
 // SystemOp applies the composed chain of a hook-free System under one fixed
 // command, matrix-free. It implements markov.Op.
 //
-// MulVec/MulVecT (and the Into variants) share per-operator scratch and must
-// not run concurrently on one SystemOp; RowSample and the accessors are safe
-// for concurrent use.
+// MulVecInto and MulVecTInto share per-operator scratch and must not run
+// concurrently on one SystemOp; the accessors are safe for concurrent use.
 type SystemOp struct {
 	sys *System
 	cmd int
@@ -42,7 +42,6 @@ type SystemOp struct {
 
 	spStage *mat.KronOp // (SP factors…, I_{nsr·nq}) — p is the slow digit group
 	srStage *mat.KronOp // (I_{nsp}, SR, I_{nq})
-	srCSR   *mat.CSR    // SR chain, for row sampling
 
 	// Queue kernels, deduplicated by distinct service rate: kernels[bIdx[p]]
 	// holds, per destination SR state r', the (Q+1)×(Q+1) queue transition
@@ -71,7 +70,6 @@ func (sys *System) CommandOp(cmd int) (*SystemOp, error) {
 	op := &SystemOp{
 		sys: sys, cmd: cmd,
 		nsp: nsp, nsr: nsr, nq: nq, n: nsp * nsr * nq,
-		srCSR: mat.FromDense(sys.SR.P),
 	}
 	var spFactors []*mat.CSR
 	if fsp, ok := sys.SP.(*FactoredSP); ok {
@@ -83,7 +81,7 @@ func (sys *System) CommandOp(cmd int) (*SystemOp, error) {
 	}
 	spFactors = append(spFactors, mat.IdentityCSR(nsr*nq))
 	op.spStage = mat.NewKronOp(spFactors...)
-	op.srStage = mat.NewKronOp(mat.IdentityCSR(nsp), op.srCSR, mat.IdentityCSR(nq))
+	op.srStage = mat.NewKronOp(mat.IdentityCSR(nsp), mat.FromDense(sys.SR.P), mat.IdentityCSR(nq))
 
 	op.bIdx = make([]int, nsp)
 	seen := make(map[float64]int)
@@ -111,9 +109,6 @@ func (op *SystemOp) Rows() int { return op.n }
 
 // Cols returns the composed state count (the operator is square).
 func (op *SystemOp) Cols() int { return op.n }
-
-// Command returns the fixed command the operator applies.
-func (op *SystemOp) Command() int { return op.cmd }
 
 // MulVecTInto computes dst = x·P (one distribution step of the composed
 // chain) in the three factored sweeps. dst must not alias x.
@@ -150,13 +145,6 @@ func (op *SystemOp) MulVecTInto(dst, x mat.Vector) {
 	op.spStage.MulVecTInto(dst, op.bufW)
 }
 
-// MulVecT returns x·P.
-func (op *SystemOp) MulVecT(x mat.Vector) mat.Vector {
-	out := mat.NewVector(op.n)
-	op.MulVecTInto(out, x)
-	return out
-}
-
 // MulVecInto computes dst = P·v (the value-vector application), running the
 // three sweeps in the reverse order. dst must not alias v.
 func (op *SystemOp) MulVecInto(dst, v mat.Vector) {
@@ -183,50 +171,6 @@ func (op *SystemOp) MulVecInto(dst, v mat.Vector) {
 	}
 	// Stage 3: expand over destination SR states.
 	op.srStage.MulVecInto(dst, op.bufW)
-}
-
-// MulVec returns P·v.
-func (op *SystemOp) MulVec(v mat.Vector) mat.Vector {
-	out := mat.NewVector(op.n)
-	op.MulVecInto(out, v)
-	return out
-}
-
-// RowSample draws a successor of composed state i: the SP parts first (one
-// uniform per non-identity part factor, slowest joint digit first — the
-// FactoredSP.SampleNext order), then the SR state, then the queue backlog
-// from the (b(p,cmd), req(r')) kernel row. Allocation-free; safe for
-// concurrent use.
-func (op *SystemOp) RowSample(i int, u func() float64) int {
-	p := i / (op.nsr * op.nq)
-	r := (i / op.nq) % op.nsr
-	q := i % op.nq
-
-	// The identity tail factor passes (r, q) through without a draw, so the
-	// joint sample's slow digit group is exactly the SP successor.
-	pNext := op.spStage.RowSample(i, u) / (op.nsr * op.nq)
-	rNext := op.srCSR.RowSample(r, u)
-	row := op.kernels[op.bIdx[p]][rNext].Row(q)
-	qNext := sampleDenseRow(row, u())
-	return (pNext*op.nsr+rNext)*op.nq + qNext
-}
-
-// sampleDenseRow walks a dense probability row against one uniform,
-// clamping residual mass to the last positive entry (the simulator's
-// convention).
-func sampleDenseRow(row []float64, u float64) int {
-	last := 0
-	for j, p := range row {
-		if p <= 0 {
-			continue
-		}
-		last = j
-		u -= p
-		if u <= 0 {
-			return j
-		}
-	}
-	return last
 }
 
 // PolicyOp applies the composed chain of a system under a stationary
@@ -318,13 +262,6 @@ func (po *PolicyOp) MulVecTInto(dst, x mat.Vector) {
 	copy(dst, po.bufAcc)
 }
 
-// MulVecT returns x·P^π.
-func (po *PolicyOp) MulVecT(x mat.Vector) mat.Vector {
-	out := mat.NewVector(po.n)
-	po.MulVecTInto(out, x)
-	return out
-}
-
 // MulVecInto computes dst = P^π·v: per-command applications mixed rowwise
 // by the policy.
 func (po *PolicyOp) MulVecInto(dst, v mat.Vector) {
@@ -343,22 +280,6 @@ func (po *PolicyOp) MulVecInto(dst, v mat.Vector) {
 		}
 	}
 	copy(dst, po.bufAcc)
-}
-
-// MulVec returns P^π·v.
-func (po *PolicyOp) MulVec(v mat.Vector) mat.Vector {
-	out := mat.NewVector(po.n)
-	po.MulVecInto(out, v)
-	return out
-}
-
-// RowSample draws a command from π(s,·), then a successor from that
-// command's operator. Not safe for concurrent use with the matvec methods
-// (it shares no scratch itself, but the command draw reads the policy matrix
-// only, so concurrent RowSample calls are fine).
-func (po *PolicyOp) RowSample(s int, u func() float64) int {
-	cmd := sampleDenseRow(po.pol.CommandDist(s), u())
-	return po.ops[cmd].RowSample(s, u)
 }
 
 // EvaluateFactored is Evaluate without the Model: the discounted occupancy

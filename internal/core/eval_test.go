@@ -79,19 +79,22 @@ func TestCommandOpMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: CommandOp(%d): %v", trial, a, err)
 			}
-			if op.Rows() != n || op.Cols() != n || op.Command() != a {
-				t.Fatalf("trial %d: operator shape %dx%d cmd %d", trial, op.Rows(), op.Cols(), op.Command())
+			if op.Rows() != n || op.Cols() != n || op.cmd != a {
+				t.Fatalf("trial %d: operator shape %dx%d cmd %d", trial, op.Rows(), op.Cols(), op.cmd)
 			}
 			x := randDist(rng, n)
-			if d := maxAbsDiffVec(op.MulVecT(x), m.P[a].VecMul(x)); d > 1e-12 {
-				t.Fatalf("trial %d cmd %d: MulVecT differs from composed CSR by %g", trial, a, d)
+			got := mat.NewVector(n)
+			op.MulVecTInto(got, x)
+			if d := maxAbsDiffVec(got, m.P[a].VecMul(x)); d > 1e-12 {
+				t.Fatalf("trial %d cmd %d: MulVecTInto differs from composed CSR by %g", trial, a, d)
 			}
 			v := mat.NewVector(n)
 			for i := range v {
 				v[i] = rng.NormFloat64()
 			}
-			if d := maxAbsDiffVec(op.MulVec(v), m.P[a].MulVec(v)); d > 1e-12 {
-				t.Fatalf("trial %d cmd %d: MulVec differs from composed CSR by %g", trial, a, d)
+			op.MulVecInto(got, v)
+			if d := maxAbsDiffVec(got, m.P[a].MulVec(v)); d > 1e-12 {
+				t.Fatalf("trial %d cmd %d: MulVecInto differs from composed CSR by %g", trial, a, d)
 			}
 		}
 	}
@@ -105,39 +108,6 @@ func maxAbsDiffVec(a, b mat.Vector) float64 {
 		}
 	}
 	return d
-}
-
-// TestCommandOpRowSample: empirical successor frequencies of the factored
-// sampler match the composed CSR row.
-func TestCommandOpRowSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	sys := randFactoredSystem(t, rng, true)
-	m, err := sys.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	op, err := sys.CommandOp(0)
-	if err != nil {
-		t.Fatalf("CommandOp: %v", err)
-	}
-	n := sys.NumStates()
-	const draws = 120000
-	for _, s := range []int{0, n / 2, n - 1} {
-		counts := make([]float64, n)
-		for d := 0; d < draws; d++ {
-			counts[op.RowSample(s, rng.Float64)]++
-		}
-		cols, vals := m.P[0].RowNZ(s)
-		want := make([]float64, n)
-		for k, j := range cols {
-			want[j] = vals[k]
-		}
-		for j := range counts {
-			if d := math.Abs(counts[j]/draws - want[j]); d > 0.012 {
-				t.Fatalf("state %d: successor %d frequency off by %g", s, j, d)
-			}
-		}
-	}
 }
 
 // TestPolicyOpMatchesPolicyChain: the masked per-command accumulation equals
@@ -177,15 +147,18 @@ func TestPolicyOpMatchesPolicyChain(t *testing.T) {
 			t.Fatalf("trial %d: policy chain: %v", trial, err)
 		}
 		x := randDist(rng, n)
-		if d := maxAbsDiffVec(po.MulVecT(x), ch.Step(x)); d > 1e-12 {
-			t.Fatalf("trial %d: policy MulVecT differs by %g", trial, d)
+		got := mat.NewVector(n)
+		po.MulVecTInto(got, x)
+		if d := maxAbsDiffVec(got, ch.Step(x)); d > 1e-12 {
+			t.Fatalf("trial %d: policy MulVecTInto differs by %g", trial, d)
 		}
 		v := mat.NewVector(n)
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		if d := maxAbsDiffVec(po.MulVec(v), ch.Sparse().MulVec(v)); d > 1e-12 {
-			t.Fatalf("trial %d: policy MulVec differs by %g", trial, d)
+		po.MulVecInto(got, v)
+		if d := maxAbsDiffVec(got, ch.Sparse().MulVec(v)); d > 1e-12 {
+			t.Fatalf("trial %d: policy MulVecInto differs by %g", trial, d)
 		}
 	}
 }
@@ -254,7 +227,8 @@ func TestFactoredSPLazy(t *testing.T) {
 	}
 	op := fsp.Op(0)
 	x := randDist(rng, fsp.N())
-	lazyStep := op.MulVecT(x)
+	lazyStep := mat.NewVector(fsp.N())
+	op.MulVecTInto(lazyStep, x)
 	for s := 0; s < fsp.N(); s++ {
 		fsp.SampleNext(s, 0, rng.Float64)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/mat"
@@ -19,25 +20,48 @@ import (
 // floats use the shortest round-trip decimal (strconv 'g'/-1, one spelling
 // per value), and every list is length-prefixed.
 
-// cw accumulates canonical bytes into an io.Writer, capturing the first
-// write error so call sites stay linear.
+// cw accumulates canonical bytes in a buffer and hands them to an io.Writer
+// in writes of about cwFlush bytes, capturing the first write error so call
+// sites stay linear. Numbers are appended with strconv, never through fmt:
+// a posted model's matrices can carry millions of entries, and per-entry
+// formatting dominated fingerprinting them. Every WriteCanonical ends with
+// flush, and flushes before handing the writer to a nested WriteCanonical,
+// so the bytes reach w in serialization order.
 type cw struct {
 	w   io.Writer
+	buf []byte
+	num []byte // scratch for one formatted value
 	err error
 }
 
-func (c *cw) str(tag, s string) {
-	if c.err == nil {
-		_, c.err = fmt.Fprintf(c.w, "%s=%d:%s;", tag, len(s), s)
+// cwFlush is the buffered byte count at which cw writes through.
+const cwFlush = 32 << 10
+
+// appendField appends one tagged field, tag=len(v):v;, to dst.
+func appendField(dst []byte, tag string, v []byte) []byte {
+	dst = append(dst, tag...)
+	dst = append(dst, '=')
+	dst = strconv.AppendInt(dst, int64(len(v)), 10)
+	dst = append(dst, ':')
+	dst = append(dst, v...)
+	return append(dst, ';')
+}
+
+func (c *cw) field(tag string, v []byte) {
+	c.buf = appendField(c.buf, tag, v)
+	if len(c.buf) >= cwFlush {
+		c.flush()
 	}
 }
 
-func (c *cw) num(tag string, v float64) {
-	c.str(tag, strconv.FormatFloat(v, 'g', -1, 64))
+func (c *cw) str(tag, s string) {
+	c.num = append(c.num[:0], s...)
+	c.field(tag, c.num)
 }
 
 func (c *cw) count(tag string, n int) {
-	c.str(tag, strconv.Itoa(n))
+	c.num = strconv.AppendInt(c.num[:0], int64(n), 10)
+	c.field(tag, c.num)
 }
 
 func (c *cw) matrix(tag string, m *mat.Matrix) {
@@ -45,10 +69,34 @@ func (c *cw) matrix(tag string, m *mat.Matrix) {
 		c.str(tag, "nil")
 		return
 	}
-	c.str(tag, fmt.Sprintf("%dx%d", m.Rows, m.Cols))
+	c.num = strconv.AppendInt(c.num[:0], int64(m.Rows), 10)
+	c.num = append(c.num, 'x')
+	c.num = strconv.AppendInt(c.num, int64(m.Cols), 10)
+	c.field(tag, c.num)
+	// Matrices repeat values in runs (zeros, uniform rows), so the encoded
+	// field of the previous entry is reused while the bits match.
+	var last []byte
+	var lastBits uint64
 	for _, v := range m.Data {
-		c.num("v", v)
+		if b := math.Float64bits(v); last == nil || b != lastBits {
+			c.num = strconv.AppendFloat(c.num[:0], v, 'g', -1, 64)
+			last, lastBits = appendField(last[:0], "v", c.num), b
+		}
+		c.buf = append(c.buf, last...)
+		if len(c.buf) >= cwFlush {
+			c.flush()
+		}
 	}
+}
+
+// flush writes the buffered bytes through and returns the first write
+// error; after an error nothing more is written.
+func (c *cw) flush() error {
+	if c.err == nil && len(c.buf) > 0 {
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
+	return c.err
 }
 
 // WriteCanonical writes the provider's canonical serialization: name, state
@@ -71,7 +119,7 @@ func (sp *ServiceProvider) WriteCanonical(w io.Writer) error {
 	}
 	c.matrix("rate", sp.ServiceRate)
 	c.matrix("power", sp.Power)
-	return c.err
+	return c.flush()
 }
 
 // WriteCanonical writes the requester's canonical serialization: name,
@@ -88,7 +136,7 @@ func (sr *ServiceRequester) WriteCanonical(w io.Writer) error {
 	for _, r := range sr.Requests {
 		c.count("r", r)
 	}
-	return c.err
+	return c.flush()
 }
 
 // hooked reports whether any behavioral hook is set.
@@ -109,8 +157,8 @@ func (sys *System) WriteCanonical(w io.Writer) error {
 	c.str("sys", sys.Name)
 	c.count("queue", sys.QueueCap)
 	c.str("hooks", sys.HookTag)
-	if c.err != nil {
-		return c.err
+	if err := c.flush(); err != nil {
+		return err
 	}
 	if err := sys.SP.WriteCanonical(w); err != nil {
 		return err

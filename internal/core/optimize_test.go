@@ -16,11 +16,11 @@ func TestPolicyConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeterministicPolicy: %v", err)
 	}
-	if !p.IsDeterministic(1e-12) {
-		t.Errorf("deterministic policy not detected")
+	if rs := p.RandomizedStates(1e-12); len(rs) != 0 {
+		t.Errorf("deterministic policy randomizes in states %v", rs)
 	}
-	if p.ModeCommand(1) != 1 {
-		t.Errorf("ModeCommand = %d, want 1", p.ModeCommand(1))
+	if d := p.CommandDist(1); d[1] != 1 {
+		t.Errorf("state 1 command distribution %v, want command 1", d)
 	}
 	if _, err := DeterministicPolicy([]int{2}, 2); err == nil {
 		t.Errorf("out-of-range command accepted")
@@ -30,8 +30,8 @@ func TestPolicyConstructors(t *testing.T) {
 		t.Fatalf("ConstantPolicy: %v", err)
 	}
 	for s := 0; s < 4; s++ {
-		if c.ModeCommand(s) != 2 {
-			t.Errorf("constant policy state %d issues %d", s, c.ModeCommand(s))
+		if d := c.CommandDist(s); d[2] != 1 {
+			t.Errorf("constant policy state %d issues %v", s, d)
 		}
 	}
 	if _, err := NewPolicy(mat.FromRows([][]float64{{0.5, 0.2}})); err == nil {
@@ -52,9 +52,6 @@ func TestRandomizedStates(t *testing.T) {
 	rs := p.RandomizedStates(1e-6)
 	if len(rs) != 1 || rs[0] != 1 {
 		t.Errorf("RandomizedStates = %v, want [1]", rs)
-	}
-	if p.IsDeterministic(1e-6) {
-		t.Errorf("IsDeterministic true for randomized policy")
 	}
 }
 
@@ -80,7 +77,7 @@ func TestPolicyChainComposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Chain: %v", err)
 	}
-	want := m.P[0].Dense().Scale(0.5).AddMatrixScaled(0.5, m.P[1].Dense())
+	want := mat.NewMatrix(m.N, m.N).AddMatrixScaled(0.5, m.P[0].Dense()).AddMatrixScaled(0.5, m.P[1].Dense())
 	if chain2.Sparse().Dense().MaxAbsDiff(want) > 1e-12 {
 		t.Errorf("mixed-policy chain wrong")
 	}
@@ -123,8 +120,8 @@ func TestOptimizeUnconstrainedDeterministic(t *testing.T) {
 	}
 	// Visited states must carry deterministic decisions; unvisited states
 	// are filled deterministically by construction.
-	if !res.Policy.IsDeterministic(1e-6) {
-		t.Errorf("unconstrained optimal policy is randomized")
+	if rs := res.Policy.RandomizedStates(1e-6); len(rs) != 0 {
+		t.Errorf("unconstrained optimal policy randomizes in states %v", rs)
 	}
 	// Min power with no constraints: shut everything off, power → ~0.
 	if res.Objective > 0.3 {

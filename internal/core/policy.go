@@ -67,17 +67,6 @@ func (p *Policy) Validate() error {
 	return nil
 }
 
-// IsDeterministic reports whether every row places probability ≥ 1−tol on a
-// single command.
-func (p *Policy) IsDeterministic(tol float64) bool {
-	for s := 0; s < p.N(); s++ {
-		if p.M.Row(s).Max() < 1-tol {
-			return false
-		}
-	}
-	return true
-}
-
 // RandomizedStates returns the indices of states whose command distribution
 // is genuinely randomized (no command has probability ≥ 1−tol). Theorem A.2
 // predicts these are nonempty exactly when a constraint is active.
@@ -94,9 +83,6 @@ func (p *Policy) RandomizedStates(tol float64) []int {
 // CommandDist returns the command distribution in state s (aliases internal
 // storage; callers must not mutate).
 func (p *Policy) CommandDist(s int) mat.Vector { return p.M.Row(s) }
-
-// ModeCommand returns the most probable command in state s.
-func (p *Policy) ModeCommand(s int) int { return p.M.Row(s).ArgMax() }
 
 // Chain composes the model's per-command transition matrices with the
 // policy: P^π = Σ_a π(s,a) P_a(s,·) rowwise (paper Eq. 5). The composition

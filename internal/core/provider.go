@@ -93,16 +93,6 @@ func (sp *ServiceProvider) RateAt(s, a int) float64 { return sp.ServiceRate.At(s
 // PowerAt returns the power consumption c(s,a).
 func (sp *ServiceProvider) PowerAt(s, a int) float64 { return sp.Power.At(s, a) }
 
-// StateIndex returns the index of the named state, or -1.
-func (sp *ServiceProvider) StateIndex(name string) int {
-	for i, s := range sp.States {
-		if s == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // CommandIndex returns the index of the named command, or -1.
 func (sp *ServiceProvider) CommandIndex(name string) int {
 	for i, c := range sp.Commands {

@@ -74,9 +74,6 @@ func TestProviderValidate(t *testing.T) {
 
 func TestProviderIndexLookups(t *testing.T) {
 	sp := exampleSP()
-	if sp.StateIndex("off") != 1 || sp.StateIndex("nope") != -1 {
-		t.Errorf("StateIndex lookup failed")
-	}
 	if sp.CommandIndex("s_off") != 1 || sp.CommandIndex("nope") != -1 {
 		t.Errorf("CommandIndex lookup failed")
 	}
@@ -364,7 +361,7 @@ func TestCompositionProperties(t *testing.T) {
 			return false
 		}
 		for _, p := range m.P {
-			if !p.IsStochastic(1e-9) {
+			if p.CheckStochastic(1e-9) != nil {
 				return false
 			}
 		}

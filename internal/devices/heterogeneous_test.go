@@ -2,6 +2,7 @@ package devices
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -59,24 +60,31 @@ func TestHeterogeneousSystemMasking(t *testing.T) {
 			t.Errorf("k=%d: joint SP is %d states × %d commands, want %d×%d",
 				tc.k, sp.N(), sp.A(), tc.wantSPStates, tc.wantA)
 		}
-		for a := 0; a < sp.A(); a++ {
+		// Joint command names join the part command names with "+"; each
+		// part's command index is recovered from its own vocabulary.
+		parts, _ := heterogeneousParts(tc.k)
+		doze := NICSP("nic").CommandIndex("doze")
+		for a, name := range sp.CommandNames() {
+			cmds := strings.Split(name, "+")
+			if len(cmds) != tc.k {
+				t.Fatalf("k=%d: joint command %q has %d parts", tc.k, name, len(cmds))
+			}
 			moved := 0
-			for _, c := range sp.PartCommands(a) {
-				if c != 0 {
+			for i, c := range cmds {
+				idx := parts[i].CommandIndex(c)
+				if idx < 0 {
+					t.Fatalf("k=%d: joint command %q names unknown part-%d command %q", tc.k, name, i, c)
+				}
+				if idx != 0 {
 					moved++
+				}
+				// The secondary NIC (part 4) must never be commanded to doze.
+				if i == 4 && idx == doze {
+					t.Errorf("secondary NIC commanded to doze by %q", name)
 				}
 			}
 			if moved > 1 {
-				t.Errorf("k=%d: joint command %q retargets %d parts", tc.k, sp.CommandNames()[a], moved)
-			}
-		}
-		if tc.k == 5 {
-			// The secondary NIC (part 4) must never be commanded to doze.
-			doze := NICSP("nic").CommandIndex("doze")
-			for a := 0; a < sp.A(); a++ {
-				if sp.PartCommands(a)[4] == doze {
-					t.Errorf("secondary NIC commanded to doze by %q", sp.CommandNames()[a])
-				}
+				t.Errorf("k=%d: joint command %d %q retargets %d parts", tc.k, a, name, moved)
 			}
 		}
 	}

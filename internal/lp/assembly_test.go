@@ -20,10 +20,12 @@ func tripletRow(n int, cols []int, vals []float64) ([]int, []float64) {
 	return t.ToCSR().RowNZ(0)
 }
 
-// tripletStdFormCSC is the reference assembly of the standard-form matrix:
-// every entry of [A | slack | artificial] through a triplet, compressed to
-// CSC, the route newStdForm took before its counting transpose.
-func tripletStdFormCSC(p *Problem) *mat.CSC {
+// tripletStdFormT is the reference assembly of the standard-form matrix:
+// every entry of [A | slack | artificial] through a triplet of its
+// transpose, compressed to CSR — row j of the result is column j of the
+// matrix, the CSC layout newStdForm builds with its counting transpose. It
+// also returns the matrix's row count.
+func tripletStdFormT(p *Problem) (*mat.CSR, int) {
 	type spec struct {
 		cons *Constraint
 		rel  Rel
@@ -49,7 +51,7 @@ func tripletStdFormCSC(p *Problem) *mat.CSC {
 		specs = append(specs, s)
 	}
 	nv := p.NumVars()
-	trip := mat.NewTriplet(len(specs), nv+ns+na)
+	trip := mat.NewTriplet(nv+ns+na, len(specs))
 	slackCol, artCol := nv, nv+ns
 	for i, s := range specs {
 		for k, j := range s.cons.Cols {
@@ -57,23 +59,23 @@ func tripletStdFormCSC(p *Problem) *mat.CSC {
 			if s.flip {
 				v = -v
 			}
-			trip.Add(i, j, v)
+			trip.Add(j, i, v)
 		}
 		switch s.rel {
 		case LE:
-			trip.Add(i, slackCol, 1)
+			trip.Add(slackCol, i, 1)
 			slackCol++
 		case GE:
-			trip.Add(i, slackCol, -1)
+			trip.Add(slackCol, i, -1)
 			slackCol++
-			trip.Add(i, artCol, 1)
+			trip.Add(artCol, i, 1)
 			artCol++
 		case EQ:
-			trip.Add(i, artCol, 1)
+			trip.Add(artCol, i, 1)
 			artCol++
 		}
 	}
-	return trip.ToCSC()
+	return trip.ToCSR(), len(specs)
 }
 
 // randomRowPairs draws raw (column, value) pairs over n columns with
@@ -166,15 +168,15 @@ func TestStdFormCSCMatchesTriplet(t *testing.T) {
 		if st != Optimal {
 			t.Fatalf("trial %d: presolve status %v", trial, st)
 		}
-		want := tripletStdFormCSC(p)
+		want, wantRows := tripletStdFormT(p)
 		got := sf.a
-		if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
+		if sf.m != wantRows || sf.nTot != want.Rows() || got.NNZ() != want.NNZ() {
 			t.Fatalf("trial %d: %dx%d with %d nonzeros, reference %dx%d with %d", trial,
-				got.Rows(), got.Cols(), got.NNZ(), want.Rows(), want.Cols(), want.NNZ())
+				sf.m, sf.nTot, got.NNZ(), wantRows, want.Rows(), want.NNZ())
 		}
-		for j := 0; j < want.Cols(); j++ {
+		for j := 0; j < want.Rows(); j++ {
 			gr, gv := got.ColNZ(j)
-			wr, wv := want.ColNZ(j)
+			wr, wv := want.RowNZ(j)
 			if len(gr) != len(wr) {
 				t.Fatalf("trial %d column %d: %d entries, reference %d", trial, j, len(gr), len(wr))
 			}
@@ -217,7 +219,7 @@ func TestResidentSetRHSMatchesStdForm(t *testing.T) {
 			cols, vals := randomRowPairs(r, n)
 			p.AddConstraintNZ("row", cols, vals, rels[r.Intn(3)], 0)
 			c := &p.Cons[len(p.Cons)-1]
-			c.RHS = c.Dot(x0)
+			c.RHS = activity(c, x0)
 			switch c.Rel {
 			case LE:
 				c.RHS += r.Float64()

@@ -83,33 +83,15 @@ func (r Rel) String() string {
 // (sparse input); both normalize into this form.
 //
 // Invariant: Cols is strictly increasing and no entry of Vals is zero.
-// Coeff's binary search and the standard-form assembly (which transposes
-// rows straight into columns, with no sort or merge of its own) rely on it;
-// code that rewrites a row in place must preserve it.
+// The standard-form assembly (which transposes rows straight into columns,
+// with no sort or merge of its own) relies on it; code that rewrites a row
+// in place must preserve it.
 type Constraint struct {
 	Name string
 	Cols []int
 	Vals []float64
 	Rel  Rel
 	RHS  float64
-}
-
-// Dot returns the row activity a'x for a dense x.
-func (c *Constraint) Dot(x []float64) float64 {
-	s := 0.0
-	for k, j := range c.Cols {
-		s += c.Vals[k] * x[j]
-	}
-	return s
-}
-
-// Coeff returns the coefficient of variable j (zero if not stored).
-func (c *Constraint) Coeff(j int) float64 {
-	k := sort.SearchInts(c.Cols, j)
-	if k < len(c.Cols) && c.Cols[k] == j {
-		return c.Vals[k]
-	}
-	return 0
 }
 
 // Problem is a linear program over nonnegative variables.
@@ -255,7 +237,6 @@ type Solution struct {
 	Status     Status
 	X          []float64 // variable values (valid when Status == Optimal)
 	Objective  float64   // c'x in the problem's own sense
-	Activities []float64 // a_i'x per constraint
 	Iterations int
 	// Refactorizations counts full basis refactorizations performed by the
 	// revised simplex (O(m³) under the dense factorization, O(nnz + fill)
@@ -532,13 +513,9 @@ func (sf *stdForm) verify(x []float64) bool {
 	return true
 }
 
-// finishSolution fills in activities and the objective (in the problem's own
-// sense) from the original data.
+// finishSolution fills in the objective (in the problem's own sense) from
+// the original data.
 func finishSolution(p *Problem, sol *Solution) {
-	sol.Activities = make([]float64, len(p.Cons))
-	for i := range p.Cons {
-		sol.Activities[i] = p.Cons[i].Dot(sol.X)
-	}
 	obj := 0.0
 	for j, v := range p.Obj {
 		obj += v * sol.X[j]

@@ -165,9 +165,9 @@ func TestRevisedMatchesDense(t *testing.T) {
 			t.Errorf("%s: dense solution infeasible", name)
 		}
 		for i := range p.Cons {
-			if math.Abs(rev.Activities[i]-den.Activities[i]) > 1e-6 {
-				t.Errorf("%s: activity[%d] revised %g vs dense %g", name, i,
-					rev.Activities[i], den.Activities[i])
+			c := &p.Cons[i]
+			if ra, da := activity(c, rev.X), activity(c, den.X); math.Abs(ra-da) > 1e-6 {
+				t.Errorf("%s: activity[%d] revised %g vs dense %g", name, i, ra, da)
 			}
 		}
 	}

@@ -124,7 +124,7 @@ func (s *Solver) solve(ctx context.Context, p *Problem, warm *Basis, resident *r
 	if sol.Status != Optimal {
 		return sol, nil, notOptimalErr(sol.Status)
 	}
-	// Activities and objective are recomputed from the original data.
+	// The objective is recomputed from the original data.
 	finishSolution(p, sol)
 	return sol, r, nil
 }

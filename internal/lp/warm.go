@@ -25,9 +25,6 @@ type Basis struct {
 	nv, ns, na int
 }
 
-// NumRows returns the number of constraint rows the basis covers.
-func (b *Basis) NumRows() int { return len(b.cols) }
-
 // String summarizes the basis shape for diagnostics.
 func (b *Basis) String() string {
 	return fmt.Sprintf("lp.Basis{m=%d nv=%d ns=%d na=%d}", len(b.cols), b.nv, b.ns, b.na)

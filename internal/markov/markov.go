@@ -1,25 +1,22 @@
 // Package markov implements the discrete-time Markov-chain machinery that
 // the DPM stochastic model of Benini et al. is built on: state-distribution
-// evolution, stationary distributions, discounted total costs (the value
-// vectors of Appendix A), discounted occupancy measures (state frequencies),
-// and expected hitting times (used to verify device models against
-// data-sheet transition times, Table I).
+// steps, stationary distributions, discounted total costs (the value vectors
+// of Appendix A) and discounted occupancy measures (state frequencies).
 //
 // Chains consume their transition structure through the Op interface (a
-// distribution step, a value step, a successor sample — see op.go), so a
-// chain can be an explicit CSR matrix or a matrix-free operator such as a
-// lazy Kronecker product. Explicit chains are stored in compressed-sparse-row form
+// distribution step and a value step — see op.go), so a chain can be an
+// explicit CSR matrix or a matrix-free operator such as a lazy Kronecker
+// product. Explicit chains are stored in compressed-sparse-row form
 // (internal/mat's CSR): composed DPM chains are extremely sparse — the queue
 // law of Eq. 3 is banded and the component chains have tiny out-degrees — so
-// distribution steps and hitting-time assembly run in O(nnz). The direct
-// solves behind Stationary, DiscountedValue and DiscountedOccupancy assemble
-// their n×n linear systems straight from the sparse form (no dense
-// transition matrix, transpose, or clone is ever materialized) and hand them
-// to the dense LU — one dense system per query, the same "dense
-// factorization of only the system that needs it" discipline the revised
-// simplex uses for its basis. Chains above directLimit states, and all
-// matrix-free chains, answer the same queries iteratively (op.go) at one
-// operator application per sweep.
+// distribution steps run in O(nnz). The direct solves behind Stationary,
+// DiscountedValue and DiscountedOccupancy assemble their n×n linear systems
+// straight from the sparse form (no dense transition matrix, transpose, or
+// clone is ever materialized) and hand them to the dense LU — one dense
+// system per query, the same "dense factorization of only the system that
+// needs it" discipline the revised simplex uses for its basis. Chains above
+// directLimit states, and all matrix-free chains, answer the same queries
+// iteratively (op.go) at one operator application per sweep.
 package markov
 
 import (
@@ -64,25 +61,12 @@ func NewCSR(p *mat.CSR, tol float64) (*Chain, error) {
 	return &Chain{op: p, p: p}, nil
 }
 
-// MustNew is New but panics on error; for use with matrices constructed by
-// code that guarantees stochasticity.
-func MustNew(p *mat.Matrix, tol float64) *Chain {
-	c, err := New(p, tol)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // N returns the number of states.
 func (c *Chain) N() int { return c.op.Rows() }
 
 // Sparse returns the CSR transition matrix, or nil for a matrix-free chain.
 // Callers must not mutate it.
 func (c *Chain) Sparse() *mat.CSR { return c.p }
-
-// Op returns the chain's transition operator.
-func (c *Chain) Op() Op { return c.op }
 
 // Step returns the distribution after one step: dist * P, at one operator
 // application (O(nnz) for explicit chains, the factored sweep cost for lazy
@@ -91,15 +75,6 @@ func (c *Chain) Step(dist mat.Vector) mat.Vector {
 	next := mat.NewVector(c.N())
 	c.op.MulVecTInto(next, dist)
 	return next
-}
-
-// Evolve returns the distribution after k steps.
-func (c *Chain) Evolve(dist mat.Vector, k int) mat.Vector {
-	d := dist.Clone()
-	for i := 0; i < k; i++ {
-		d = c.Step(d)
-	}
-	return d
 }
 
 // Stationary returns a stationary distribution π with π = πP and Σπ = 1.
@@ -255,66 +230,4 @@ func (c *Chain) discountedOccupancyDirect(q0 mat.Vector, alpha float64) (mat.Vec
 		}
 	}
 	return y, nil
-}
-
-// ExpectedHittingTimes returns h where h_i is the expected number of steps
-// to first reach any state in targets, starting from state i (h_i = 0 for
-// targets). It solves h_i = 1 + Σ_j P_ij h_j over non-target states,
-// assembled in O(nnz). An error is returned if some state cannot reach the
-// target set (the linear system is then singular or produces non-finite
-// values). It requires an explicit (CSR-backed) chain.
-func (c *Chain) ExpectedHittingTimes(targets map[int]bool) (mat.Vector, error) {
-	if c.p == nil {
-		return nil, fmt.Errorf("markov: hitting times need an explicit chain, not %T", c.op)
-	}
-	n := c.N()
-	var free []int // non-target states, in order
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		if !targets[i] {
-			idx[i] = len(free)
-			free = append(free, i)
-		}
-	}
-	h := mat.NewVector(n)
-	if len(free) == 0 {
-		return h, nil
-	}
-	m := len(free)
-	a := mat.NewMatrix(m, m)
-	b := mat.NewVector(m)
-	for r, i := range free {
-		b[r] = 1
-		cols, vals := c.p.RowNZ(i)
-		for k, j := range cols {
-			if kk := idx[j]; kk >= 0 {
-				a.Add(r, kk, -vals[k])
-			}
-		}
-		a.Add(r, r, 1)
-	}
-	sol, err := mat.Solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("markov: hitting-time solve (target unreachable?): %w", err)
-	}
-	for r, i := range free {
-		if sol[r] < 0 {
-			return nil, fmt.Errorf("markov: negative hitting time %g for state %d", sol[r], i)
-		}
-		h[i] = sol[r]
-	}
-	return h, nil
-}
-
-// GeometricMeanTime returns the expected number of slices for a transition
-// governed by a geometric distribution with per-slice success probability p
-// (paper Eq. 2: E[T] = 1/p). It panics if p is outside (0, 1].
-func GeometricMeanTime(p float64) float64 {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("markov: geometric probability %g outside (0,1]", p))
-	}
-	return 1 / p
 }

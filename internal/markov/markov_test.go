@@ -9,13 +9,23 @@ import (
 	"repro/internal/mat"
 )
 
+// mustNew is New for matrices the tests construct stochastic; it panics on
+// error.
+func mustNew(p *mat.Matrix, tol float64) *Chain {
+	c, err := New(p, tol)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // twoState is the bursty SR of paper Example 3.2: P(1→1)=0.85, P(1→0)=0.15.
 func twoState() *Chain {
 	p := mat.FromRows([][]float64{
 		{0.90, 0.10},
 		{0.15, 0.85},
 	})
-	return MustNew(p, 0)
+	return mustNew(p, 0)
 }
 
 func randomChain(r *rand.Rand, n int) *Chain {
@@ -29,7 +39,7 @@ func randomChain(r *rand.Rand, n int) *Chain {
 		}
 		row.Scale(1 / sum)
 	}
-	return MustNew(p, 1e-9)
+	return mustNew(p, 1e-9)
 }
 
 func TestNewRejectsBadMatrices(t *testing.T) {
@@ -42,15 +52,6 @@ func TestNewRejectsBadMatrices(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MustNew did not panic on bad input")
-		}
-	}()
-	MustNew(mat.FromRows([][]float64{{0.3, 0.3}}), 0)
-}
-
 func TestStepAndEvolve(t *testing.T) {
 	c := twoState()
 	d0 := mat.Vector{1, 0}
@@ -58,14 +59,14 @@ func TestStepAndEvolve(t *testing.T) {
 	if math.Abs(d1[0]-0.90) > 1e-15 || math.Abs(d1[1]-0.10) > 1e-15 {
 		t.Errorf("Step = %v", d1)
 	}
-	d2 := c.Evolve(d0, 2)
-	want := c.Step(d1)
-	if d2.MaxAbsDiff(want) > 1e-15 {
-		t.Errorf("Evolve(2) = %v, want %v", d2, want)
+	// Two steps: [0.9·0.9 + 0.1·0.15, 0.9·0.1 + 0.1·0.85].
+	d2 := c.Step(d1)
+	if d2.MaxAbsDiff(mat.Vector{0.825, 0.175}) > 1e-15 {
+		t.Errorf("two steps = %v, want [0.825 0.175]", d2)
 	}
-	// Evolve must not mutate the input.
+	// Step must not mutate its input.
 	if d0[0] != 1 || d0[1] != 0 {
-		t.Errorf("Evolve mutated input: %v", d0)
+		t.Errorf("Step mutated input: %v", d0)
 	}
 }
 
@@ -199,77 +200,5 @@ func TestOccupancyValueDuality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestExpectedHittingTimesGeometric(t *testing.T) {
-	// Single transient state with exit probability p to target: E[T] = 1/p.
-	p := 0.1
-	m := mat.FromRows([][]float64{
-		{1 - p, p},
-		{0, 1},
-	})
-	c := MustNew(m, 0)
-	h, err := c.ExpectedHittingTimes(map[int]bool{1: true})
-	if err != nil {
-		t.Fatalf("ExpectedHittingTimes: %v", err)
-	}
-	if math.Abs(h[0]-10) > 1e-9 {
-		t.Errorf("h[0] = %g, want 10", h[0])
-	}
-	if h[1] != 0 {
-		t.Errorf("h[target] = %g, want 0", h[1])
-	}
-}
-
-func TestExpectedHittingTimesChain(t *testing.T) {
-	// 0 → 1 → 2 deterministic: h = [2, 1, 0].
-	m := mat.FromRows([][]float64{
-		{0, 1, 0},
-		{0, 0, 1},
-		{0, 0, 1},
-	})
-	c := MustNew(m, 0)
-	h, err := c.ExpectedHittingTimes(map[int]bool{2: true})
-	if err != nil {
-		t.Fatalf("ExpectedHittingTimes: %v", err)
-	}
-	if h.MaxAbsDiff(mat.Vector{2, 1, 0}) > 1e-12 {
-		t.Errorf("h = %v, want [2 1 0]", h)
-	}
-}
-
-func TestExpectedHittingTimesUnreachable(t *testing.T) {
-	// State 0 never reaches state 1.
-	m := mat.FromRows([][]float64{
-		{1, 0},
-		{0, 1},
-	})
-	c := MustNew(m, 0)
-	if _, err := c.ExpectedHittingTimes(map[int]bool{1: true}); err == nil {
-		t.Errorf("unreachable target did not error")
-	}
-}
-
-func TestGeometricMeanTime(t *testing.T) {
-	if got := GeometricMeanTime(0.25); got != 4 {
-		t.Errorf("GeometricMeanTime(0.25) = %g, want 4", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("GeometricMeanTime(0) did not panic")
-		}
-	}()
-	GeometricMeanTime(0)
-}
-
-func TestAllTargetsHittingTime(t *testing.T) {
-	c := twoState()
-	h, err := c.ExpectedHittingTimes(map[int]bool{0: true, 1: true})
-	if err != nil {
-		t.Fatalf("ExpectedHittingTimes: %v", err)
-	}
-	if h[0] != 0 || h[1] != 0 {
-		t.Errorf("h = %v, want zeros", h)
 	}
 }

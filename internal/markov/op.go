@@ -3,14 +3,15 @@ package markov
 // The operator interface and the iterative (matrix-free) solver paths.
 //
 // A Chain consumes its transition matrix only through Op: one distribution
-// step (MulVecTInto), one value step (MulVecInto), one successor sample
-// (RowSample), and the dimensions. Any structure that can do those — an
-// explicit CSR, a lazy Kronecker product (mat.KronOp), or the composed
-// system and policy operators core builds from SP×SR×queue factors — is a
-// chain, and the iterative algorithms below evaluate stationary
-// distributions, discounted values and discounted occupancies against it
-// without ever materializing Π-sized joint nonzeros, at O(cost(one step))
-// per iteration and O(n) extra memory.
+// step (MulVecTInto), one value step (MulVecInto), and the dimensions. Any
+// structure that can do those — an explicit CSR, a lazy Kronecker product
+// (mat.KronOp), or the composed system and policy operators core builds
+// from SP×SR×queue factors — is a chain, and the iterative algorithms below
+// evaluate stationary distributions, discounted values and discounted
+// occupancies against it without ever materializing Π-sized joint nonzeros,
+// at O(cost(one step)) per iteration and O(n) extra memory. Nothing in this
+// package samples; the simulator (internal/sim) walks CSR rows and
+// FactoredSP.SampleNext itself.
 //
 // The direct dense-LU solves in markov.go remain the small-n path (below
 // directLimit) and the parity oracle the iterative paths are tested against.
@@ -23,8 +24,7 @@ import (
 )
 
 // Op is the transition-operator contract a Chain needs: dimensions, one
-// distribution step, one value step, and one successor sample.
-// Implementations must be row-stochastic linear operators over states
+// distribution step and one value step. Implementations must be row-stochastic linear operators over states
 // 0..Rows()-1.
 //
 // Implemented by *mat.CSR, *mat.KronOp, and core's SystemOp and PolicyOp.
@@ -38,8 +38,6 @@ type Op interface {
 	// MulVecInto writes dst = P·v — the expected next-step value. dst must
 	// not alias v.
 	MulVecInto(dst, v mat.Vector)
-	// RowSample draws a successor of state i using uniforms from u.
-	RowSample(i int, u func() float64) int
 }
 
 // directLimit is the state-count threshold below which Stationary,

@@ -1,10 +1,10 @@
 package mat
 
-// Sparse Kronecker kernels. The joint transition matrix of k independent
+// Sparse Kronecker kernel. The joint transition matrix of k independent
 // Markov components under a fixed joint command is the Kronecker product of
 // the component matrices, so a composite chain can be *compiled* — its CSR
 // form assembled entry-by-entry from the factor CSRs — instead of enumerated
-// through a dense |S|×|S| intermediate. Both kernels emit rows in order with
+// through a dense |S|×|S| intermediate. KronAll emits rows in order with
 // sorted columns, so the result is a valid CSR without any sort/compress
 // pass, and the cost is O(nnz(result)) = O(Π nnz(factor)).
 
@@ -39,42 +39,13 @@ func mulCheck(a, b int) int {
 	return a * b
 }
 
-// Kron returns the Kronecker product a ⊗ b in CSR form:
-//
-//	(a ⊗ b)[ia·rb + ib, ja·cb + jb] = a[ia,ja] · b[ib,jb]
-//
-// with b's indices varying fastest (the standard convention). The result is
-// assembled directly — row pointers, sorted columns and values — without a
-// triplet pass or any dense intermediate.
-func Kron(a, b *CSR) *CSR {
-	rows, cols, nnz := kronDims([]*CSR{a, b})
-	rowPtr := make([]int, rows+1)
-	colIdx := make([]int, 0, nnz)
-	vals := make([]float64, 0, nnz)
-	for ia := 0; ia < a.rows; ia++ {
-		ac, av := a.RowNZ(ia)
-		for ib := 0; ib < b.rows; ib++ {
-			bc, bv := b.RowNZ(ib)
-			for k, ja := range ac {
-				base := ja * b.cols
-				for l, jb := range bc {
-					colIdx = append(colIdx, base+jb)
-					vals = append(vals, av[k]*bv[l])
-				}
-			}
-			rowPtr[ia*b.rows+ib+1] = len(vals)
-		}
-	}
-	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-}
-
 // KronAll returns ms[0] ⊗ ms[1] ⊗ … ⊗ ms[k-1] in CSR form, with later
-// factors varying fastest (so KronAll(a, b) == Kron(a, b)). Rather than
-// folding k−1 pairwise products — which materializes every intermediate —
-// it enumerates the k-way cross product of factor rows once, emitting each
-// joint entry directly at its final coordinates. Nested iteration over the
-// (sorted) factor rows yields sorted joint columns, so the output needs no
-// compression pass. It panics when called with no factors.
+// factors varying fastest. Rather than folding k−1 pairwise products —
+// which materializes every intermediate — it enumerates the k-way cross
+// product of factor rows once, emitting each joint entry directly at its
+// final coordinates. Nested iteration over the (sorted) factor rows yields
+// sorted joint columns, so the output needs no compression pass. It panics
+// when called with no factors.
 func KronAll(ms ...*CSR) *CSR {
 	if len(ms) == 0 {
 		panic("mat: KronAll needs at least one factor")

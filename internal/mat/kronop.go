@@ -13,10 +13,10 @@ package mat
 // likewise factored: one inverse-CDF walk per factor row, O(Σᵢ out-degreeᵢ)
 // per sample, with no heap allocation and no shared mutable state.
 //
-// The scratch buffers behind MulVec/MulVecT (and their Into variants) belong
-// to the operator, so those methods must not be called concurrently on one
-// KronOp; RowSample, Rows, Cols and the accessors are safe for concurrent
-// use. Factors are referenced, not copied — callers must not mutate them.
+// The scratch buffers behind MulVecInto and MulVecTInto belong to the
+// operator, so those methods must not be called concurrently on one KronOp;
+// RowSample, Rows, Cols and FactorNNZ are safe for concurrent use. Factors
+// are referenced, not copied — callers must not mutate them.
 
 import "fmt"
 
@@ -31,7 +31,7 @@ type KronOp struct {
 }
 
 // NewKronOp wraps the given square factors in a lazy Kronecker operator,
-// with later factors varying fastest (NewKronOp(a, b) represents Kron(a, b)).
+// with later factors varying fastest (NewKronOp(a, b) represents KronAll(a, b)).
 // It panics when called with no factors, a nil or non-square factor, or a
 // joint dimension that overflows int.
 func NewKronOp(factors ...*CSR) *KronOp {
@@ -99,10 +99,6 @@ func (op *KronOp) Rows() int { return op.n }
 
 // Cols returns the joint dimension (the operator is square).
 func (op *KronOp) Cols() int { return op.n }
-
-// Factors returns the factor list (later factors fastest). Callers must not
-// mutate the slice or the factors.
-func (op *KronOp) Factors() []*CSR { return op.factors }
 
 // FactorNNZ returns Σᵢ nnz(factor i) — the operator's whole storage
 // footprint, versus Π nnzᵢ for the expanded joint CSR.
@@ -175,26 +171,14 @@ func (op *KronOp) apply(dst, x Vector, transpose bool) {
 	copy(dst, cur)
 }
 
-// MulVecT returns x·(⊗A) (x as a row vector) — the one-step distribution
-// evolution of the product chain — in Σᵢ nnz(Aᵢ)·(N/|Sᵢ|) flops.
-func (op *KronOp) MulVecT(x Vector) Vector {
-	out := NewVector(op.n)
-	op.apply(out, x, true)
-	return out
-}
-
-// MulVecTInto is MulVecT writing into dst (which may not alias x).
+// MulVecTInto writes dst = x·(⊗A) (x as a row vector; dst may not alias x)
+// — the one-step distribution evolution of the product chain — in
+// Σᵢ nnz(Aᵢ)·(N/|Sᵢ|) flops.
 func (op *KronOp) MulVecTInto(dst, x Vector) { op.apply(dst, x, true) }
 
-// MulVec returns (⊗A)·v (v as a column vector) — the value-vector
-// application — at the same factored cost as MulVecT.
-func (op *KronOp) MulVec(v Vector) Vector {
-	out := NewVector(op.n)
-	op.apply(out, v, false)
-	return out
-}
-
-// MulVecInto is MulVec writing into dst (which may not alias v).
+// MulVecInto writes dst = (⊗A)·v (v as a column vector; dst may not alias
+// v) — the value-vector application — at the same factored cost as
+// MulVecTInto.
 func (op *KronOp) MulVecInto(dst, v Vector) { op.apply(dst, v, false) }
 
 // RowSample draws a successor of joint state i: each factor's row is sampled

@@ -86,28 +86,6 @@ func (v Vector) Max() float64 {
 	return m
 }
 
-// Min returns the minimum element of v, or +Inf for an empty vector.
-func (v Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element, or -1 for an empty vector.
-func (v Vector) ArgMax() int {
-	idx, m := -1, math.Inf(-1)
-	for i, x := range v {
-		if x > m {
-			m, idx = x, i
-		}
-	}
-	return idx
-}
-
 // Normalize scales v in place so its elements sum to 1 and returns v.
 // It panics if the sum is zero or not finite.
 func (v Vector) Normalize() Vector {
@@ -160,15 +138,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // FromRows builds a matrix from row slices. All rows must share a length.
 func FromRows(rows [][]float64) *Matrix {
 	r := len(rows)
@@ -214,14 +183,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// Scale multiplies every element by k in place and returns m.
-func (m *Matrix) Scale(k float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= k
-	}
-	return m
 }
 
 // AddMatrixScaled adds k*other to m in place and returns m.
@@ -305,17 +266,6 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 		}
 	}
 	return d
-}
-
-// IsStochastic reports whether every row of m is a probability distribution
-// within tolerance tol (DefaultTol when tol <= 0).
-func (m *Matrix) IsStochastic(tol float64) bool {
-	for i := 0; i < m.Rows; i++ {
-		if !m.Row(i).IsDistribution(tol) {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckStochastic returns a descriptive error for the first row of m that is

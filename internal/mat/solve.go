@@ -189,13 +189,3 @@ func Solve(a *Matrix, b Vector) (Vector, error) {
 	}
 	return f.Solve(b), nil
 }
-
-// SolveT solves the transposed system Aᵀ x = b, reusing a single
-// factorization of A via LU.SolveT.
-func SolveT(a *Matrix, b Vector) (Vector, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveT(b), nil
-}

@@ -46,9 +46,6 @@ func (t *Triplet) Add(i, j int, v float64) {
 	t.v = append(t.v, v)
 }
 
-// NNZ returns the number of recorded entries (duplicates uncombined).
-func (t *Triplet) NNZ() int { return len(t.v) }
-
 // ToCSR compresses the builder into a CSR matrix: duplicates summed, columns
 // sorted within each row, exact zeros dropped. The builder may be reused
 // afterwards (it is not consumed).
@@ -96,13 +93,6 @@ func (t *Triplet) ToCSR() *CSR {
 	}
 	rowPtr[t.rows] = out
 	return &CSR{rows: t.rows, cols: t.cols, rowPtr: rowPtr, colIdx: colIdx[:out], vals: vals[:out]}
-}
-
-// ToCSC compresses the builder into a CSC matrix (the column-major mirror of
-// ToCSR, with rows sorted within each column).
-func (t *Triplet) ToCSC() *CSC {
-	flipped := &Triplet{rows: t.cols, cols: t.rows, ri: t.ci, ci: t.ri, v: t.v}
-	return &CSC{t: flipped.ToCSR()}
 }
 
 // colValSort sorts paired (column, value) slices by column.
@@ -226,16 +216,6 @@ func (m *CSR) RowDot(i int, v Vector) float64 {
 	return s
 }
 
-// RowSum returns the sum of row i's entries.
-func (m *CSR) RowSum(i int) float64 {
-	_, vals := m.RowNZ(i)
-	s := 0.0
-	for _, v := range vals {
-		s += v
-	}
-	return s
-}
-
 // MulVec returns m*v (v as a column vector). Cost O(nnz).
 func (m *CSR) MulVec(v Vector) Vector {
 	if len(v) != m.cols {
@@ -272,13 +252,8 @@ func (m *CSR) VecMul(v Vector) Vector {
 	return out
 }
 
-// MulVecT returns v·m (v as a row vector) — an alias of VecMul under the
-// transition-operator naming shared with KronOp (y ← Pᵀy as a column, i.e.
-// one distribution step). Cost O(nnz).
-func (m *CSR) MulVecT(v Vector) Vector { return m.VecMul(v) }
-
-// MulVecTInto is MulVecT writing into dst (which may not alias v), for
-// iterative loops that must not allocate per step.
+// MulVecTInto writes dst = v·m (v as a row vector; dst may not alias v) —
+// one distribution step — without allocating. Cost O(nnz).
 func (m *CSR) MulVecTInto(dst, v Vector) {
 	if len(v) != m.rows || len(dst) != m.cols {
 		panic(fmt.Sprintf("mat: CSR.MulVecTInto dimension mismatch rows=%d len(v)=%d len(dst)=%d", m.rows, len(v), len(dst)))
@@ -374,14 +349,6 @@ func (m *CSR) Clone() *CSR {
 	return c
 }
 
-// Scale multiplies every stored entry by k in place and returns m.
-func (m *CSR) Scale(k float64) *CSR {
-	for i := range m.vals {
-		m.vals[i] *= k
-	}
-	return m
-}
-
 // Dense materializes m as a dense matrix.
 func (m *CSR) Dense() *Matrix {
 	d := NewMatrix(m.rows, m.cols)
@@ -430,14 +397,6 @@ func (m *CSR) MaxAbsDiff(other *CSR) float64 {
 	return d
 }
 
-// IsStochastic reports whether every row of m is a probability distribution
-// within tolerance tol (DefaultTol when tol <= 0), validated directly on the
-// sparse form: stored entries in [0,1] and each row summing to 1. Implicit
-// zeros are valid probability entries.
-func (m *CSR) IsStochastic(tol float64) bool {
-	return m.CheckStochastic(tol) == nil
-}
-
 // CheckStochastic returns a descriptive error for the first row of m that is
 // not a probability distribution within tol, or nil if all rows are. The
 // check runs on the sparse form in O(nnz).
@@ -479,12 +438,6 @@ func NewCSC(rows, cols int, colPtr, rowIdx []int, vals []float64) *CSC {
 	return &CSC{t: NewCSR(cols, rows, colPtr, rowIdx, vals)}
 }
 
-// Rows returns the number of rows.
-func (m *CSC) Rows() int { return m.t.cols }
-
-// Cols returns the number of columns.
-func (m *CSC) Cols() int { return m.t.rows }
-
 // NNZ returns the number of stored entries.
 func (m *CSC) NNZ() int { return m.t.NNZ() }
 
@@ -492,17 +445,5 @@ func (m *CSC) NNZ() int { return m.t.NNZ() }
 // slices alias internal storage; callers must not mutate them.
 func (m *CSC) ColNZ(j int) ([]int, []float64) { return m.t.RowNZ(j) }
 
-// At returns the (i, j) entry (zero if not stored).
-func (m *CSC) At(i, j int) float64 { return m.t.At(j, i) }
-
 // ColDot returns the inner product of column j with dense vector v.
 func (m *CSC) ColDot(j int, v Vector) float64 { return m.t.RowDot(j, v) }
-
-// CSR converts to row-compressed form.
-func (m *CSC) CSR() *CSR { return m.t.T() }
-
-// Dense materializes m as a dense matrix.
-func (m *CSC) Dense() *Matrix { return m.t.Dense().T() }
-
-// ToCSC converts a CSR matrix to column-compressed form.
-func (m *CSR) ToCSC() *CSC { return &CSC{t: m.T()} }

@@ -97,9 +97,6 @@ func TestSparseProductsMatchDense(t *testing.T) {
 			if math.Abs(s.RowDot(i, x)-d.Row(i).Dot(x)) > 1e-12 {
 				return false
 			}
-			if math.Abs(s.RowSum(i)-d.Row(i).Sum()) > 1e-12 {
-				return false
-			}
 		}
 		return true
 	}
@@ -124,15 +121,11 @@ func TestSparseTranspose(t *testing.T) {
 func TestCSCMirrorsCSR(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	d := randomDense(r, 6, 4, 0.4)
-	c := FromDense(d).ToCSC()
-	if c.Rows() != 6 || c.Cols() != 4 {
-		t.Fatalf("CSC dims %dx%d", c.Rows(), c.Cols())
-	}
-	if c.Dense().MaxAbsDiff(d) != 0 {
-		t.Errorf("CSC.Dense differs from source")
-	}
-	if c.CSR().Dense().MaxAbsDiff(d) != 0 {
-		t.Errorf("CSC→CSR differs from source")
+	src := FromDense(d)
+	tr := src.T()
+	c := NewCSC(6, 4, tr.rowPtr, tr.colIdx, tr.vals)
+	if c.NNZ() != src.NNZ() {
+		t.Fatalf("CSC has %d nonzeros, source %d", c.NNZ(), src.NNZ())
 	}
 	x := NewVector(6)
 	for i := range x {
@@ -146,26 +139,21 @@ func TestCSCMirrorsCSR(t *testing.T) {
 				wantVals += d.At(i, j) * x[i]
 			}
 		}
-		rowsNZ, _ := c.ColNZ(j)
+		rowsNZ, vals := c.ColNZ(j)
 		if len(rowsNZ) != wantRows {
 			t.Errorf("col %d: %d nonzeros, want %d", j, len(rowsNZ), wantRows)
+		}
+		for k, i := range rowsNZ {
+			if k > 0 && i <= rowsNZ[k-1] {
+				t.Errorf("col %d: rows not strictly increasing: %v", j, rowsNZ)
+			}
+			if vals[k] != d.At(i, j) {
+				t.Errorf("col %d row %d: %g, want %g", j, i, vals[k], d.At(i, j))
+			}
 		}
 		if math.Abs(c.ColDot(j, x)-wantVals) > 1e-12 {
 			t.Errorf("col %d: ColDot = %g, want %g", j, c.ColDot(j, x), wantVals)
 		}
-		for i := 0; i < 6; i++ {
-			if c.At(i, j) != d.At(i, j) {
-				t.Errorf("CSC.At(%d,%d) = %g, want %g", i, j, c.At(i, j), d.At(i, j))
-			}
-		}
-	}
-	// Triplet → CSC directly.
-	tr := NewTriplet(2, 2)
-	tr.Add(1, 0, 2)
-	tr.Add(0, 1, 3)
-	cc := tr.ToCSC()
-	if cc.At(1, 0) != 2 || cc.At(0, 1) != 3 || cc.NNZ() != 2 {
-		t.Errorf("Triplet.ToCSC wrong: %v", cc.Dense())
 	}
 }
 
@@ -193,9 +181,6 @@ func TestSparseCheckStochastic(t *testing.T) {
 	if err := good.CheckStochastic(0); err != nil {
 		t.Errorf("valid stochastic rejected: %v", err)
 	}
-	if !good.IsStochastic(0) {
-		t.Errorf("IsStochastic false for valid matrix")
-	}
 	badSum := FromDense(FromRows([][]float64{{0.5, 0.4}, {1, 0}}))
 	if badSum.CheckStochastic(0) == nil {
 		t.Errorf("row summing to 0.9 accepted")
@@ -216,12 +201,15 @@ func TestSparseCloneAndScale(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	d := randomDense(r, 5, 5, 0.4)
 	s := FromDense(d)
-	c := s.Clone().Scale(2)
-	if c.Dense().MaxAbsDiff(d.Clone().Scale(2)) > 1e-15 {
-		t.Errorf("Clone/Scale differs from dense")
+	c := s.Clone()
+	if c.Dense().MaxAbsDiff(d) != 0 {
+		t.Errorf("Clone differs from source")
+	}
+	for k := range c.vals {
+		c.vals[k] *= 2
 	}
 	if s.Dense().MaxAbsDiff(d) != 0 {
-		t.Errorf("Scale on clone mutated the original")
+		t.Errorf("scaling the clone mutated the original")
 	}
 }
 

@@ -111,7 +111,7 @@ type SparseLU struct {
 	updates int
 
 	// Workspace (length n), reused across solves and updates: w is all-zero
-	// between operations, tmp is the dense Solve/SolveT scratch.
+	// between operations, tmp is the dense Solve/SolveTInto scratch.
 	w     []float64
 	tmp   Vector
 	stamp []int
@@ -681,9 +681,6 @@ func (f *SparseLU) moveRow(r, size int) {
 	f.rowVals[r] = f.vVals[start : start+n : start+size]
 }
 
-// N returns the dimension of the factored matrix.
-func (f *SparseLU) N() int { return f.n }
-
 // NNZ returns the stored nonzeros of the factorization — L multipliers, V
 // entries, and Forrest–Tomlin eta coefficients — the fill-in record
 // benchmarks report next to pivot counts.
@@ -745,20 +742,13 @@ func (f *SparseLU) SolveInto(x, b Vector) {
 	f.backwardDense(y, x, f.n-1)
 }
 
-// SolveT solves the transposed system Bᵀ y = c through the factorization and
-// any absorbed updates. c is indexed by column slot and not modified; the
-// result is indexed by row. This is the BTRAN of the revised simplex.
-func (f *SparseLU) SolveT(c Vector) Vector {
-	w := NewVector(len(c))
-	f.SolveTInto(w, c)
-	return w
-}
-
-// SolveTInto is SolveT writing into w, which may alias c; it allocates
-// nothing.
+// SolveTInto solves the transposed system Bᵀ y = c through the
+// factorization and any absorbed updates, writing y into w, which may alias
+// c. c is indexed by column slot, y by row. This is the BTRAN of the revised
+// simplex; it allocates nothing.
 func (f *SparseLU) SolveTInto(w, c Vector) {
 	if len(c) != f.n || len(w) != f.n {
-		panic("mat: SparseLU.SolveT dimension mismatch")
+		panic("mat: SparseLU.SolveTInto dimension mismatch")
 	}
 	c = f.tmp[:copy(f.tmp, c)]
 	clear(w)

@@ -90,10 +90,10 @@ func sameBits(a, b Vector) bool {
 // health record agrees bit for bit.
 func sameSolves(t *testing.T, tag string, got, want *SparseLU) {
 	t.Helper()
-	if got.N() != want.N() || got.NNZ() != want.NNZ() || got.Updates() != want.Updates() {
-		t.Fatalf("%s: n/nnz/updates %d/%d/%d, fresh %d/%d/%d", tag, got.N(), got.NNZ(), got.Updates(), want.N(), want.NNZ(), want.Updates())
+	if got.n != want.n || got.NNZ() != want.NNZ() || got.Updates() != want.Updates() {
+		t.Fatalf("%s: n/nnz/updates %d/%d/%d, fresh %d/%d/%d", tag, got.n, got.NNZ(), got.Updates(), want.n, want.NNZ(), want.Updates())
 	}
-	n := want.N()
+	n := want.n
 	rhs := NewVector(n)
 	for i := range rhs {
 		rhs[i] = float64(i%5) - 1.5
@@ -101,7 +101,7 @@ func sameSolves(t *testing.T, tag string, got, want *SparseLU) {
 	if a, b := got.Solve(rhs), want.Solve(rhs); !sameBits(a, b) {
 		t.Fatalf("%s: Solve %v, fresh %v", tag, a, b)
 	}
-	if a, b := got.SolveT(rhs), want.SolveT(rhs); !sameBits(a, b) {
+	if a, b := sparseSolveT(got, rhs), sparseSolveT(want, rhs); !sameBits(a, b) {
 		t.Fatalf("%s: SolveT %v, fresh %v", tag, a, b)
 	}
 	sp := func(f *SparseLU, transpose bool, i int) *SpVec {

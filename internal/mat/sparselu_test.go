@@ -44,7 +44,15 @@ func maxDiff(a, b Vector) float64 {
 	return m
 }
 
-// TestSparseLUParity holds SparseLU's Solve and SolveT to the dense LU on
+// sparseSolveT returns the BTRAN solution y of Bᵀ y = c through f's
+// SolveTInto, the entry point the simplex uses.
+func sparseSolveT(f *SparseLU, c Vector) Vector {
+	y := NewVector(len(c))
+	f.SolveTInto(y, c)
+	return y
+}
+
+// TestSparseLUParity holds SparseLU's Solve and SolveTInto to the dense LU on
 // random sparse systems across sizes and densities.
 func TestSparseLUParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -67,7 +75,7 @@ func TestSparseLUParity(t *testing.T) {
 				if diff := maxDiff(sf.Solve(b), lu.Solve(b)); diff > 1e-8 {
 					t.Errorf("n=%d density=%g: Solve diverges from dense LU by %g", n, density, diff)
 				}
-				if diff := maxDiff(sf.SolveT(b), lu.SolveT(b)); diff > 1e-8 {
+				if diff := maxDiff(sparseSolveT(sf, b), lu.SolveT(b)); diff > 1e-8 {
 					t.Errorf("n=%d density=%g: SolveT diverges from dense LU by %g", n, density, diff)
 				}
 			}
@@ -157,7 +165,7 @@ func TestSparseLUUpdateEquivalence(t *testing.T) {
 				if diff := maxDiff(sf.Solve(b), fresh.Solve(b)); diff > 1e-8 {
 					t.Errorf("n=%d k=%d: updated Solve diverges from fresh factorization by %g", n, k, diff)
 				}
-				if diff := maxDiff(sf.SolveT(b), fresh.SolveT(b)); diff > 1e-8 {
+				if diff := maxDiff(sparseSolveT(sf, b), fresh.SolveT(b)); diff > 1e-8 {
 					t.Errorf("n=%d k=%d: updated SolveT diverges from fresh factorization by %g", n, k, diff)
 				}
 			}
@@ -211,7 +219,7 @@ func TestSparseLUUpdateSameSlotRepeated(t *testing.T) {
 	if diff := maxDiff(sf.Solve(b), fresh.Solve(b)); diff > 1e-8 {
 		t.Errorf("Solve diverges from fresh factorization by %g", diff)
 	}
-	if diff := maxDiff(sf.SolveT(b), fresh.SolveT(b)); diff > 1e-8 {
+	if diff := maxDiff(sparseSolveT(sf, b), fresh.SolveT(b)); diff > 1e-8 {
 		t.Errorf("SolveT diverges from fresh factorization by %g", diff)
 	}
 }

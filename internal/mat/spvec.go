@@ -71,14 +71,6 @@ func NewSpVec(n int) *SpVec {
 // N returns the dimension.
 func (v *SpVec) N() int { return len(v.Val) }
 
-// NNZ returns the tracked pattern size (n when Dense).
-func (v *SpVec) NNZ() int {
-	if v.Dense {
-		return len(v.Val)
-	}
-	return len(v.Ind)
-}
-
 // Reset restores the all-zero state, zeroing only the entries the pattern
 // says may be live (the whole backing when Dense).
 func (v *SpVec) Reset() {

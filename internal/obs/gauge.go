@@ -31,16 +31,6 @@ func (g *Gauges) Add(name string, delta int64) {
 	g.mu.Unlock()
 }
 
-// Get returns the named gauge's current value (0 if never touched).
-func (g *Gauges) Get(name string) int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m[name]
-}
-
 // Snapshot returns a copy of every gauge by name.
 func (g *Gauges) Snapshot() map[string]int64 {
 	if g == nil {

@@ -25,9 +25,6 @@ func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, families: make(map[string]bool)}
 }
 
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
-
 func (p *PromWriter) printf(format string, args ...any) {
 	if p.err != nil {
 		return

@@ -18,8 +18,8 @@ func TestPromWriterShape(t *testing.T) {
 	}
 	p.Histogram("dpm_latency_seconds", "Latency.", Label("path", "optimize"), h.Snapshot(), 1)
 	p.Histogram("dpm_latency_seconds", "Latency.", Label("path", "sweep"), h.Snapshot(), 1)
-	if p.Err() != nil {
-		t.Fatalf("write error: %v", p.Err())
+	if p.err != nil {
+		t.Fatalf("write error: %v", p.err)
 	}
 	out := b.String()
 

@@ -31,8 +31,8 @@ func render(r *Registry) string {
 	var b strings.Builder
 	p := NewPromWriter(&b)
 	r.WriteProm(p)
-	if p.Err() != nil {
-		panic(p.Err())
+	if p.err != nil {
+		panic(p.err)
 	}
 	return b.String()
 }

@@ -104,9 +104,6 @@ type Stats struct {
 	// FailedRefreshes counts re-solves that did not produce a policy
 	// (infeasible window, budget exhausted); the previous policy remains.
 	FailedRefreshes int
-	// LastPivots and LastDrift describe the most recent refresh attempt.
-	LastPivots int
-	LastDrift  float64
 }
 
 // Outcome reports what one Observe call did.
@@ -229,7 +226,6 @@ func (a *Adapter) Observe(ctx context.Context, counts []int) (*Outcome, error) {
 			return out, nil
 		}
 		out.Drift = drift
-		a.stats.LastDrift = drift
 		if ratio < 1 {
 			return out, nil
 		}
@@ -329,7 +325,6 @@ func (a *Adapter) refresh(ctx context.Context, out *Outcome, trigger string) {
 	o.WarmBasis = a.basis
 	res, err := core.OptimizeProblemCtx(solveCtx, model, o, a.prob)
 	if res != nil {
-		a.stats.LastPivots = res.LPIterations
 		out.Pivots = res.LPIterations
 	}
 	if err != nil {

@@ -77,9 +77,6 @@ func NewEstimator(memory int, decay float64) (*Estimator, error) {
 	}, nil
 }
 
-// Memory returns the history length k.
-func (e *Estimator) Memory() int { return e.memory }
-
 // States returns the number of SR states, 2^k.
 func (e *Estimator) States() int { return 1 << e.memory }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/devices"
 	"repro/internal/lp"
+	"repro/internal/mat"
 	"repro/internal/online"
 	"repro/internal/trace"
 )
@@ -407,7 +408,7 @@ func TestAdapterDriftLoop(t *testing.T) {
 	// The drift must have actually changed the served commands somewhere.
 	changed := false
 	for s := 0; s < m.N && !changed; s++ {
-		changed = initial.Policy.ModeCommand(s) != drifted.Policy.ModeCommand(s)
+		changed = modeCommand(initial.Policy.CommandDist(s)) != modeCommand(drifted.Policy.CommandDist(s))
 	}
 	if !changed {
 		t.Errorf("drift refresh left the mode command identical on every state")
@@ -496,4 +497,15 @@ func TestAdapterValidation(t *testing.T) {
 	if st := a.Stats(); st.Slices != 0 {
 		t.Errorf("rejected batch was partially ingested: %+v", st)
 	}
+}
+
+// modeCommand returns the most probable command of a command distribution.
+func modeCommand(dist mat.Vector) int {
+	best := 0
+	for a, w := range dist {
+		if w > dist[best] {
+			best = a
+		}
+	}
+	return best
 }

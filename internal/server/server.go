@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -608,7 +609,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		o.LPMonitorEvery = s.cfg.SolveMonitorEvery
 		seedVals := append(append([]float64{}, baseVals...), req.Sweep.Values[0])
 		o.WarmBasis = s.cache.nearest(family, seedVals)
-		points, err := sweep.Pareto(ctx, e.Model, o, req.Sweep.Metric, rel, req.Sweep.Values, sweep.Config{Workers: req.Sweep.Workers})
+		// Workers beyond the CPU count cannot run in parallel; each one only
+		// adds a chunk that assembles its own LP and starts cold.
+		workers := min(req.Sweep.Workers, runtime.GOMAXPROCS(0))
+		points, err := sweep.Pareto(ctx, e.Model, o, req.Sweep.Metric, rel, req.Sweep.Values, sweep.Config{Workers: workers})
 		if err != nil {
 			if isContextErr(err) {
 				s.stats.CancelledSolves.Add(1)

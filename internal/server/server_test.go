@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -660,5 +661,34 @@ func TestConcurrentSweepsSeedWarmOptimizes(t *testing.T) {
 		if d := math.Abs(g.Objective - want.Objective); d > 1e-9*math.Abs(want.Objective) || want.Cache != "warm" {
 			t.Errorf("optimize at %g: objective %.15g, one-at-a-time server %.15g (%s)", v, g.Objective, want.Objective, want.Cache)
 		}
+	}
+}
+
+// TestSweepWorkersClampedToCPUs: a client-chosen worker count beyond
+// GOMAXPROCS is clamped, so a 64-point sweep asking for 4096 workers runs
+// at most GOMAXPROCS chunks — each starts cold and warm-starts the rest of
+// its points — instead of 64 one-point chunks that all assemble their own
+// LP and start cold.
+func TestSweepWorkersClampedToCPUs(t *testing.T) {
+	_, base := newTestServer(t)
+	const n = 64
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 0.6 + 0.01*float64(i)
+	}
+	var sw SweepResponse
+	st := call(t, http.MethodPost, base+"/v1/sweep", SweepRequest{
+		OptimizeRequest: OptimizeRequest{Model: "disk", Objective: "power"},
+		Sweep:           SweepSpec{Metric: "penalty", Rel: "<=", Values: vals, Workers: 4096},
+	}, &sw)
+	if st != http.StatusOK || sw.Feasible != n {
+		t.Fatalf("sweep: status %d, %d/%d feasible", st, sw.Feasible, n)
+	}
+	if want := n - runtime.GOMAXPROCS(0); sw.WarmStarted < want {
+		t.Errorf("%d warm-started points, want at least %d (one cold start per CPU)", sw.WarmStarted, want)
+	}
+	var health map[string]any
+	if st := call(t, http.MethodGet, base+"/v1/healthz", nil, &health); st != http.StatusOK {
+		t.Errorf("healthz after the sweep: status %d", st)
 	}
 }

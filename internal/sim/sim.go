@@ -283,8 +283,7 @@ func (s *Simulator) session(ac *accumulator, src arrivalSource) {
 		} else if s.fsp != nil {
 			spNext = s.fsp.SampleNext(st.SP, cmd, s.rng.Float64)
 		} else {
-			cols, vals := s.spChains[cmd].RowNZ(st.SP)
-			spNext = sampleRowNZ(s.rng, cols, vals)
+			spNext = s.spChains[cmd].RowSample(st.SP, s.rng.Float64)
 		}
 
 		// Queue update per Eq. 3, with exact request accounting.
@@ -357,20 +356,6 @@ func sampleRow(rng *rand.Rand, row []float64) int {
 		}
 	}
 	return len(row) - 1
-}
-
-// sampleRowNZ samples from a sparse probability row (indices cols, masses
-// vals). Implicit zeros carry no mass, so any residual u lands on the last
-// stored entry, mirroring sampleRow's tail clamp.
-func sampleRowNZ(rng *rand.Rand, cols []int, vals []float64) int {
-	u := rng.Float64()
-	for k, p := range vals {
-		u -= p
-		if u <= 0 {
-			return cols[k]
-		}
-	}
-	return cols[len(cols)-1]
 }
 
 // Run simulates a single fixed-horizon session of the given number of

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -46,9 +45,6 @@ func (t *Trace) Validate() error {
 	}
 	return nil
 }
-
-// Sort sorts timestamps ascending (convenience for merged traces).
-func (t *Trace) Sort() { sort.Float64s(t.Times) }
 
 // Discretize buckets arrivals into time slices of width dt, as in paper
 // Example 5.1: slot i counts the requests with i·dt ≤ time < (i+1)·dt. The

@@ -6,7 +6,8 @@
 # happened, and shut it down cleanly. CI runs this against a
 # race-instrumented daemon (`make smoke`); it needs only bash + curl + the
 # three binaries. A model too large to compile quickly must be refused with
-# 400 without stalling the daemon.
+# 400 without stalling the daemon, and a sweep asking for 4096 workers must
+# be answered (the daemon clamps it to its CPU count) without stalling it.
 #
 # With a fourth argument (path to dpmload), a load phase follows: the
 # closed-loop generator drives a mixed workload at two concurrency levels
@@ -71,6 +72,18 @@ grep -q 'over the limit' "$BIG_OUT" || fail "oversized model refused for another
 rm -f "$BIG_OUT"
 HEALTH=$(curl -sSf --max-time 5 "$URL/v1/healthz")
 echo "$HEALTH" | grep -q '"status": "ok"' || fail "healthz not ok after the oversized model" "$HEALTH"
+
+# Sweep worker bound: a client asking for 4096 workers on a 64-point sweep
+# gets at most one worker per CPU, each assembling one LP; the sweep must
+# succeed and the daemon must answer right after.
+WVALS=$(seq 0.60 0.01 1.23 | paste -sd, -)
+WREQ='{"model":"disk","objective":"power","sweep":{"metric":"penalty","rel":"<=","values":['"$WVALS"'],"workers":4096}}'
+WIDE_OUT="$(mktemp)"
+WIDE_CODE=$(curl -sS -o "$WIDE_OUT" -w '%{http_code}' -X POST -d "$WREQ" "$URL/v1/sweep")
+[ "$WIDE_CODE" = 200 ] || fail "workers-4096 sweep got status $WIDE_CODE, want 200" "$(cat "$WIDE_OUT")"
+rm -f "$WIDE_OUT"
+HEALTH=$(curl -sSf --max-time 5 "$URL/v1/healthz")
+echo "$HEALTH" | grep -q '"status": "ok"' || fail "healthz not ok after the workers-4096 sweep" "$HEALTH"
 
 # has VAR PATTERN: grep without -q so the whole (large) input is consumed —
 # with -q, grep exits at the first match and the echo side of the pipe dies
@@ -142,7 +155,7 @@ has "$METRICS" '^dpmserved_online_warm_total [1-9]' \
 has "$METRICS" '^dpmserved_online_patched_total [1-9]' \
   || { echo "smoke: no patched online refresh recorded"; echo "$METRICS" | grep online; exit 1; }
 
-PHASES="cold solve, cache hit, composite preset, oversized model refused, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh"
+PHASES="cold solve, cache hit, composite preset, oversized model refused, wide sweep clamped, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh"
 if [ -n "$LOAD" ]; then
   # Load phase: closed-loop mixed traffic at two concurrency levels against
   # the same (race-instrumented, under CI) daemon. -require-p99 makes
