@@ -11,7 +11,10 @@ SHELL := bash
 
 .PHONY: all build lint test benchcheck bench serve smoke loadtest fuzz
 
-all: build lint test benchcheck bench smoke loadtest
+all: build lint test fuzz benchcheck bench smoke loadtest
+
+# Inside `all` (as in CI) the fuzz step is a smoke run: 10 s per target.
+all: FUZZTIME = 10s
 
 build:
 	$(GO) build ./...
@@ -33,8 +36,9 @@ benchcheck:
 
 # Run every Fuzz* target in turn for FUZZTIME each (go test -fuzz takes one
 # target in one package at a time); new failing inputs land in the target's
-# testdata/fuzz directory. Not part of `all`: `go test ./...` already runs
-# each target's seed corpus.
+# testdata/fuzz directory. `go test ./...` runs only each target's seed
+# corpus, so this is the one step that explores new inputs; `all` runs it
+# at FUZZTIME=10s.
 FUZZTIME ?= 30s
 
 fuzz:

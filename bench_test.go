@@ -235,15 +235,12 @@ func largeComposite(b *testing.B, queueCap int) (*core.Model, core.Options) {
 	}
 }
 
-// BenchmarkLargeComposite is the before/after record of the sparse
-// end-to-end refactor: the same 3-disk composite policy LP solved by the
-// sparse pipeline (CSR compilation + column-sparse revised simplex) and by
-// the retained dense tableau (lp.SolveDense). On the queue-4 instance the
-// two follow identical pivot sequences and agree to ~1e-11, so the ns/op
-// and allocs/op ratios in BENCH.json are a pure algorithm comparison; the
-// dense leg of the queue-8 instance is omitted because the full tableau
-// takes minutes there (the sparse leg is the demonstration that the size
-// is now tractable at all).
+// BenchmarkLargeComposite records the sparse end-to-end pipeline (CSR
+// compilation + column-sparse revised simplex) on the same 3-disk
+// composite policy LP at queue capacities 4 and 8. The full-tableau simplex
+// these legs were once measured against is gone; the queue-8 leg stands as
+// the demonstration that the size is tractable at all (the tableau took
+// minutes there).
 func BenchmarkLargeComposite(b *testing.B) {
 	b.Run("sparse-q4", func(b *testing.B) {
 		m, opts := largeComposite(b, 4)
@@ -256,24 +253,6 @@ func BenchmarkLargeComposite(b *testing.B) {
 			}
 			if i == b.N-1 {
 				b.ReportMetric(float64(res.LPIterations), "pivots")
-			}
-		}
-	})
-	b.Run("dense-q4", func(b *testing.B) {
-		m, opts := largeComposite(b, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			prob, err := core.BuildFrequencyLP(m, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sol, err := lp.SolveDense(prob)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				b.ReportMetric(float64(sol.Iterations), "pivots")
 			}
 		}
 	})

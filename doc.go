@@ -24,8 +24,9 @@
 //     flight recorder (lp.WithMonitor) streams read-only iteration
 //     snapshots — pivots, objective, infeasibilities, and the sparse
 //     kernel's numerical-health counters (mat.HealthStats) — without
-//     perturbing the pivot trajectory; the full-tableau simplex survives
-//     as lp.SolveDense, the reference oracle of the parity tests;
+//     perturbing the pivot trajectory; lp.CertifyExact reads a returned
+//     basis in exact rational arithmetic and proves it optimal, the
+//     oracle the tests hold every solver configuration to;
 //   - internal/sweep — the concurrent sweep engine: a bounded
 //     GOMAXPROCS-sized worker pool with deterministic input-ordered
 //     results (sweep.Map), and chunked warm-started Pareto tracing
@@ -180,8 +181,10 @@
 // and cold solves run on a deterministically jittered rhs that removes the
 // massive primal degeneracy of policy LPs (the exact rhs is restored at
 // optimality and any residual infeasibility repaired by dual simplex).
-// Small problems keep the exact unperturbed pivot path. The full-tableau
-// simplex, lp.SolveDense, is kept only as the tests' reference oracle.
+// Small problems keep the exact unperturbed pivot path. Neither path is
+// trusted on its own: the tests prove its verdicts in exact arithmetic
+// (lp.CertifyExact for optimal bases, elastic and ray LPs for infeasible
+// and unbounded ones).
 //
 // Resource bounds: lp.WithMaxPivots stops a solve after a pivot budget with
 // Status lp.BudgetExceeded (an error matching lp.ErrBudgetExceeded — a

@@ -303,8 +303,9 @@ func annotateTimings(sp *obs.Span, t lp.Timings) {
 // is e_s − α·P_a(s,·)ᵀ, so row j's entries come straight from the rows of
 // the transposed chains — and the solver stores the matrix column-sparse,
 // so no dense |S·A|-wide coefficient vector is ever materialized. Optimize
-// is the primary caller; the function is exported so benchmarks and parity
-// tests can run the identical LP through other solvers (e.g. lp.SolveDense).
+// is the primary caller; it is exported for the online adapter, the
+// benchmarks, and the tests that solve the identical LP under other solver
+// configurations or prove its optimum with lp.CertifyExact.
 func BuildFrequencyLP(m *Model, opts Options) (*lp.Problem, error) {
 	prob := lp.NewProblem(opts.Objective.Sense, m.N*m.A)
 	err := frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
@@ -483,7 +484,9 @@ func ParetoSweep(m *Model, opts Options, metric string, rel lp.Rel, boundValues 
 // and, through the lp layer, inside each solve's pivot loop — and an
 // optional cold mode that disables basis reuse entirely (including any
 // caller-supplied Options.WarmBasis), so every point is solved from
-// scratch. It is the chunk worker of package sweep.
+// scratch. It is the chunk worker of package sweep. A sweep cancelled
+// between points returns the context's cause (context.Cause), so a caller
+// that cancelled with a reason gets that reason back.
 //
 // The frequency LP is built once and kept resident (lp.Resident): each
 // point only moves the swept bound's right-hand side. In warm mode a solve
@@ -499,8 +502,8 @@ func ParetoSweepCtx(ctx context.Context, m *Model, opts Options, metric string, 
 	if len(boundValues) == 0 {
 		return points, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	o := opts
 	o.Bounds = append(append([]Bound{}, opts.Bounds...), Bound{Metric: metric, Rel: rel, Value: boundValues[0]})
@@ -517,8 +520,8 @@ func ParetoSweepCtx(ctx context.Context, m *Model, opts Options, metric string, 
 	resident := o.lpSolver().Resident(prob)
 	row := len(prob.Cons) - 1 // the swept bound's row
 	for _, v := range boundValues {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
 		swept.Value = v
 		resident.SetRHS(row, v)

@@ -10,6 +10,7 @@ package lp_test
 // exposed the failure.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,8 +64,9 @@ func TestHighDiscountRedundantBound(t *testing.T) {
 // At horizon 10⁶ phase 1 used to stop with an artificial residual of
 // 8·10⁻⁸ — 8% of the balance rows' rhs mass 1−α = 10⁻⁶, yet under the old
 // 10⁻⁷·(1+Σb) cutoff — so the solve went on to phase 2, failed
-// verification twice and was reported Numerical. Both solvers must say
-// Infeasible.
+// verification twice and was reported Numerical. core.Optimize and both
+// kernel configurations must say Infeasible, and the verdict is proved in
+// exact arithmetic by the LP's elastic relaxation (CertifyVerdict).
 func TestHighDiscountInfeasibleBound(t *testing.T) {
 	sys := devices.DiskSystem(core.TwoStateSR("w", 0.05, 0.15))
 	m, err := sys.Build()
@@ -82,8 +84,14 @@ func TestHighDiscountInfeasibleBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol, _ := lp.SolveDense(prob); sol.Status != lp.Infeasible {
-			t.Errorf("horizon %g: SolveDense status %v, want infeasible", h, sol.Status)
+		for kname, kopts := range kernelOpts {
+			sol, basis, _ := lp.NewSolver(kopts...).Solve(context.Background(), prob, nil)
+			if sol.Status != lp.Infeasible {
+				t.Errorf("horizon %g/%s: status %v, want infeasible", h, kname, sol.Status)
+			}
+			if cerr := lp.CertifyVerdict(prob, sol, basis, 0, kopts...); cerr != nil {
+				t.Errorf("horizon %g/%s: %v", h, kname, cerr)
+			}
 		}
 	}
 }

@@ -24,9 +24,10 @@
 // verified against the original constraints (with one stricter retry before
 // giving up with a Numerical status).
 //
-// The full-tableau dense simplex is retained as SolveDense — the reference
-// oracle of the parity tests and the "before" leg of benchmarks; both
-// solvers share the same standard form, tolerances and Basis layout.
+// The float64 answers are checked, not trusted: CertifyExact reads a
+// returned basis in exact rational arithmetic and proves it optimal (or
+// says by how much it is not), which is what the tests hold every solver
+// configuration to.
 //
 // Problems are stated over nonnegative variables:
 //
@@ -241,15 +242,13 @@ type Solution struct {
 	// Refactorizations counts full basis refactorizations performed by the
 	// revised simplex (O(m³) under the dense factorization, O(nnz + fill)
 	// under the sparse one) — together with Iterations, the work a solve
-	// actually did, which benchmarks report alongside wall time. Always
-	// zero from SolveDense, which carries a full tableau instead of a
-	// factorized basis.
+	// actually did, which benchmarks report alongside wall time.
 	Refactorizations int
 	// FactorNNZ reports the stored nonzeros of the final basis
 	// factorization — m² under the dense kernel, nnz(L)+nnz(U)+etas under
 	// the sparse one — the fill-in statistic that, next to Iterations and
 	// Refactorizations, tells whether the Markowitz ordering is containing
-	// fill on a given problem family. Zero from SolveDense.
+	// fill on a given problem family.
 	FactorNNZ int
 	// WarmStarted reports that the solve reused a caller-supplied Basis and
 	// skipped phase 1 (see Solver.Solve).
@@ -257,12 +256,11 @@ type Solution struct {
 	// Timings is the per-stage wall-clock breakdown of the solve
 	// (ftran/btran/price/factor/update) — the attribution that pairs with
 	// Iterations and Refactorizations to show where a solve's time went.
-	// Zero from SolveDense.
 	Timings Timings
 }
 
-// ErrNotOptimal is wrapped by Solver.Solve and SolveDense when the problem
-// has no optimal solution.
+// ErrNotOptimal is wrapped by Solver.Solve when the problem has no optimal
+// solution.
 var ErrNotOptimal = errors.New("lp: no optimal solution")
 
 // ErrBudgetExceeded is additionally wrapped (alongside ErrNotOptimal) when a
@@ -278,7 +276,8 @@ const (
 	zeroTol     = 1e-11 // clamp for tiny negative basic values
 )
 
-// stdForm is the shared standard form both solvers run on. Column layout:
+// stdForm is the standard form the solver runs on and CertifyExact reads.
+// Column layout:
 //
 //	[0, nv)            structural variables
 //	[nv, nv+ns)        slack/surplus variables

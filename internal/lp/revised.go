@@ -1,6 +1,6 @@
 package lp
 
-// Revised simplex: the default solver. Instead of carrying the full m×nTot
+// Revised simplex: the package's solver. Instead of carrying the full m×nTot
 // tableau, it keeps only
 //
 //   - the column-sparse standard-form matrix (immutable),

@@ -23,30 +23,22 @@ var kernelConfigs = []struct {
 }
 
 // TestFactorizerPricerParity is the kernel contract: every corpus problem
-// solved under both size-selected configurations agrees with the dense-
-// tableau reference on status, and on optimal instances the objectives
-// agree within 1e-8. This is what licenses the solver to switch kernel and
-// pricer by basis size without changing answers.
+// solved under both size-selected configurations reaches the verdict it
+// has in exact arithmetic — certifyVerdict proves each Optimal, Infeasible
+// and Unbounded answer — and every optimal solution is feasible for the
+// original constraints. This is what licenses the solver to switch kernel
+// and pricer by basis size without changing answers.
 func TestFactorizerPricerParity(t *testing.T) {
 	for name, p := range parityProblems() {
-		ref, refErr := SolveDense(p)
 		for _, kc := range kernelConfigs {
 			sol, basis, err := NewSolver(kc.opts...).Solve(context.Background(), p, nil)
 			label := name + "/" + kc.name
-			if (err == nil) != (refErr == nil) || sol.Status != ref.Status {
-				t.Errorf("%s: status %v (err %v) vs reference %v (err %v)",
-					label, sol.Status, err, ref.Status, refErr)
+			if cerr := certifyVerdict(p, sol, basis, certResiduals[name], kc.opts...); cerr != nil {
+				t.Errorf("%s: %v verdict (err %v) not certified: %v", label, sol.Status, err, cerr)
 				continue
 			}
 			if err != nil {
 				continue
-			}
-			if basis == nil {
-				t.Errorf("%s: optimal solve returned nil basis", label)
-			}
-			if d := math.Abs(sol.Objective - ref.Objective); d > 1e-8 {
-				t.Errorf("%s: objective %.12g vs reference %.12g (Δ=%g)",
-					label, sol.Objective, ref.Objective, d)
 			}
 			if !feasible(p, sol.X, 1e-6) {
 				t.Errorf("%s: solution infeasible", label)

@@ -76,11 +76,11 @@ func (c Config) workers(n int) int {
 
 // Map runs fn(ctx, i) for every i in [0, n) on a bounded worker pool and
 // returns the results in index order. The first error cancels all remaining
-// work and is returned (an already-cancelled ctx surfaces as its error).
+// work and is returned (an already-cancelled ctx surfaces as its cause).
 // fn must be safe for concurrent invocation.
 func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return nil, ctx.Err()
+		return nil, context.Cause(ctx)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -148,7 +148,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 func Pareto(ctx context.Context, m *core.Model, opts core.Options, metric string, rel lp.Rel, boundValues []float64, cfg Config) ([]core.ParetoPoint, error) {
 	n := len(boundValues)
 	if n == 0 {
-		return nil, ctx.Err()
+		return nil, context.Cause(ctx)
 	}
 	w := cfg.workers(n)
 	type span struct{ lo, hi int }

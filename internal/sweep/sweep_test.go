@@ -133,6 +133,22 @@ func TestParetoCancellation(t *testing.T) {
 	}
 }
 
+// TestEmptyInputKeepsCancelCause: Map and Pareto with nothing to do under a
+// context cancelled with a cause return that cause, as a cancellation
+// between work items does.
+func TestEmptyInputKeepsCancelCause(t *testing.T) {
+	cause := errors.New("sweep withdrawn")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := Map(ctx, Config{}, 0, func(context.Context, int) (int, error) { return 0, nil }); !errors.Is(err, cause) {
+		t.Errorf("Map on empty input returned %v, want the cause", err)
+	}
+	m, opts, _ := diskSweep(t)
+	if _, err := Pareto(ctx, m, opts, core.MetricPenalty, lp.LE, nil, Config{}); !errors.Is(err, cause) {
+		t.Errorf("Pareto on empty input returned %v, want the cause", err)
+	}
+}
+
 func TestMapOrderAndBounds(t *testing.T) {
 	got, err := Map(context.Background(), Config{Workers: 7}, 100, func(_ context.Context, i int) (int, error) {
 		return i * i, nil
