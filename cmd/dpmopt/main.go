@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
@@ -32,13 +33,14 @@ func main() {
 	progress := flag.Bool("progress", false, "print live solve progress snapshots to stderr")
 	flag.Parse()
 
-	if err := run(*device, *horizon, *minimize, *bounds, *p01, *p10, *maxPivots, *progress); err != nil {
+	if err := run(os.Stdout, *device, *horizon, *minimize, *bounds, *p01, *p10, *maxPivots, *progress); err != nil {
 		fmt.Fprintf(os.Stderr, "dpmopt: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(device string, horizon float64, minimize, bounds string, p01, p10 float64, maxPivots int, progress bool) error {
+// run optimizes the named device's policy and prints the report to w.
+func run(w io.Writer, device string, horizon float64, minimize, bounds string, p01, p10 float64, maxPivots int, progress bool) error {
 	d, err := cli.NewDevice(device, p01, p10)
 	if err != nil {
 		return err
@@ -71,22 +73,22 @@ func run(device string, horizon float64, minimize, bounds string, p01, p10 float
 		return err
 	}
 
-	fmt.Printf("device:   %s (%s)\n", device, d.Desc)
-	fmt.Printf("states:   %d × %d commands, horizon %g slices\n", m.N, m.A, horizon)
-	fmt.Printf("optimal %s: %g\n", obj.Metric, res.Objective)
-	fmt.Println("expected per-slice metrics:")
-	cli.PrintAverages(os.Stdout, res.Averages)
+	fmt.Fprintf(w, "device:   %s (%s)\n", device, d.Desc)
+	fmt.Fprintf(w, "states:   %d × %d commands, horizon %g slices\n", m.N, m.A, horizon)
+	fmt.Fprintf(w, "optimal %s: %g\n", obj.Metric, res.Objective)
+	fmt.Fprintln(w, "expected per-slice metrics:")
+	cli.PrintAverages(w, res.Averages)
 	if rs := res.Policy.RandomizedStates(1e-6); len(rs) > 0 {
 		names := make([]string, len(rs))
 		for i, s := range rs {
 			names[i] = d.Sys.StateName(s)
 		}
-		fmt.Printf("randomized decisions in %d state(s): %v\n", len(rs), names)
+		fmt.Fprintf(w, "randomized decisions in %d state(s): %v\n", len(rs), names)
 	} else {
-		fmt.Println("policy is deterministic (no constraint active, Theorem A.2)")
+		fmt.Fprintln(w, "policy is deterministic (no constraint active, Theorem A.2)")
 	}
-	fmt.Println()
-	return cli.PrintPolicy(os.Stdout, d.Sys, res)
+	fmt.Fprintln(w)
+	return cli.PrintPolicy(w, d.Sys, res)
 }
 
 func cutPrefix(s, prefix string) (string, bool) {

@@ -1,9 +1,10 @@
 package lp
 
-// Test handles for the external test package: the one solverConfig field
-// no Option sets, and the verdict certificates of certify_test.go. Callers
-// always get the kernel and pricing rule the basis size picks; the tests pin
-// the at-scale configuration to run every kernel on small LPs.
+// Test handles for the external test package: the solverConfig fields no
+// Option sets, and the verdict certificates of certify_test.go. Callers
+// always get the kernel and pricing rule the basis size picks and the
+// kernel unwrapped; the tests pin the at-scale configuration to run every
+// kernel on small LPs, and wrap the kernel to reach its failure paths.
 
 // ForceAtScale runs the m ≥ autoSparseMin configuration — sparse LU with
 // Forrest–Tomlin updates, Devex pricing, scale-relative pivot floors and the
@@ -12,6 +13,13 @@ package lp
 // for large bases.
 func ForceAtScale() Option {
 	return func(c *solverConfig) { c.atScale = true }
+}
+
+// WithFactorizerHook wraps the basis kernel of every solve attempt in
+// wrap(kernel), so a test can make Refactor or Update fail on cue (see
+// recovery_test.go) and reach the solver's recovery paths.
+func WithFactorizerHook(wrap func(Factorizer) Factorizer) Option {
+	return func(c *solverConfig) { c.wrapFactorizer = wrap }
 }
 
 // CertifyVerdict proves one solve's verdict in exact arithmetic (see

@@ -83,8 +83,6 @@ type denseFactorizer struct {
 	etas []eta      // live etas; the backing array keeps retired w vectors
 }
 
-func newDenseFactorizer() *denseFactorizer { return &denseFactorizer{} }
-
 func (f *denseFactorizer) Refactor(a *mat.CSC, basis []int) error {
 	m := len(basis)
 	if f.bm == nil || f.m != m {
@@ -195,24 +193,15 @@ func (f *denseFactorizer) Health() mat.HealthStats { return mat.HealthStats{} }
 
 // sparseFactorizer wraps mat.SparseLU: Markowitz-ordered sparse LU with
 // threshold partial pivoting, updated in place by Forrest–Tomlin column
-// replacements. tau is the pivot threshold (raised in conservative mode to
-// favor stability over sparsity). Like the dense kernel it owns its
-// storage: every refactorization of a solve — and of a Resident's later
-// re-solves — factors into the one SparseLU, failed refactorizations
-// included, so steady-state pivots and refactorizations allocate nothing.
+// replacements, at the customary pivot threshold τ = 0.1. Like the dense
+// kernel it owns its storage: every refactorization of a solve — and of a
+// Resident's later re-solves — factors into the one SparseLU, failed
+// refactorizations included, so steady-state pivots and refactorizations
+// allocate nothing.
 type sparseFactorizer struct {
-	tau float64
 	lu  mat.SparseLU    // its Debugf is the context-bound LUDEBUG sink, set via setContext
 	f   *mat.SparseLU   // &lu while it holds a valid factorization, else nil
 	acc mat.HealthStats // counter totals of retired factorizations
-}
-
-func newSparseFactorizer(conservative bool) *sparseFactorizer {
-	tau := 0.1
-	if conservative {
-		tau = 0.5
-	}
-	return &sparseFactorizer{tau: tau}
 }
 
 // setContext binds the LUDEBUG sink to the solve context, so diagnostics
@@ -232,7 +221,7 @@ func (s *sparseFactorizer) Refactor(a *mat.CSC, basis []int) error {
 	s.f = nil
 	if err := s.lu.Refactor(len(basis), func(i int) ([]int, []float64) {
 		return a.ColNZ(basis[i])
-	}, s.tau); err != nil {
+	}, 0.1); err != nil {
 		return err
 	}
 	s.f = &s.lu

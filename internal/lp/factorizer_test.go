@@ -19,7 +19,7 @@ func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 	if st != Optimal {
 		t.Fatalf("presolve status %v", st)
 	}
-	f := newDenseFactorizer()
+	f := &denseFactorizer{}
 	basis := append([]int(nil), sf.initBasis...)
 	in, out := mat.NewSpVec(sf.m), mat.NewSpVec(sf.m)
 	w := mat.NewVector(sf.m)
@@ -124,7 +124,7 @@ func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
 			enter = append(enter, j)
 		}
 	}
-	f := newSparseFactorizer(false)
+	f := &sparseFactorizer{}
 	in, out := mat.NewSpVec(sf.m), mat.NewSpVec(sf.m)
 	w, v := mat.NewVector(sf.m), mat.NewVector(sf.m)
 	cycle := func() {

@@ -21,8 +21,23 @@
 // periodically, which eliminates the error accumulation that incremental
 // updates suffer on such systems. A Bland's-rule fallback guarantees
 // termination on degenerate instances, and every reported solution is
-// verified against the original constraints (with one stricter retry before
-// giving up with a Numerical status).
+// verified against the original constraints. A Solve makes at most two
+// attempts, warm then cold, and the cold verdict is final.
+//
+// The recovery paths and the tests that reach them:
+//
+//	Update rejected (FT step unstable)     early refactor, same verdict  TestUpdateFailureRecovers
+//	cold Refactor fails                    Numerical, one attempt        TestColdRefactorFailureIsFinal
+//	rebuild after a rejected Update fails  Numerical, one attempt        TestRecoveryRefactorFailureIsFinal
+//	rebuild fails in artificial drive-out  phase 2 rebuilds, Optimal     TestDriveOutRefactorFailureRecovers
+//	warm Refactor fails                    cold fallback                 TestWarmRefactorFailureFallsBackCold
+//	perturbed phase 1 infeasible           exact rhs, phase 1 again      TestHighDiscountInfeasibleBound
+//	negative basics after phase 2          dual-simplex repair           TestWarmDualSimplexAtScale
+//	context cancelled                      Cancelled at the next poll    TestSolveCancellationWalk
+//	pivot budget spent                     BudgetExceeded, no fallback   TestWithMaxPivotsWarm
+//
+// Unreached so far: the stall switch to Bland's rule, the iteration limit,
+// a rejected cold verification, a warm basis with a nonzero artificial.
 //
 // The float64 answers are checked, not trusted: CertifyExact reads a
 // returned basis in exact rational arithmetic and proves it optimal (or

@@ -88,9 +88,9 @@ func (f MonitorFunc) Observe(s Snapshot) { f(s) }
 // noise against the pivots in between.
 const defaultMonitorEvery = 64
 
-// WithMonitor attaches a solve flight recorder. m is shared by every solve
-// attempt of a Solve call (warm start, cold solve, conservative retry);
-// each attempt emits its own start/finish pair. nil detaches.
+// WithMonitor attaches a solve flight recorder. m is shared by both solve
+// attempts of a Solve call (warm start, then its cold fallback); each
+// attempt emits its own start/finish pair. nil detaches.
 func WithMonitor(m Monitor) Option {
 	return func(c *solverConfig) { c.monitor = m }
 }

@@ -29,10 +29,9 @@ import (
 // as in a fresh Solve. Only the skipped work shows, as fewer
 // Refactorizations and smaller Timings. The retained state is used only
 // when warm is the basis the previous Solve returned and only rhs values
-// moved since; in every other case — the previous solve was not Optimal or
-// came from the conservative retry, an rhs changed sign (which changes the
-// standard form), or the warm start fails — Solve does exactly what
-// Solver.Solve does.
+// moved since; in every other case — the previous solve was not Optimal, an
+// rhs changed sign (which changes the standard form), or the warm start
+// fails — Solve does exactly what Solver.Solve does.
 //
 // Between solves the caller may change right-hand sides only through
 // SetRHS; row names may change freely, anything else must not change. A
@@ -96,11 +95,8 @@ func (rs *Resident) Solve(ctx context.Context, warm *Basis) (*Solution, *Basis, 
 	if err != nil {
 		return sol, nil, err
 	}
-	basis := r.exportBasis()
-	if !r.conservative {
-		rs.r, rs.basis = r, basis
-	}
-	return sol, basis, nil
+	rs.r, rs.basis = r, r.exportBasis()
+	return sol, rs.basis, nil
 }
 
 // rearm readies a retained state for another solve under ctx. The

@@ -81,8 +81,6 @@ type revised struct {
 	needRefactor  bool
 	factFresh     bool // the factorization is an exact rebuild of the current basis (see refactor)
 	xBFresh       bool // xB is exactly the factorization's FTRAN of bWork (see refactor)
-	blandAlways   bool
-	conservative  bool
 	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, sparse-scale stabilization
 
 	// Flight recorder (see monitor.go). mon == nil — the default — keeps
@@ -98,7 +96,7 @@ type revised struct {
 	monDone   bool // finish event emitted
 }
 
-func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverConfig) *revised {
+func newRevised(ctx context.Context, sf *stdForm, cfg solverConfig) *revised {
 	r := &revised{
 		sf:            sf,
 		ctx:           ctx,
@@ -121,41 +119,29 @@ func newRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverC
 		r.monStart = time.Now()
 	}
 	copy(r.basis, sf.initBasis)
-	if conservative {
-		r.refactorEvery = 10
-		r.blandAlways = true
-		r.conservative = true
-	}
 
 	// The one size fact picks the kernel and the pricing rule: sparse LU
 	// with Forrest–Tomlin updates and Devex at scale, dense LU with
 	// product-form etas and Dantzig below.
 	if r.atScale {
-		sp := newSparseFactorizer(conservative)
+		sp := &sparseFactorizer{}
 		sp.setContext(ctx)
 		r.fact = sp
-		// Forrest–Tomlin updates leave U genuinely triangular, so the
-		// update file degrades far more slowly than product-form etas; a
-		// longer interval amortizes the Markowitz refactorization, which
-		// dominates wall clock on 10⁴-row bases.
-		if !conservative {
-			r.refactorEvery = 120
-			// The Markowitz refactorization grows superlinearly with m (the
-			// elimination's merge traffic dominated solve-k6's wall clock at
-			// cadence 120: ~84% of CPU; stretching it to 960 cut the 12k-pivot probe 3.0×), while a Forrest–Tomlin eta costs
-			// O(its nnz) per solve — so on large bases a much longer chain is
-			// the right trade. The update's relative stability checks still
-			// force an early refactorization whenever the chain degrades, so
-			// stretching the schedule only spends etas that are numerically
-			// earning their keep. Small bases keep the short cadence: their
-			// refactorization is cheap and the shorter chain is tighter
-			// hygiene on stiff instances.
-			if sf.m >= 4096 {
-				r.refactorEvery = 960
-			}
+		// Forrest–Tomlin updates degrade far more slowly than product-form
+		// etas, and the Markowitz refactorization grows superlinearly with m
+		// (at cadence 120 it took ~84% of solve-k6's CPU; 960 cut the
+		// 12k-pivot probe 3.0×); bases below 4096 rows keep the tighter
+		// chain, their rebuild being cheap. The update's stability checks
+		// still force an early rebuild whenever the chain degrades.
+		r.refactorEvery = 120
+		if sf.m >= 4096 {
+			r.refactorEvery = 960
 		}
 	} else {
-		r.fact = newDenseFactorizer()
+		r.fact = &denseFactorizer{}
+	}
+	if cfg.wrapFactorizer != nil {
+		r.fact = cfg.wrapFactorizer(r.fact)
 	}
 
 	r.rowCols = make([][]int32, sf.m)
@@ -662,8 +648,8 @@ func (r *revised) runPhase(cost mat.Vector, maxCol int) Status {
 			r.recomputeD(cost)
 		}
 		r.emitProgress()
-		bland := r.blandAlways || iter > stallAfter
-		if bland && !r.blandAlways && !r.monStall && r.mon != nil {
+		bland := iter > stallAfter
+		if bland && !r.monStall && r.mon != nil {
 			r.monStall = true
 			r.emit("stall")
 		}
@@ -690,7 +676,7 @@ func (r *revised) driveOutArtificials() {
 	real := r.sf.nv + r.sf.ns
 	for i := 0; i < r.sf.m; i++ {
 		if r.needRefactor && !r.refactor() {
-			return // phase 2 refactorizes again and reports Numerical
+			return // phase 2 rebuilds again: Numerical if that fails too
 		}
 		if r.basis[i] < real {
 			continue
@@ -756,14 +742,12 @@ func (r *revised) solve() (sol *Solution) {
 	defer r.finishMon()
 	defer r.recordWork(sol)
 	r.emit("start")
-	if !r.conservative && r.atScale {
+	if r.atScale {
 		// Perturbation is an anti-degeneracy device for sparse-scale bases,
 		// where zero-length pivots can wander for tens of thousands of
 		// iterations; small problems keep the exact rhs so cold and warm
 		// solves land on identical vertices (the sweep determinism
-		// contract). The conservative retry also stays on the exact rhs: if
-		// the perturbed path failed numerically, the retry must not inherit
-		// its strategy.
+		// contract).
 		r.perturb()
 	}
 	if !r.refactor() {
@@ -806,12 +790,11 @@ func (r *revised) solve() (sol *Solution) {
 			// The perturbed problem may be infeasible even though the true one
 			// is (an equality row can reject the jitter). Restore the exact
 			// rhs and re-run phase 1 from the current basis before concluding
-			// anything about the problem itself.
+			// anything about the problem itself. The basis has not moved
+			// since the exact refactorization above, so refactor recomputes
+			// the basic values with one FTRAN and cannot fail.
 			r.restoreB()
-			if !r.refactor() {
-				sol.Status = Numerical
-				return sol
-			}
+			r.refactor()
 		}
 		r.driveOutArtificials()
 	}
@@ -1023,8 +1006,8 @@ func (r *revised) dualSimplex() bool {
 
 // solveRevised runs one cold revised-simplex solve of sf under the given
 // solver configuration.
-func solveRevised(ctx context.Context, sf *stdForm, conservative bool, cfg solverConfig) (*Solution, *revised) {
-	r := newRevised(ctx, sf, conservative, cfg)
+func solveRevised(ctx context.Context, sf *stdForm, cfg solverConfig) (*Solution, *revised) {
+	r := newRevised(ctx, sf, cfg)
 	sol := r.solve()
 	if sol.Status != Optimal {
 		return sol, nil

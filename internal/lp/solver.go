@@ -22,22 +22,24 @@ const autoSparseMin = 256
 // solverConfig is the resolved option set of one Solver.
 type solverConfig struct {
 	// atScale runs the m ≥ autoSparseMin configuration on every basis size;
-	// no option sets it, package tests do (export_test.go).
-	atScale      bool
-	maxPivots    int
-	monitor      Monitor
-	monitorEvery int
+	// wrapFactorizer wraps each attempt's basis kernel to inject failures.
+	// No option sets either; package tests do (export_test.go).
+	atScale        bool
+	wrapFactorizer func(Factorizer) Factorizer
+	maxPivots      int
+	monitor        Monitor
+	monitorEvery   int
 }
 
 // Option configures a Solver (functional-options pattern).
 type Option func(*solverConfig)
 
-// WithMaxPivots bounds the total simplex pivots of one Solve call (per solve
-// attempt: a conservative numerical retry gets a fresh budget, warm-start
-// restoration shares the warm attempt's). n <= 0 means unlimited. A solve
-// stopped by the budget returns Status BudgetExceeded — callers with a
-// freshness deadline (the online adapter) treat it like a cancelled refresh
-// and keep the previous policy.
+// WithMaxPivots bounds the simplex pivots of one Solve call (per solve
+// attempt: the cold fallback of a failed warm start gets a fresh budget,
+// warm-start restoration shares the warm attempt's). n <= 0 means
+// unlimited. A solve stopped by the budget returns Status BudgetExceeded —
+// callers with a freshness deadline (the online adapter) treat it like a
+// cancelled refresh and keep the previous policy.
 func WithMaxPivots(n int) Option {
 	return func(c *solverConfig) { c.maxPivots = n }
 }
@@ -73,13 +75,13 @@ func (s *Solver) Solve(ctx context.Context, p *Problem, warm *Basis) (*Solution,
 	return sol, r.exportBasis(), nil
 }
 
-// solve is the body of Solve and Resident.Solve. The standard form is built
-// once and shared by every attempt: the warm start, the cold fallback and
-// the conservative retry. A non-nil resident is a retained solver state
-// whose standard form already carries p's current rhs and whose basis is
-// warm's; the warm attempt then runs on it instead of on a fresh state
-// built from warm. On Optimal, solve also returns the state that produced
-// the solution.
+// solve is the body of Solve and Resident.Solve. It makes at most two
+// attempts, a warm start and then a cold solve, and the cold verdict is
+// final. The standard form is built once and shared by both. A non-nil
+// resident is a retained solver state whose standard form already carries
+// p's current rhs and whose basis is warm's; the warm attempt then runs on
+// it instead of on a fresh state built from warm. On Optimal, solve also
+// returns the state that produced the solution.
 func (s *Solver) solve(ctx context.Context, p *Problem, warm *Basis, resident *revised) (*Solution, *revised, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -105,12 +107,7 @@ func (s *Solver) solve(ctx context.Context, p *Problem, warm *Basis, resident *r
 		}
 	}
 	if sol == nil {
-		sol, r = solveRevised(ctx, sf, false, cfg)
-		if sol.Status == Numerical {
-			// Retry with Bland's rule from the start and aggressive
-			// refactorization; slower but maximally stable.
-			sol, r = solveRevised(ctx, sf, true, cfg)
-		}
+		sol, r = solveRevised(ctx, sf, cfg)
 	}
 	if sol.Status == Cancelled {
 		cause := context.Cause(ctx)

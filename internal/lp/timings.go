@@ -2,8 +2,8 @@ package lp
 
 import "time"
 
-// Timings is the per-stage wall-clock breakdown of one solve, accumulated
-// across phases, warm-start attempts, and the dual-simplex repair loop. The
+// Timings is the per-stage wall-clock breakdown of one solve attempt,
+// accumulated across its phases and the dual-simplex repair loop. The
 // stages partition the pivot loop's heavy operations:
 //
 //   - Ftran: entering-direction solves B x = a_j (sparse or dense kernel).
@@ -43,7 +43,7 @@ func (t Timings) Total() time.Duration {
 	return t.Ftran + t.Btran + t.Price + t.Factor + t.Update
 }
 
-// Add accumulates o into t (used when one logical solve chains attempts).
+// Add accumulates o into t (reports sum the timings of many solves).
 func (t *Timings) Add(o Timings) {
 	t.Ftran += o.Ftran
 	t.Btran += o.Btran

@@ -69,7 +69,7 @@ func notOptimalErr(s Status) error {
 // solveWarm attempts a solve warm-started from a basis compatible with sf
 // (see warmTail for the contract of its result).
 func solveWarm(ctx context.Context, sf *stdForm, warm *Basis, cfg solverConfig) (*Solution, *revised) {
-	r := newRevised(ctx, sf, false, cfg)
+	r := newRevised(ctx, sf, cfg)
 	copy(r.basis, warm.cols)
 	r.rebuildPos()
 	return r.warmTail()

@@ -96,8 +96,8 @@ func newMetrics(s *Server) *metrics {
 // finish folds one solve attempt's work, reported by its flight recorder
 // "finish" snapshot, into the work counters and histograms. Every solve the
 // server runs reports here once per attempt — warm start, cold fallback,
-// conservative retry, each sweep point, each online refresh — whether the
-// attempt's answer is served, discarded or an error.
+// each sweep point, each online refresh — whether the attempt's answer is
+// served, discarded or an error.
 func (m *metrics) finish(sn lp.Snapshot) {
 	m.Pivots.Add(int64(sn.Pivots))
 	m.Refactorizations.Add(int64(sn.Refactorizations))

@@ -11,9 +11,9 @@ package server
 // its event cadence and the row stores the latest one under a lock, so the
 // HTTP reader renders live progress without touching solver state. One row
 // covers one server-side flight, which may span several solve attempts
-// (warm start, cold fallback, conservative retry — or every point of a
-// sweep); pivot totals accumulate across finished attempts while the latest
-// snapshot tracks the attempt currently pivoting.
+// (warm start and cold fallback, or every point of a sweep); pivot totals
+// accumulate across finished attempts while the latest snapshot tracks the
+// attempt currently pivoting.
 
 import (
 	"context"

@@ -92,6 +92,38 @@ func TestModelSpecSizeLimits(t *testing.T) {
 	}
 }
 
+// TestModelSpecRejectsDenseSR2048: a 2048-state SR with dense rows under
+// the example SP (paper Example 3.1, six transition nonzeros) is rejected
+// by toSystem's nonzero bound — 6·2048²·2 ≈ 5.0·10⁷, over maxModelNNZ = 2²¹
+// — so it is never fingerprinted or compiled. Nor could it be posted: even
+// at two bytes per entry ("0,") its SR rows alone take 2·2048² bytes, the
+// whole 8 MiB body limit. Under the example SP the nonzero bound admits
+// dense SRs of up to 418 states.
+func TestModelSpecRejectsDenseSR2048(t *testing.T) {
+	exampleSP := func() *SPSpec {
+		return &SPSpec{
+			P:           [][][]float64{{{1, 0}, {0.1, 0.9}}, {{0.1, 0.9}, {0, 1}}},
+			ServiceRate: [][]float64{{0.8, 0}, {0, 0}},
+			Power:       [][]float64{{3, 4}, {4, 0}},
+		}
+	}
+	denseSR := func(n int) *SRSpec {
+		req := make([]int, n)
+		for i := range req {
+			req[i] = i % 2
+		}
+		return &SRSpec{P: uniformRows(n), Requests: req}
+	}
+	spec := ModelSpec{SP: exampleSP(), SR: denseSR(2048)}
+	if _, _, err := spec.toSystem(); err == nil || !strings.Contains(err.Error(), "transition nonzeros, over the limit") {
+		t.Fatalf("toSystem err = %v, want the nonzero-limit error", err)
+	}
+	spec = ModelSpec{SP: exampleSP(), SR: denseSR(418)}
+	if _, _, err := spec.toSystem(); err != nil {
+		t.Errorf("418-state dense SR rejected: %v", err)
+	}
+}
+
 // FuzzModelSpec: POST /v1/models bodies are untrusted. The target decodes
 // the bytes as the handler does and runs toSystem; every accepted spec
 // must then Fingerprint and Build (Build may still refuse with an error)
