@@ -167,7 +167,7 @@ func sweepDiskStudy(tb testing.TB) (*core.Model, core.Options, []float64) {
 // count that rises means per-point rebuilding crept back.
 func TestSweepDiskTrajectoryPin(t *testing.T) {
 	m, opts, bounds := sweepDiskStudy(t)
-	for _, tc := range []struct{ workers, pivots, refactors int }{{1, 111, 4}, {2, 283, 10}} {
+	for _, tc := range []struct{ workers, pivots, refactors int }{{1, 102, 4}, {2, 201, 8}} {
 		pts, err := repro.ParallelParetoSweep(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, repro.SweepConfig{Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
@@ -195,8 +195,8 @@ func TestSolveK5TrajectoryPin(t *testing.T) {
 		pivots, refactor int
 		objBits          uint64
 	}{
-		{0.039, 1743, 16, 0x3fec22d24ce4dfab},
-		{0.041, 1921, 18, 0x3fec1f015fe2a664},
+		{0.039, 1527, 15, 0x3fec22d24ce72f92},
+		{0.041, 1783, 17, 0x3fec1f015fe462bb},
 	} {
 		opts.Bounds[0].Value = tc.bound
 		res, err := core.Optimize(m, opts)

@@ -120,13 +120,9 @@ func render(w io.Writer, url string, solves *server.SolvesResponse, stats, prev 
 			if len(model) > 16 {
 				model = model[:16]
 			}
-			flags := ""
-			if s.Perturbed {
-				flags = "*"
-			}
-			fmt.Fprintf(w, "%4d  %-8s  %-16s  %-7s  %-8s  %8d  %6d  %14.6g  %9.2e  %7d  %8.1fs%s\n",
+			fmt.Fprintf(w, "%4d  %-8s  %-16s  %-7s  %-8s  %8d  %6d  %14.6g  %9.2e  %7d  %8.1fs\n",
 				s.ID, s.Endpoint, model, s.Phase, s.Event, s.Pivots, s.Refactorizations,
-				s.Objective, s.PrimalInf, s.EtaLen, s.ElapsedMS/1000, flags)
+				s.Objective, s.PrimalInf, s.EtaLen, s.ElapsedMS/1000)
 			if len(s.Stages) > 0 {
 				keys := make([]string, 0, len(s.Stages))
 				for k := range s.Stages {

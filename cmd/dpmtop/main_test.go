@@ -64,7 +64,7 @@ func TestRenderLiveRow(t *testing.T) {
 		Events: []obs.Event{{Time: time.Now(), Kind: "solve_start", Attrs: map[string]any{"model": "disk", "pivots": 0.0}}},
 		Solves: []server.SolveInfo{{
 			ID: 3, Model: "0123456789abcdef0123", Endpoint: "sweep", Event: "progress", Phase: "phase2",
-			Pivots: 120, Refactorizations: 2, Objective: 1.5, EtaLen: 7, Perturbed: true, ElapsedMS: 2500,
+			Pivots: 120, Refactorizations: 2, Objective: 1.5, EtaLen: 7, ElapsedMS: 2500,
 			Stages: map[string]float64{"price": 3, "ftran": 1},
 		}},
 	}
@@ -75,7 +75,7 @@ func TestRenderLiveRow(t *testing.T) {
 	for _, want := range []string{
 		"inflight 1",
 		"sweep     0123456789abcdef  phase2   progress       120       2",
-		"2.5s*",
+		"2.5s\n",
 		"stages: ftran 1ms  price 3ms",
 		"solve_start       disk",
 	} {

@@ -176,15 +176,15 @@
 //     O(1) per column the pivot row touches: fewer, better pivots on the
 //     ill-conditioned policy LPs (discounts at 1−10⁻⁶).
 //
-// At that scale the pivot path is additionally stabilized: ratio-test
-// pivots must clear a floor relative to the FTRAN direction's magnitude,
-// and cold solves run on a deterministically jittered rhs that removes the
-// massive primal degeneracy of policy LPs (the exact rhs is restored at
-// optimality and any residual infeasibility repaired by dual simplex).
-// Small problems keep the exact unperturbed pivot path. Neither path is
-// trusted on its own: the tests prove its verdicts in exact arithmetic
-// (lp.CertifyExact for optimal bases, elastic and ray LPs for infeasible
-// and unbounded ones).
+// At that scale ratio-test pivots must additionally clear a floor relative
+// to the FTRAN direction's magnitude. Both paths solve the exact rhs and
+// judge optimality by the absolute reduced-cost test d_j ≥ −10⁻⁹: the
+// frequency LP keeps itself well scaled at every horizon, because its
+// normalization row Σy = 1 (in place of the paper's balance row 0) holds
+// the scale that the balance rows' rhs (1−α)·q0 loses as α → 1 (see
+// core.BuildFrequencyLP). Neither path is trusted on its own: the tests
+// prove its verdicts in exact arithmetic (lp.CertifyExact for optimal
+// bases, elastic and ray LPs for infeasible and unbounded ones).
 //
 // Resource bounds: lp.WithMaxPivots stops a solve after a pivot budget with
 // Status lp.BudgetExceeded (an error matching lp.ErrBudgetExceeded — a
@@ -228,10 +228,9 @@
 // counting transpose of rows that are already sorted and merged
 // (lp.CompressRow) instead of a triplet sort. A basis is never
 // refactorized while unchanged: the LU is rebuilt only after a pivot (or an
-// unstable update), and an rhs change with no pivot since — the exact rhs
-// restored after the anti-degeneracy perturbation, or the next point of a
-// sweep — recomputes the basic values by one FTRAN through the existing
-// factors. A Pareto sweep keeps each chunk's LP resident (lp.Resident,
+// unstable update), and an rhs change with no pivot since — the next
+// point of a sweep — recomputes the basic values by one FTRAN through the
+// existing factors. A Pareto sweep keeps each chunk's LP resident (lp.Resident,
 // core.ParetoSweepCtx): the LP is assembled once per chunk, each point
 // moves only the swept bound's right-hand side, and a point warm-started
 // from the previous point's basis reuses that solve's standard form, row

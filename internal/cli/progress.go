@@ -31,13 +31,9 @@ func ProgressMonitor(w io.Writer, interval time.Duration) lp.Monitor {
 			return
 		}
 		last = now
-		perturbed := ""
-		if sn.Perturbed {
-			perturbed = " perturbed"
-		}
-		fmt.Fprintf(w, "solve %-8s %-6s pivots=%d refactor=%d obj=%.6g pinf=%.2e dinf=%.2e eta=%d nnz=%d elapsed=%s%s\n",
+		fmt.Fprintf(w, "solve %-8s %-6s pivots=%d refactor=%d obj=%.6g pinf=%.2e dinf=%.2e eta=%d nnz=%d elapsed=%s\n",
 			sn.Event, sn.Phase, sn.Pivots, sn.Refactorizations, sn.Objective,
 			sn.PrimalInf, sn.DualInf, sn.EtaLen, sn.FactorNNZ,
-			sn.Elapsed.Round(time.Millisecond), perturbed)
+			sn.Elapsed.Round(time.Millisecond))
 	})
 }

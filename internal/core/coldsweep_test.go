@@ -102,8 +102,8 @@ func TestColdSweepPin(t *testing.T) {
 	}
 
 	const (
-		wantDigest                = "577cb8d9ec6847bb926f847aba3def4c662a80d2e5c70812eae4305b7615aafb"
-		wantPivots, wantRefactors = 1855, 74
+		wantDigest                = "d69d9c82476635a905fa8e0deaeedb3ea97307340c522ea44c41246c57c24406"
+		wantPivots, wantRefactors = 1619, 72
 		wantFeasible              = 14
 	)
 	feasible := 0

@@ -294,11 +294,27 @@ func annotateTimings(sp *obs.Span, t lp.Timings) {
 
 // BuildFrequencyLP assembles the state–action frequency linear program of
 // Appendix A (LP2; LP3/LP4 when Bounds are present) for model m: one
-// variable per (state, command) pair, the balance equalities
+// variable per (state, command) pair, the normalization row "normalize"
+//
+//	Σ_s Σ_a y(s,a) = 1,
+//
+// the balance equalities "balance[j]" for states j = 1…N−1
 //
 //	Σ_a y(j,a) − α Σ_s Σ_a p_{s,j}(a) y(s,a) = (1−α) q0_j,
 //
-// and one row per metric bound. Rows are assembled directly in sparse form
+// and one row per metric bound. The paper states all N balance rows; their
+// sum is (1−α)·Σy = 1−α, so for every α < 1 replacing balance row 0 by the
+// normalization leaves the feasible set unchanged. The LP then pins its own
+// scale: the frequencies form a distribution to machine precision, and the
+// basis stays well conditioned as α → 1, where the balance rows' rhs
+// vanishes like 1/horizon (Puterman 1994, §8.8). Row 0 is replaced whatever
+// Options.Initial says, so patched and built LPs share one row structure.
+//
+// The duals take the form (g, h): the normalization row's dual is the gain
+// g, and the balance rows' duals are relative values h with h_0 = 0. The
+// discounted value function of the paper's form is v = h + g/(1−α).
+//
+// Rows are assembled directly in sparse form
 // from the model's CSR transition structure — the balance column of (s,a)
 // is e_s − α·P_a(s,·)ᵀ, so row j's entries come straight from the rows of
 // the transposed chains — and the solver stores the matrix column-sparse,
@@ -310,9 +326,12 @@ func BuildFrequencyLP(m *Model, opts Options) (*lp.Problem, error) {
 	prob := lp.NewProblem(opts.Objective.Sense, m.N*m.A)
 	err := frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
 		var name string
-		if row < m.N {
+		switch {
+		case row == 0:
+			name = "normalize"
+		case row < m.N:
 			name = fmt.Sprintf("balance[%d]", row)
-		} else {
+		default:
 			name = opts.Bounds[row-m.N].rowName()
 		}
 		prob.AddConstraintNZ(name, cols, vals, rel, rhs)
@@ -333,7 +352,8 @@ func (b Bound) rowName() string {
 // BuildFrequencyLP and PatchFrequencyLP. It validates opts against m — the
 // discount factor, the objective and bound metrics, and q0 — then writes
 // the objective coefficients into obj (length N·A) and calls emit once per
-// constraint row, in order: row j < N is balance row j, row N+k is bound k.
+// constraint row, in order: row 0 is the normalization Σy = 1, row
+// 0 < j < N is balance row j, row N+k is bound k (see BuildFrequencyLP).
 // emit receives the row's raw (column, value) pairs, its relation and its
 // right-hand side. Balance pairs are neither sorted nor merged — the column
 // of (s,a) is e_s − α·P_a(s,·)ᵀ, so a self-loop p_{j,j}(a) duplicates the
@@ -372,9 +392,16 @@ func frequencyRows(m *Model, opts Options, obj []float64, emit func(row int, col
 	for a := range pts {
 		pts[a] = m.P[a].T()
 	}
-	var idx []int
-	var val []float64
-	for j := 0; j < m.N; j++ {
+	idx := make([]int, 0, m.N*m.A)
+	val := make([]float64, 0, m.N*m.A)
+	for i := range m.N * m.A {
+		idx = append(idx, i)
+		val = append(val, 1)
+	}
+	if err := emit(0, idx, val, lp.EQ, 1); err != nil {
+		return err
+	}
+	for j := 1; j < m.N; j++ {
 		idx, val = idx[:0], val[:0]
 		for a := 0; a < m.A; a++ {
 			idx = append(idx, j*m.A+a)

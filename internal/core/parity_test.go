@@ -82,9 +82,10 @@ func TestFrequencyLPCertified(t *testing.T) {
 }
 
 // TestBuildFrequencyLPSparseRows pins the sparse assembly against the LP2
-// definition: the balance row of state j carries +1 on every (j,a) column,
-// −α p_{s,j}(a) on incoming (s,a) columns (merged when s = j), and the RHS
-// (1−α)q0_j; bound rows carry the metric table entries.
+// definition: row 0 is the normalization Σy = 1, the balance row of state
+// j ≥ 1 carries +1 on every (j,a) column, −α p_{s,j}(a) on incoming (s,a)
+// columns (merged when s = j), and the RHS (1−α)q0_j; bound rows carry the
+// metric table entries.
 func TestBuildFrequencyLPSparseRows(t *testing.T) {
 	m := buildExample(t)
 	alpha := 0.9
@@ -103,7 +104,16 @@ func TestBuildFrequencyLPSparseRows(t *testing.T) {
 	if len(prob.Cons) != m.N+1 {
 		t.Fatalf("%d constraints, want %d", len(prob.Cons), m.N+1)
 	}
-	for j := 0; j < m.N; j++ {
+	norm := &prob.Cons[0]
+	if norm.Name != "normalize" || norm.Rel != lp.EQ || norm.RHS != 1 || len(norm.Cols) != m.N*m.A {
+		t.Fatalf("row 0 %q %v %g with %d nonzeros, want normalize == 1 over all %d columns", norm.Name, norm.Rel, norm.RHS, len(norm.Cols), m.N*m.A)
+	}
+	for k, v := range norm.Vals {
+		if norm.Cols[k] != k || v != 1 {
+			t.Fatalf("normalize entry %d: column %d value %g, want column %d value 1", k, norm.Cols[k], v, k)
+		}
+	}
+	for j := 1; j < m.N; j++ {
 		c := &prob.Cons[j]
 		if c.Rel != lp.EQ {
 			t.Fatalf("balance[%d] relation %v", j, c.Rel)

@@ -7,10 +7,9 @@ package lp
 // kernel on small LPs, and wrap the kernel to reach its failure paths.
 
 // ForceAtScale runs the m ≥ autoSparseMin configuration — sparse LU with
-// Forrest–Tomlin updates, Devex pricing, scale-relative pivot floors and the
-// anti-degeneracy perturbation — on LPs of any size, so the small parity
-// corpus and core's policy LPs exercise the kernel the size rule reserves
-// for large bases.
+// Forrest–Tomlin updates, Devex pricing and scale-relative pivot floors —
+// on LPs of any size, so the small parity corpus and core's policy LPs
+// exercise the kernel the size rule reserves for large bases.
 func ForceAtScale() Option {
 	return func(c *solverConfig) { c.atScale = true }
 }

@@ -1,13 +1,14 @@
 package lp_test
 
-// Regression coverage for the scale-relative optimality test and the
-// phase-2 primal repair (see revised.go recomputeD/phase2): policy LPs at
-// discounts α = 1−10⁻⁶ and beyond have duals of order 1/(1−α), and under
-// the former absolute −1e-9 reduced-cost threshold the solver churned
+// Regression coverage for policy LPs at discounts α = 1−10⁻⁶ and beyond.
+// In the paper's form of the frequency LP the duals grow like 1/(1−α), and
+// under an absolute −1e-9 reduced-cost threshold the solver churned
 // through roundoff-driven degenerate pivots until the basis drifted primal
-// infeasible and the solve died as Numerical. The external test package is
-// used so the cases can be stated as the real policy optimizations that
-// exposed the failure.
+// infeasible and the solve died as Numerical. core now states the LP with
+// a normalization row that keeps the duals bounded (see
+// core.BuildFrequencyLP), and these cases hold it to that. The external
+// test package is used so the cases can be stated as the real policy
+// optimizations that exposed the failure.
 
 import (
 	"context"
@@ -145,8 +146,8 @@ func TestHighDiscountAcrossDevices(t *testing.T) {
 // primal infeasible for the tightened bound enters dual simplex before any
 // phase has run. The dual pivots update the Devex weights, which used to be
 // uninitialized at that point and crashed the solve. The warm answer must
-// match the cold one to 1e-6 relative: at α = 1−10⁻⁶ the scale-relative
-// optimality test stops this restored basis 2·10⁻⁷ above the cold optimum.
+// match the cold one to 1e-6 relative: at α = 1−10⁻⁶ this restored basis
+// stops a few 10⁻⁷ above the cold optimum.
 func TestWarmDualSimplexAtScale(t *testing.T) {
 	sys, err := devices.MultiDiskSystem(4, 2, core.TwoStateSR("w", 0.05, 0.15))
 	if err != nil {

@@ -15,14 +15,19 @@
 // full tableau — the difference between thrashing and tractable on large
 // composed systems.
 //
-// Policy-optimization LPs are numerically stiff — transition probabilities
-// span four orders of magnitude and discount factors reach 1−10⁻⁶ — so the
-// solver keeps the original standard-form data and refactorizes the basis
-// periodically, which eliminates the error accumulation that incremental
-// updates suffer on such systems. A Bland's-rule fallback guarantees
-// termination on degenerate instances, and every reported solution is
-// verified against the original constraints. A Solve makes at most two
-// attempts, warm then cold, and the cold verdict is final.
+// Policy-optimization LPs span four orders of magnitude in their
+// transition probabilities, so the solver keeps the original standard-form
+// data and refactorizes the basis periodically, which eliminates the error
+// accumulation that incremental updates suffer on such systems. Their
+// discount factors reach 1−10⁻⁷, but the frequency LP core builds keeps its
+// own scale there: a normalization row Σx = 1 stands in for one balance
+// row, so its basic values and duals stay bounded as α → 1 (see
+// core.BuildFrequencyLP), and the solver needs no scale-relative pricing
+// or rhs perturbation. It runs the exact rhs and the absolute optimality
+// test d_j ≥ −costTol. A Bland's-rule fallback guarantees termination on
+// degenerate instances, and every reported solution is verified against
+// the original constraints. A Solve makes at most two attempts, warm then
+// cold, and the cold verdict is final.
 //
 // The recovery paths and the tests that reach them:
 //
@@ -31,8 +36,9 @@
 //	rebuild after a rejected Update fails  Numerical, one attempt        TestRecoveryRefactorFailureIsFinal
 //	rebuild fails in artificial drive-out  phase 2 rebuilds, Optimal     TestDriveOutRefactorFailureRecovers
 //	warm Refactor fails                    cold fallback                 TestWarmRefactorFailureFallsBackCold
-//	perturbed phase 1 infeasible           exact rhs, phase 1 again      TestHighDiscountInfeasibleBound
-//	negative basics after phase 2          dual-simplex repair           TestWarmDualSimplexAtScale
+//	warm optimum fails recomputed d_j      cold fallback                 FuzzLoadCache seed drifted-reduced-costs
+//	warm basis primal infeasible           dual-simplex repair           TestWarmDualSimplexAtScale
+//	negative basics after phase 2          dual-simplex repair, again    TestHighDiscountRedundantBound
 //	context cancelled                      Cancelled at the next poll    TestSolveCancellationWalk
 //	pivot budget spent                     BudgetExceeded, no fallback   TestWithMaxPivotsWarm
 //
@@ -479,12 +485,12 @@ func (sf *stdForm) artificialMass() float64 {
 
 // phase1Feasible reports whether a phase-1 optimum whose basic artificials
 // sum to residual describes a feasible point. The cutoff is relative to the
-// artificial rows' own rhs mass, not to 1+Σb: policy LPs put all their
-// artificial mass in the balance rows, (1−α)·q0 = 10⁻⁶ in total at
-// horizon 10⁶, where a cutoff near 10⁻⁷ would pass residuals that leave 8%
-// of that mass unmet and send an infeasible LP on to phase 2. Feasible
-// instances end phase 1 at a residual of zero; the zeroTol floor only
-// absorbs roundoff when the mass itself is zero.
+// artificial rows' own rhs mass, not to 1+Σb: an LP whose equality rows all
+// carry a tiny rhs — the paper's balance rows, (1−α)·q0 = 10⁻⁶ in total at
+// horizon 10⁶ — would otherwise pass residuals that leave much of that
+// mass unmet and send an infeasible LP on to phase 2. Feasible instances
+// end phase 1 at a residual of zero; the zeroTol floor only absorbs
+// roundoff when the mass itself is zero.
 func (sf *stdForm) phase1Feasible(residual float64) bool {
 	return residual <= math.Max(1e-7*sf.artMass, zeroTol)
 }

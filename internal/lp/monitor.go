@@ -2,8 +2,8 @@ package lp
 
 // Solve flight recorder: a per-solve callback observing the simplex in
 // flight. A Monitor attached with WithMonitor receives a Snapshot at solve
-// start and finish, at every exact recomputation (refactorization) and rhs
-// perturbation, on the first degenerate-stall escalation of a phase, and
+// start and finish, at every exact recomputation (refactorization), on the
+// first degenerate-stall escalation of a phase, and
 // every WithMonitorEvery pivots in between — enough to render live progress
 // for a solve that runs for minutes without waiting for Solution.
 //
@@ -33,7 +33,7 @@ type Snapshot struct {
 	// Event says why the snapshot was taken: "start", "progress" (pivot
 	// cadence), "refactor" (an exact recomputation point: the basis
 	// refactorized, or the basic values recomputed from an unchanged
-	// factorization after an rhs change), "perturb", "stall" (anti-cycling
+	// factorization after an rhs change), "stall" (anti-cycling
 	// escalation), "finish".
 	Event string
 	// Phase is the simplex phase at the time: "phase1", "phase2", or
@@ -56,9 +56,6 @@ type Snapshot struct {
 	// FactorNNZ the factorization's stored nonzeros.
 	EtaLen    int
 	FactorNNZ int
-	// Perturbed reports whether the working rhs currently carries the
-	// anti-degeneracy jitter.
-	Perturbed bool
 	// Health is the basis kernel's numerical-health record (zero for the
 	// dense kernel): element growth, diagonal range, Forrest–Tomlin
 	// rejections, hyper-sparse vs dense solve counts.
@@ -124,7 +121,6 @@ func (r *revised) snapshot(event string) Snapshot {
 		Refactorizations: r.refactors,
 		EtaLen:           r.fact.Updates(),
 		FactorNNZ:        r.fact.NNZ(),
-		Perturbed:        r.perturbed,
 		Health:           r.fact.Health(),
 		Timings:          r.tm,
 		Elapsed:          time.Since(r.monStart),

@@ -17,23 +17,21 @@ package lp
 // The fact that picks the basis kernel picks the rule: Dantzig below
 // autoSparseMin rows, Devex at scale (revised.atScale). Both defer to the
 // Bland-rule fallback for termination on degenerate instances: the rule is
-// consulted only on non-Bland iterations. Eligibility is scale-relative,
-// matching the solver's optimality test: column j improves iff it is
-// nonbasic (pos[j] < 0) and d[j] < −costTol·dScale[j].
+// consulted only on non-Bland iterations. Eligibility matches the solver's
+// optimality test: column j improves iff it is nonbasic (pos[j] < 0) and
+// d[j] < −costTol.
 
 import (
 	"repro/internal/mat"
 )
 
-// dantzigChoose picks the most negative scale-relative reduced cost among
-// [0, maxCol), or -1 when no column is eligible. It scans in column order
-// with a strict compare (dj < bestVal), so the lowest index wins ties.
-func dantzigChoose(d, dScale mat.Vector, pos []int, maxCol int) int {
+// dantzigChoose picks the most negative reduced cost among [0, maxCol), or
+// -1 when no column is eligible. It scans in column order with a strict
+// compare (dj < bestVal), so the lowest index wins ties.
+func dantzigChoose(d mat.Vector, pos []int, maxCol int) int {
 	best, bestVal := -1, 0.0
 	for j := 0; j < maxCol; j++ {
-		// dScale ≥ 1, so d[j] ≥ 0 can never pass the relative test — reject
-		// before loading dScale (most columns, most iterations).
-		if dj := d[j]; dj < 0 && pos[j] < 0 && dj < -costTol*dScale[j] && dj < bestVal {
+		if dj := d[j]; dj < -costTol && dj < bestVal && pos[j] < 0 {
 			bestVal = dj
 			best = j
 		}
@@ -65,13 +63,11 @@ func (p *devex) reset(nTot int) {
 // choose returns the entering column among [0, maxCol), or -1 at phase
 // optimality. It scans in column order with a strict compare
 // (score > bestScore), so the lowest index wins ties.
-func (p *devex) choose(d, dScale mat.Vector, pos []int, maxCol int) int {
+func (p *devex) choose(d mat.Vector, pos []int, maxCol int) int {
 	best, bestScore := -1, 0.0
 	for j := 0; j < maxCol; j++ {
 		dj := d[j]
-		// dScale ≥ 1: d[j] ≥ 0 can never pass the relative test, so reject
-		// before touching pos/dScale (most columns, most iterations).
-		if dj >= 0 || pos[j] >= 0 || dj >= -costTol*dScale[j] {
+		if dj >= -costTol || pos[j] >= 0 {
 			continue
 		}
 		if score := dj * dj / p.gamma[j]; score > bestScore {
@@ -99,9 +95,9 @@ func (p *devex) beginPivot(enter, leave int, piv float64) {
 // blandChoose is the Bland's-rule scan (first eligible column) the solver
 // falls back to after stalling; shared by both pricing rules because it
 // is what guarantees termination.
-func blandChoose(d, dScale mat.Vector, pos []int, maxCol int) int {
+func blandChoose(d mat.Vector, pos []int, maxCol int) int {
 	for j := 0; j < maxCol; j++ {
-		if dj := d[j]; dj < 0 && pos[j] < 0 && dj < -costTol*dScale[j] {
+		if d[j] < -costTol && pos[j] < 0 {
 			return j
 		}
 	}

@@ -204,8 +204,8 @@ func TestRecoveryRefactorFailureIsFinal(t *testing.T) {
 // artificial is pivoted out of the basis. If that pivot's update is
 // rejected and the rebuild it calls for fails too, the drive-out stops and
 // phase 2's own refactorization recovers: the solve still ends Optimal.
-// The single row −x − y = 0 leaves its artificial basic at zero (at the
-// perturbed level at scale) with no improving column, so the drive-out
+// The single row −x − y = 0 leaves its artificial basic at zero with no
+// improving column, so the drive-out
 // pivot is the solve's first update.
 func TestDriveOutRefactorFailureRecovers(t *testing.T) {
 	p := NewProblem(Minimize, 2)

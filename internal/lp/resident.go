@@ -114,7 +114,6 @@ func (r *revised) rearm(ctx context.Context) {
 		sp.setContext(ctx)
 		sp.resetCounters()
 	}
-	r.bWork = r.sf.b
 	r.xBFresh = false
 	r.iterations, r.refactors = 0, 0
 	r.tm = Timings{}

@@ -251,7 +251,6 @@ func TestResidentMonitorEvents(t *testing.T) {
 		Event, Phase                  string
 		Pivots, EtaLen                int
 		Objective, PrimalInf, DualInf float64
-		Perturbed                     bool
 	}
 	for _, scale := range []bool{false, true} {
 		var recs [][]event
@@ -259,7 +258,7 @@ func TestResidentMonitorEvents(t *testing.T) {
 			k := len(recs)
 			recs = append(recs, nil)
 			o := []lp.Option{lp.WithMonitorEvery(1), lp.WithMonitor(lp.MonitorFunc(func(s lp.Snapshot) {
-				recs[k] = append(recs[k], event{s.Event, s.Phase, s.Pivots, s.EtaLen, s.Objective, s.PrimalInf, s.DualInf, s.Perturbed})
+				recs[k] = append(recs[k], event{s.Event, s.Phase, s.Pivots, s.EtaLen, s.Objective, s.PrimalInf, s.DualInf})
 			}))}
 			if scale {
 				o = append(o, lp.ForceAtScale())
@@ -317,38 +316,30 @@ func TestResidentResolveAllocs(t *testing.T) {
 	}
 }
 
-// TestAtScaleNoRedundantLU: at sparse scale a cold solve perturbs the rhs
-// and restores it once optimal; the restored basic values must come from
-// the existing factorization (an FTRAN), not from a second LU of the
-// unchanged basis. Every LU rebuild therefore follows at least one pivot
-// since the previous rebuild, so Refactorizations counts distinct bases.
+// TestAtScaleNoRedundantLU: a cold at-scale solve never factors an
+// unchanged basis twice. Every LU rebuild follows at least one pivot since
+// the previous rebuild, so Refactorizations counts distinct bases. (The
+// FTRAN-only recomputation of an unchanged basis is TestResidentResolveAllocs'
+// subject.)
 func TestAtScaleNoRedundantLU(t *testing.T) {
 	p, _ := diskSweepLP(t)
 	var events []lp.Snapshot
 	rec := lp.MonitorFunc(func(s lp.Snapshot) { events = append(events, s) })
-	sol, _, err := lp.NewSolver(lp.ForceAtScale(), lp.WithMonitor(rec)).Solve(context.Background(), p, nil)
-	if err != nil {
+	if _, _, err := lp.NewSolver(lp.ForceAtScale(), lp.WithMonitor(rec)).Solve(context.Background(), p, nil); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, lastPivots, ftranOnly := 0, -1, 0
+	rebuilt, lastPivots := 0, -1
 	for _, ev := range events {
 		if ev.Event == "start" {
 			rebuilt, lastPivots = 0, -1
 		}
-		if ev.Event != "refactor" {
-			continue
-		}
-		if ev.Refactorizations == rebuilt {
-			ftranOnly++
+		if ev.Event != "refactor" || ev.Refactorizations == rebuilt {
 			continue
 		}
 		if ev.Pivots == lastPivots {
 			t.Errorf("LU rebuilt again at pivot %d with no basis change (refactorization %d)", ev.Pivots, ev.Refactorizations)
 		}
 		rebuilt, lastPivots = ev.Refactorizations, ev.Pivots
-	}
-	if ftranOnly == 0 {
-		t.Errorf("no rhs-only recomputation in a perturbed at-scale solve (%d pivots, %d refactorizations)", sol.Iterations, sol.Refactorizations)
 	}
 }
 

@@ -47,10 +47,7 @@ type revised struct {
 	devex       devex // Devex weights; priced and maintained only when atScale
 	xB          mat.Vector
 	cB          mat.Vector // basic costs, the duals' BTRAN input (see duals)
-	bWork       mat.Vector // rhs used for basic-value recomputation (perturbed during a cold solve)
-	perturbed   bool       // bWork currently carries the anti-degeneracy perturbation
 	d           mat.Vector // reduced costs of the active phase, maintained by pivoting
-	dScale      mat.Vector // per-column magnitude scale of d (see recomputeD)
 
 	// Row-major mirror of sf.a, built once per solve: rowCols[i]/rowVals[i]
 	// hold the column indices and values of constraint row i. The pivot row
@@ -80,8 +77,8 @@ type revised struct {
 	maxPivots     int // 0 = unlimited; exceeding returns BudgetExceeded
 	needRefactor  bool
 	factFresh     bool // the factorization is an exact rebuild of the current basis (see refactor)
-	xBFresh       bool // xB is exactly the factorization's FTRAN of bWork (see refactor)
-	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, sparse-scale stabilization
+	xBFresh       bool // xB is exactly the factorization's FTRAN of b (see refactor)
+	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, scale-relative pivot floors
 
 	// Flight recorder (see monitor.go). mon == nil — the default — keeps
 	// every hook down to a single pointer test.
@@ -104,7 +101,6 @@ func newRevised(ctx context.Context, sf *stdForm, cfg solverConfig) *revised {
 		pos:           make([]int, sf.nTot),
 		xB:            mat.NewVector(sf.m),
 		cB:            mat.NewVector(sf.m),
-		bWork:         sf.b,
 		refactorEvery: 50,
 		maxPivots:     cfg.maxPivots,
 	}
@@ -250,8 +246,7 @@ func (r *revised) rebuildPos() {
 // the last rebuild (factFresh: no pivot since) or the factorizer demanded it
 // (needRefactor), and xB is recomputed only when the factorization or the
 // rhs changed (xBFresh). A rebuild of an unchanged basis would reproduce the
-// same factors bit for bit, so an rhs-only change — restoring the exact rhs
-// after the anti-degeneracy perturbation, or a resident re-solve (see
+// same factors bit for bit, so an rhs-only change — a resident re-solve (see
 // Resident) — costs one FTRAN. Refactorizations counts LU rebuilds only; the
 // "refactor" monitor event marks both kinds of exact recomputation point.
 func (r *revised) refactor() bool {
@@ -285,9 +280,9 @@ func (r *revised) refactor() bool {
 }
 
 // recomputeXB sets the basic values exactly from the current factorization
-// and the working rhs, clamping roundoff-negative values to zero.
+// and the rhs, clamping roundoff-negative values to zero.
 func (r *revised) recomputeXB() {
-	copy(r.xB, r.bWork)
+	copy(r.xB, r.sf.b)
 	xb := r.fact.Ftran(r.xB)
 	for i, v := range xb {
 		if v < 0 && v > -1e-7 {
@@ -347,43 +342,29 @@ func (r *revised) duals(cost mat.Vector) mat.Vector {
 // column's reduced cost becomes exactly zero and the leaving column's
 // exactly −d_enter/pivot, so roundoff can never invite a column straight
 // back in (the failure mode that stalls recompute-from-duals pricing on
-// stiff instances whose duals reach 1/(1−α)).
+// degenerate instances).
 //
-// Alongside d it records each column's magnitude scale
-//
-//	dScale_j = 1 + |c_j| + Σ_i |y_i·a_ij|,
-//
-// the cancellation scale of the subtraction that produced d_j. Optimality
-// tests compare d_j against −costTol·dScale_j rather than the absolute
-// −costTol: policy LPs at discounts like α = 1−10⁻⁶ have duals of order
-// 1/(1−α), so a computed d_j of −10⁻⁸ on a column whose terms are ~10⁶ is
-// pure roundoff — an absolute test keeps "improving" on such columns
-// through degenerate pivots and stalls into the iteration limit, while the
-// relative test recognizes the optimum. On well-scaled problems dScale ≈ 1
-// and the behavior is unchanged. The scales refresh with every recompute
-// (at most refactorEvery pivots stale, like d itself).
+// Optimality is the absolute test d_j ≥ −costTol. Policy LPs keep their
+// duals bounded: the frequency LP's normalization row Σx = 1 holds the gain,
+// so no dual grows like 1/(1−α) as the discount approaches 1 (see
+// core.BuildFrequencyLP).
 func (r *revised) recomputeD(cost mat.Vector) {
 	y := r.duals(cost)
 	t0 := time.Now()
 	if r.d == nil {
 		r.d = mat.NewVector(r.sf.nTot)
-		r.dScale = mat.NewVector(r.sf.nTot)
 	}
 	for j := 0; j < r.sf.nTot; j++ {
 		if r.pos[j] >= 0 {
 			r.d[j] = 0
-			r.dScale[j] = 1
 			continue
 		}
 		rows, vals := r.sf.a.ColNZ(j)
-		dot, abs := 0.0, 0.0
+		dot := 0.0
 		for k, i := range rows {
-			t := vals[k] * y[i]
-			dot += t
-			abs += math.Abs(t)
+			dot += vals[k] * y[i]
 		}
 		r.d[j] = cost[j] - dot
-		r.dScale[j] = 1 + math.Abs(cost[j]) + abs
 	}
 	r.tm.Price += time.Since(t0)
 }
@@ -442,18 +423,18 @@ func (r *revised) applyPivotRow(touched []int32, col int, factor, piv float64) {
 // price picks the entering column among [0, maxCol) from the maintained
 // reduced costs: by the size-selected pricing rule (Devex at scale, Dantzig
 // below) normally, or first eligible under Bland's rule. A column counts as
-// improving only when its reduced cost clears the scale-relative tolerance
-// −costTol·dScale (see recomputeD). Returns -1 at optimality.
+// improving only when its reduced cost is below −costTol (see recomputeD).
+// Returns -1 at optimality.
 func (r *revised) price(maxCol int, bland bool) int {
 	t0 := time.Now()
 	var col int
 	switch {
 	case bland:
-		col = blandChoose(r.d, r.dScale, r.pos, maxCol)
+		col = blandChoose(r.d, r.pos, maxCol)
 	case r.atScale:
-		col = r.devex.choose(r.d, r.dScale, r.pos, maxCol)
+		col = r.devex.choose(r.d, r.pos, maxCol)
 	default:
-		col = dantzigChoose(r.d, r.dScale, r.pos, maxCol)
+		col = dantzigChoose(r.d, r.pos, maxCol)
 	}
 	r.tm.Price += time.Since(t0)
 	return col
@@ -698,41 +679,6 @@ func (r *revised) driveOutArtificials() {
 	}
 }
 
-// perturb replaces the working rhs with a deterministically jittered copy:
-// b̃_i = b_i + ε·(1+|b_i|)·u_i with u_i ∈ [0.5, 1.5). Policy LPs are massively
-// primal degenerate — b is zero on almost every row, so most vertices have
-// basic values pinned at zero and the ratio test ties everywhere. The simplex
-// then wanders the optimal face in zero-length steps for tens of thousands of
-// iterations, and on stiff instances (α = 1−10⁻⁵) the wandering assembles
-// ever worse-conditioned bases until refactorization finds them singular.
-// The jitter makes the perturbed problem nondegenerate (ties break, steps
-// have positive length), and phase 2 restores the exact rhs once optimal,
-// repairing the small primal infeasibility with the existing dual-simplex
-// loop.
-func (r *revised) perturb() {
-	const eps = 1e-9
-	pb := r.sf.b.Clone()
-	seed := uint64(0x9e3779b97f4a7c15)
-	for i := range pb {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		u := 0.5 + float64(seed>>11)/float64(1<<53)
-		pb[i] += eps * (1 + math.Abs(pb[i])) * u
-	}
-	r.bWork = pb
-	r.perturbed = true
-	r.xBFresh = false
-	r.emit("perturb")
-}
-
-// restoreB undoes perturb: the next refactor recomputes basic values from
-// the exact rhs (an FTRAN only, when the basis has not moved since the last
-// rebuild).
-func (r *revised) restoreB() {
-	r.bWork = r.sf.b
-	r.perturbed = false
-	r.xBFresh = false
-}
-
 // solve runs both phases and extracts the solution. Every exit records the
 // work counters, so even aborted solves (cancelled, iteration-limited,
 // numerical, budget-exhausted) report the pivots and refactorizations they
@@ -742,59 +688,38 @@ func (r *revised) solve() (sol *Solution) {
 	defer r.finishMon()
 	defer r.recordWork(sol)
 	r.emit("start")
-	if r.atScale {
-		// Perturbation is an anti-degeneracy device for sparse-scale bases,
-		// where zero-length pivots can wander for tens of thousands of
-		// iterations; small problems keep the exact rhs so cold and warm
-		// solves land on identical vertices (the sweep determinism
-		// contract).
-		r.perturb()
-	}
 	if !r.refactor() {
 		sol.Status = Numerical
 		return sol
 	}
 	if r.sf.na > 0 {
 		r.setMonPhase("phase1", r.sf.cost1, r.sf.nTot)
-		for {
-			st := r.runPhase(r.sf.cost1, r.sf.nTot)
-			if lpDebug {
-				obs.Debugf(r.ctx, "lp", "phase1 status %v at iter %d (perturbed %v)", st, r.iterations, r.perturbed)
+		st := r.runPhase(r.sf.cost1, r.sf.nTot)
+		if lpDebug {
+			obs.Debugf(r.ctx, "lp", "phase1 status %v at iter %d", st, r.iterations)
+		}
+		if st != Optimal {
+			// Phase 1 is never unbounded in exact arithmetic; treat it as
+			// numerical trouble.
+			sol.Status = Numerical
+			if st == IterationLimit || st == Cancelled || st == BudgetExceeded {
+				sol.Status = st
 			}
-			if st != Optimal {
-				// Phase 1 is never unbounded in exact arithmetic; treat it as
-				// numerical trouble.
-				sol.Status = Numerical
-				if st == IterationLimit || st == Cancelled || st == BudgetExceeded {
-					sol.Status = st
-				}
-				return sol
+			return sol
+		}
+		if !r.refactor() { // exact phase-1 values
+			sol.Status = Numerical
+			return sol
+		}
+		phase1 := 0.0
+		for i, b := range r.basis {
+			if b >= r.sf.nv+r.sf.ns {
+				phase1 += r.xB[i]
 			}
-			if !r.refactor() { // exact phase-1 values
-				sol.Status = Numerical
-				return sol
-			}
-			phase1 := 0.0
-			for i, b := range r.basis {
-				if b >= r.sf.nv+r.sf.ns {
-					phase1 += r.xB[i]
-				}
-			}
-			if r.sf.phase1Feasible(phase1) {
-				break
-			}
-			if !r.perturbed {
-				sol.Status = Infeasible
-				return sol
-			}
-			// The perturbed problem may be infeasible even though the true one
-			// is (an equality row can reject the jitter). Restore the exact
-			// rhs and re-run phase 1 from the current basis before concluding
-			// anything about the problem itself. The basis has not moved
-			// since the exact refactorization above, so refactor recomputes
-			// the basic values with one FTRAN and cannot fail.
-			r.restoreB()
-			r.refactor()
+		}
+		if !r.sf.phase1Feasible(phase1) {
+			sol.Status = Infeasible
+			return sol
 		}
 		r.driveOutArtificials()
 	}
@@ -823,7 +748,7 @@ func (r *revised) phase2() *Solution {
 		}
 		st := r.runPhase(r.sf.cost2, r.sf.nv+r.sf.ns)
 		if lpDebug {
-			obs.Debugf(r.ctx, "lp", "phase2 attempt %d status %v at iter %d (perturbed %v)", attempt, st, r.iterations, r.perturbed)
+			obs.Debugf(r.ctx, "lp", "phase2 attempt %d status %v at iter %d", attempt, st, r.iterations)
 		}
 		if st != Optimal {
 			sol.Status = st
@@ -831,15 +756,6 @@ func (r *revised) phase2() *Solution {
 		}
 		if !r.refactor() { // final exact recomputation from the basis
 			break
-		}
-		if r.perturbed {
-			// Optimal for the jittered rhs (see perturb). Swap the exact rhs
-			// back in and go around again: the reduced costs are unchanged (d
-			// does not depend on b), so the re-run terminates immediately and
-			// any primal infeasibility the swap exposes lands in the
-			// dual-simplex repair below.
-			r.restoreB()
-			continue
 		}
 		worst := 0.0
 		for _, v := range r.xB {
@@ -897,11 +813,12 @@ func (r *revised) primalFeasible() bool {
 }
 
 // dualFeasible reports whether every priced (non-artificial) column has a
-// nonnegative phase-2 reduced cost, the precondition for dual simplex.
+// nonnegative phase-2 reduced cost, recomputed from the current basis: the
+// precondition for dual simplex, and the warm path's optimality check.
 func (r *revised) dualFeasible() bool {
 	r.recomputeD(r.sf.cost2)
 	for j := 0; j < r.sf.nv+r.sf.ns; j++ {
-		if r.pos[j] < 0 && r.d[j] < -costTol*r.dScale[j] {
+		if r.pos[j] < 0 && r.d[j] < -costTol {
 			return false
 		}
 	}

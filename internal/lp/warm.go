@@ -130,7 +130,11 @@ func (r *revised) warmTail() (*Solution, *revised) {
 	if sol.Status == Cancelled || sol.Status == BudgetExceeded {
 		return sol, nil
 	}
-	if sol.Status != Optimal || !sf.verify(sol.X) {
+	// A warm start from an ill-conditioned basis can leave the maintained
+	// reduced costs far from the final basis's own, so its optimality is
+	// checked against recomputed ones, as its feasibility is against the
+	// original rows.
+	if sol.Status != Optimal || !sf.verify(sol.X) || !r.dualFeasible() {
 		return nil, nil // let the battle-tested cold path have it
 	}
 	sol.WarmStarted = true

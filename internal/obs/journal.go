@@ -6,7 +6,7 @@ import (
 )
 
 // Event is one structured solve-lifecycle record: a kind (started,
-// refactored, perturbed, stall, finished), the owning trace ID, and
+// refactored, stall, finished), the owning trace ID, and
 // free-form attributes (pivots, objective, growth factor...). Events are
 // slog-style — flat key/value, cheap to record — but retained in-process so
 // the journal answers "what did that solve just do" without log scraping.

@@ -149,10 +149,12 @@ func TestCacheFileRoundTripOnDisk(t *testing.T) {
 // warmGapTol is the relative warm-versus-cold objective tolerance the warm
 // path is held to elsewhere (lp's TestWarmDualSimplexAtScale). The simplex
 // stops on an absolute reduced-cost tolerance, so a warm start from a
-// foreign basis can end at a different vertex that passes the same test:
-// the seed mutated-basis-warm-gap stops 1.05e-8 relative above the cold
-// optimum at horizon 1e5 and re-solving from either final basis takes zero
-// pivots. Certifying optima with an α-aware tolerance is the open fix.
+// foreign basis can end at a different vertex that passes the same test.
+// Two seeds are such warm starts: mutated-basis-warm-gap, which once
+// stopped 1.05e-8 relative above the cold optimum at horizon 1e5, and
+// drifted-reduced-costs, whose warm phase 2 ended 5.1e-5 above it on
+// maintained reduced costs that had drifted from the basis's own (the warm
+// path now rechecks them and falls back to a cold solve).
 const warmGapTol = 1e-6
 
 // FuzzLoadCache feeds arbitrary bytes to LoadCache, the -cache-file restore

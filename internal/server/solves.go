@@ -197,7 +197,6 @@ type SolveInfo struct {
 	DualInf          float64 `json:"dual_inf"`
 	EtaLen           int     `json:"eta_len"`
 	FactorNNZ        int     `json:"factor_nnz"`
-	Perturbed        bool    `json:"perturbed"`
 	GrowthFactor     float64 `json:"growth_factor,omitempty"`
 	DiagRatio        float64 `json:"diag_ratio,omitempty"`
 	FTRejections     int     `json:"ft_rejections,omitempty"`
@@ -246,7 +245,6 @@ func (f *solveFlight) info() SolveInfo {
 	in.DualInf = sn.DualInf
 	in.EtaLen = sn.EtaLen
 	in.FactorNNZ = sn.FactorNNZ
-	in.Perturbed = sn.Perturbed
 	in.GrowthFactor = sn.Health.GrowthFactor
 	in.DiagRatio = sn.Health.DiagRatio()
 	in.FTRejections = sn.Health.FTRejections

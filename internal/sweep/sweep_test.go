@@ -54,7 +54,7 @@ func comparePoints(t *testing.T, label string, got, want []core.ParetoPoint) {
 		// 1e-8 is the repo-wide objective-parity tolerance (lp and core
 		// parity suites): warm and cold solves may stop at different
 		// optimal vertices whose objectives agree only to the solver's
-		// scale-relative optimality tolerance on stiff discounts.
+		// optimality tolerance.
 		if w.Feasible && math.Abs(g.Objective-w.Objective) > 1e-8 {
 			t.Errorf("%s[%d]: objective %.15g, want %.15g (Δ=%g)", label, i, g.Objective, w.Objective,
 				math.Abs(g.Objective-w.Objective))
