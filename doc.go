@@ -198,15 +198,16 @@
 // # Solver performance
 //
 // The sparse path's per-pivot cost is contained by four mechanisms. The
-// FTRAN/BTRAN triangular solves are hyper-sparse: Gilbert–Peierls-style
+// BTRAN of each pivot's unit vector is hyper-sparse: Gilbert–Peierls-style
 // symbolic reachability from the rhs support touches only the reachable
-// pattern, falling back to the dense kernel when fill passes ~10% of n,
-// with an adaptive streak gate that stops attempting symbolic walks while
-// consecutive solves keep coming out dense. The refactorization cadence
-// scales with basis size (every 120 pivots, stretched to 960 at m ≥ 4096)
-// because Markowitz elimination grows superlinearly with m while one more
-// Forrest–Tomlin eta costs only its nonzeros; stability checks still force
-// early refactorization when the chain degrades. And the elimination's row
+// pattern, falling back to the dense kernel when fill passes ~10% of n.
+// FTRAN is one dense sweep: its rhs, an entering column, rarely stays
+// sparse, and a reachability walk for it made no basis size faster. The
+// refactorization cadence scales with basis size (every 120 pivots,
+// stretched to 960 at m ≥ 4096) because Markowitz elimination grows
+// superlinearly with m while one more Forrest–Tomlin eta costs only its
+// nonzeros; stability checks still force early refactorization when the
+// chain degrades. And the elimination's row
 // merges gallop: binary-search the eliminated column, bulk-copy untouched
 // runs. Finally the kernel owns its storage, as the dense one does:
 // mat.SparseLU.Refactor factors each basis of a solve into the arrays of

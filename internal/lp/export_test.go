@@ -1,7 +1,7 @@
 package lp
 
-// Test handles for the external test package: the solverConfig fields no
-// Option sets, and the verdict certificates of certify_test.go. Callers
+// Test handles: the solverConfig fields no Option sets, and the verdict
+// certificates of certify_test.go. Callers
 // always get the kernel and pricing rule the basis size picks and the
 // kernel unwrapped; the tests pin the at-scale configuration to run every
 // kernel on small LPs, and wrap the kernel to reach its failure paths.
@@ -17,7 +17,7 @@ func ForceAtScale() Option {
 // WithFactorizerHook wraps the basis kernel of every solve attempt in
 // wrap(kernel), so a test can make Refactor or Update fail on cue (see
 // recovery_test.go) and reach the solver's recovery paths.
-func WithFactorizerHook(wrap func(Factorizer) Factorizer) Option {
+func WithFactorizerHook(wrap func(factorizer) factorizer) Option {
 	return func(c *solverConfig) { c.wrapFactorizer = wrap }
 }
 

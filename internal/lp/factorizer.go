@@ -21,28 +21,26 @@ import (
 	"repro/internal/obs"
 )
 
-// Factorizer is the strategy interface for the simplex basis kernel: it
+// factorizer is the strategy interface for the simplex basis kernel: it
 // maintains a factorization of the m×m basis matrix B across pivots.
 // Implementations are stateful and single-solve; after Update returns an
 // error the factorization is invalid and the caller must Refactor before the
 // next Ftran/Btran.
-type Factorizer interface {
+type factorizer interface {
 	// Refactor rebuilds the factorization exactly from the standard-form
 	// columns selected by basis (basis[i] is the column in slot i). It
 	// returns a non-nil error when the basis matrix is singular.
 	Refactor(a *mat.CSC, basis []int) error
-	// Ftran solves B x = v. v is consumed; the result may alias it.
+	// Ftran solves B x = v: the basic values, and the entering direction
+	// of every pivot. v is consumed; the result may alias it.
 	Ftran(v mat.Vector) mat.Vector
 	// Btran solves Bᵀ y = c. c is consumed; the result may alias it.
 	Btran(c mat.Vector) mat.Vector
-	// FtranSp solves B x = b for a sparse right-hand side (an entering
-	// column), writing the direction into x. b is consumed. On return x has
-	// a sorted pattern, or is marked Dense when the result outgrew the
-	// kernel's hyper-sparsity threshold (always, for the dense kernel).
-	// Results are bit-identical to Ftran on the same rhs.
-	FtranSp(b, x *mat.SpVec)
 	// BtranSp solves Bᵀ y = c for a sparse right-hand side (the unit vector
-	// of a leaving row), writing into y; same contract as FtranSp.
+	// of a leaving row), writing into y. c is consumed. On return y has a
+	// sorted pattern, or is marked Dense when the result outgrew the
+	// kernel's hyper-sparsity threshold (always, for the dense kernel).
+	// Results are bit-identical to Btran on the same rhs.
 	BtranSp(c, y *mat.SpVec)
 	// Update absorbs the replacement of the basis column in slot row by the
 	// standard-form column with sparse entries (rows, vals); w = B⁻¹a is the
@@ -56,7 +54,7 @@ type Factorizer interface {
 	// the dense kernel), the fill-in statistic surfaced in Solution.
 	NNZ() int
 	// Health reports the kernel's numerical-health record, with lifetime
-	// counters (FT rejections, hyper/dense solve counts) accumulated across
+	// counters (FT rejections, hyper/dense BTRAN counts) accumulated across
 	// refactorizations of this solve. The dense kernel, which carries no
 	// such instrumentation, returns the zero value.
 	Health() mat.HealthStats
@@ -103,27 +101,22 @@ func (f *denseFactorizer) Refactor(a *mat.CSC, basis []int) error {
 	return f.lu.FactorInPlace(f.bm)
 }
 
-// Ftran solves B x = v in place: the result is v itself.
+// Ftran solves B x = v in place through the work vector: the LU solve,
+// then the eta file applied in order. The result is v itself.
 func (f *denseFactorizer) Ftran(v mat.Vector) mat.Vector {
 	copy(f.work, v)
-	f.ftranInto(v, f.work)
-	return v
-}
-
-// ftranInto solves B x = v into x (which must not alias v): the LU solve,
-// then the eta file applied in order. v is not modified.
-func (f *denseFactorizer) ftranInto(x, v mat.Vector) {
-	f.lu.SolveInto(x, v)
+	f.lu.SolveInto(v, f.work)
 	for e := range f.etas {
 		et := &f.etas[e]
-		piv := x[et.r] / et.w[et.r]
+		piv := v[et.r] / et.w[et.r]
 		if piv != 0 {
 			for i, wi := range et.w {
-				x[i] -= piv * wi
+				v[i] -= piv * wi
 			}
 		}
-		x[et.r] = piv
+		v[et.r] = piv
 	}
+	return v
 }
 
 // Btran solves Bᵀ y = c in place: the result is c itself.
@@ -150,16 +143,9 @@ func (f *denseFactorizer) btranInto(y, c mat.Vector) {
 	f.lu.SolveTInto(y, v)
 }
 
-// FtranSp densifies and solves straight into x — the dense kernel has no
-// sparse path, so the result is always marked Dense. Every entry of x is
+// BtranSp densifies and solves straight into y — the dense kernel has no
+// sparse path, so the result is always marked Dense. Every entry of y is
 // overwritten, so its old pattern needs no clearing.
-func (f *denseFactorizer) FtranSp(b, x *mat.SpVec) {
-	x.Ind = x.Ind[:0]
-	x.Dense = true
-	f.ftranInto(x.Val, b.Val)
-}
-
-// BtranSp densifies and solves straight into y, like FtranSp.
 func (f *denseFactorizer) BtranSp(c, y *mat.SpVec) {
 	y.Ind = y.Ind[:0]
 	y.Dense = true
@@ -248,8 +234,6 @@ func (s *sparseFactorizer) Btran(c mat.Vector) mat.Vector {
 	s.f.SolveTInto(c, c)
 	return c
 }
-
-func (s *sparseFactorizer) FtranSp(b, x *mat.SpVec) { s.f.SolveSp(b, x) }
 
 func (s *sparseFactorizer) BtranSp(c, y *mat.SpVec) { s.f.SolveTSp(c, y) }
 

@@ -11,7 +11,7 @@ import (
 
 // TestDenseFactorizerSteadyStateAllocs gates the small-LP kernel's
 // allocation contract: once a first refactorization cycle has sized its
-// buffers and eta vectors, Refactor, FtranSp, BtranSp and Update allocate
+// buffers and eta vectors, Refactor, Ftran, BtranSp and Update allocate
 // nothing — a pivot costs arithmetic only.
 func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 	p := parityProblems()["balance-stiff"]
@@ -32,13 +32,12 @@ func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 			// Enter structural column u at the row where its direction is
 			// largest; the basis itself is left alone, so every cycle
 			// refactorizes the same matrix and repeats the same work.
-			in.Reset()
+			clear(w)
 			rows, vals := sf.a.ColNZ(u)
 			for k, i := range rows {
-				in.Set(i, vals[k])
+				w[i] = vals[k]
 			}
-			f.FtranSp(in, out)
-			copy(w, out.Val)
+			f.Ftran(w)
 			row := 0
 			for i := range w {
 				if math.Abs(w[i]) > math.Abs(w[row]) {
@@ -55,7 +54,7 @@ func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 	}
 	cycle() // sizes the LU buffers and the eta file
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Errorf("steady-state refactor + %d × (FtranSp, BtranSp, Update) allocated %.1f times, want 0", updates, allocs)
+		t.Errorf("steady-state refactor + %d × (Ftran, BtranSp, Update) allocated %.1f times, want 0", updates, allocs)
 	}
 }
 
@@ -98,8 +97,8 @@ func balanceLP(n int, seed int64) *Problem {
 // TestDenseFactorizerSteadyStateAllocs: on the optimal basis of a 321-row
 // LP (past autoSparseMin, so the solver runs the sparse LU kernel), once a
 // first cycle has sized the factorizer's storage, refactorizing the basis,
-// the dense FTRAN and BTRAN, and the hyper-sparse solves and Forrest–Tomlin
-// updates of four pivots allocate nothing.
+// the dense FTRAN and BTRAN, and the FTRANs, hyper-sparse BTRANs and
+// Forrest–Tomlin updates of four pivots allocate nothing.
 func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
 	_, r, err := NewSolver().solve(context.Background(), balanceLP(320, 5), nil, nil)
 	if err != nil {
@@ -140,13 +139,12 @@ func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
 			// Enter column j at the row where its direction is largest; the
 			// basis itself is left alone, so every cycle refactorizes the
 			// same matrix and repeats the same work.
-			in.Reset()
+			clear(w)
 			rows, vals := sf.a.ColNZ(j)
 			for k, i := range rows {
-				in.Set(i, vals[k])
+				w[i] = vals[k]
 			}
-			f.FtranSp(in, out)
-			copy(w, out.Val) // a sparse result is exactly zero off its pattern
+			f.Ftran(w)
 			row := 0
 			for i := range w {
 				if math.Abs(w[i]) > math.Abs(w[row]) {
@@ -166,6 +164,6 @@ func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("absorbed %d updates, want %d", f.Updates(), len(enter))
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Errorf("steady-state refactor + Ftran + Btran + %d × (FtranSp, BtranSp, Update) allocated %.1f times, want 0", len(enter), allocs)
+		t.Errorf("steady-state refactor + Ftran + Btran + %d × (Ftran, BtranSp, Update) allocated %.1f times, want 0", len(enter), allocs)
 	}
 }

@@ -36,6 +36,7 @@
 //	rebuild after a rejected Update fails  Numerical, one attempt        TestRecoveryRefactorFailureIsFinal
 //	rebuild fails in artificial drive-out  phase 2 rebuilds, Optimal     TestDriveOutRefactorFailureRecovers
 //	warm Refactor fails                    cold fallback                 TestWarmRefactorFailureFallsBackCold
+//	warm basis has a nonzero artificial    cold fallback                 TestWarmNonzeroArtificialFallsBackCold
 //	warm optimum fails recomputed d_j      cold fallback                 FuzzLoadCache seed drifted-reduced-costs
 //	warm basis primal infeasible           dual-simplex repair           TestWarmDualSimplexAtScale
 //	negative basics after phase 2          dual-simplex repair, again    TestHighDiscountRedundantBound
@@ -43,7 +44,7 @@
 //	pivot budget spent                     BudgetExceeded, no fallback   TestWithMaxPivotsWarm
 //
 // Unreached so far: the stall switch to Bland's rule, the iteration limit,
-// a rejected cold verification, a warm basis with a nonzero artificial.
+// a rejected cold verification.
 //
 // The float64 answers are checked, not trusted: CertifyExact reads a
 // returned basis in exact rational arithmetic and proves it optimal (or

@@ -58,7 +58,8 @@ type Snapshot struct {
 	FactorNNZ int
 	// Health is the basis kernel's numerical-health record (zero for the
 	// dense kernel): element growth, diagonal range, Forrest–Tomlin
-	// rejections, hyper-sparse vs dense solve counts.
+	// rejections, hyper-sparse vs dense BTRAN counts (FTRAN is always
+	// dense and uncounted).
 	Health mat.HealthStats
 	// Timings is the per-stage wall-clock split so far and Elapsed the
 	// total wall clock since the solve attempt started.

@@ -32,14 +32,14 @@ type faultPlan struct {
 
 // option wraps every solve attempt's kernel in the plan.
 func (p *faultPlan) option() Option {
-	return WithFactorizerHook(func(f Factorizer) Factorizer { return faultyFactorizer{f, p} })
+	return WithFactorizerHook(func(f factorizer) factorizer { return faultyFactorizer{f, p} })
 }
 
 // faultyFactorizer is a kernel that fails the calls its plan names. A failed
 // call leaves the wrapped kernel untouched, which the solver may not use
-// again before a successful Refactor — the Factorizer error contract.
+// again before a successful Refactor — the factorizer error contract.
 type faultyFactorizer struct {
-	Factorizer
+	factorizer
 	plan *faultPlan
 }
 
@@ -49,7 +49,7 @@ func (f faultyFactorizer) Refactor(a *mat.CSC, basis []int) error {
 	if p.refactors == p.refactorAt {
 		return errInjected
 	}
-	return f.Factorizer.Refactor(a, basis)
+	return f.factorizer.Refactor(a, basis)
 }
 
 func (f faultyFactorizer) Update(row int, w mat.Vector, rows []int, vals []float64) error {
@@ -61,7 +61,7 @@ func (f faultyFactorizer) Update(row int, w mat.Vector, rows []int, vals []float
 		}
 		return errInjected
 	}
-	return f.Factorizer.Update(row, w, rows, vals)
+	return f.factorizer.Update(row, w, rows, vals)
 }
 
 // attempts counts the monitor's start and finish events: one pair per solve
@@ -280,6 +280,55 @@ func TestWarmRefactorFailureFallsBackCold(t *testing.T) {
 					t.Errorf("%s: %+v: verdict not certified: %v", label, plan, cerr)
 				}
 			}
+		}
+	}
+}
+
+// TestWarmNonzeroArtificialFallsBackCold: a warm basis whose refactorized
+// basic values put an artificial above zero describes no feasible point of
+// the new problem, so the warm attempt stops right after its first
+// refactorization and the cold fallback gives the verdict. The rows
+// x + y = 1 and 2x + 2y = 2 are one hyperplane twice: the cold optimum keeps
+// the second row's artificial basic at zero. Moving that row's rhs to 3
+// makes the artificial carry 1 under the same basis, and the problem
+// infeasible.
+func TestWarmNonzeroArtificialFallsBackCold(t *testing.T) {
+	build := func(rhs2 float64) *Problem {
+		p := NewProblem(Minimize, 2)
+		p.Obj = []float64{1, 2}
+		p.AddConstraint("r1", []float64{1, 1}, EQ, 1)
+		p.AddConstraint("r2", []float64{2, 2}, EQ, rhs2)
+		return p
+	}
+	for _, kc := range kernelConfigs {
+		_, warm, err := NewSolver(kc.opts...).Solve(context.Background(), build(2), nil)
+		if err != nil {
+			t.Fatalf("%s: rhs 2: %v", kc.name, err)
+		}
+		if !slices.Equal(warm.cols, []int{2, 0}) {
+			t.Fatalf("%s: rhs 2 basis columns %v, want [2 0]: an artificial basic at zero", kc.name, warm.cols)
+		}
+		// Each attempt's events, phase-tagged: a warm attempt of a start,
+		// one refactorization and a finish before any phase begins is the
+		// artificial check returning. (A singular basis emits no refactor
+		// event; every later exit runs a phase first.)
+		var runs [][]string
+		mon := WithMonitor(MonitorFunc(func(s Snapshot) {
+			if s.Event == "start" {
+				runs = append(runs, nil)
+			}
+			runs[len(runs)-1] = append(runs[len(runs)-1], s.Event+"/"+s.Phase)
+		}))
+		sol, basis, err := NewSolver(append(slices.Clone(kc.opts), mon)...).Solve(context.Background(), build(3), warm)
+		if sol.Status != Infeasible || !errors.Is(err, ErrNotOptimal) || basis != nil || sol.WarmStarted {
+			t.Errorf("%s: rhs 3: status %v, err %v, basis %v, warm %v; want a cold Infeasible verdict",
+				kc.name, sol.Status, err, basis, sol.WarmStarted)
+		}
+		if len(runs) != 2 {
+			t.Fatalf("%s: %d attempts %v; want a warm and a cold one", kc.name, len(runs), runs)
+		}
+		if want := []string{"start/", "refactor/", "finish/"}; !slices.Equal(runs[0], want) {
+			t.Errorf("%s: warm attempt events %v, want %v", kc.name, runs[0], want)
 		}
 	}
 }

@@ -4,7 +4,7 @@ package lp
 // tableau, it keeps only
 //
 //   - the column-sparse standard-form matrix (immutable),
-//   - a Factorizer holding the current m×m basis factorization — dense LU
+//   - a factorizer holding the current m×m basis factorization — dense LU
 //     plus product-form etas, or Markowitz sparse LU with Forrest–Tomlin
 //     updates (see factorizer.go),
 //   - the entering-column rule — Dantzig, or Devex weights at scale (see
@@ -43,7 +43,7 @@ type revised struct {
 	hasDeadline bool
 	basis       []int // column index per row
 	pos         []int // column -> basis row, or -1
-	fact        Factorizer
+	fact        factorizer
 	devex       devex // Devex weights; priced and maintained only when atScale
 	xB          mat.Vector
 	cB          mat.Vector // basic costs, the duals' BTRAN input (see duals)
@@ -61,10 +61,10 @@ type revised struct {
 	touched []int32     // columns written by the last pivotRow scatter
 	stamp   int32
 
-	// Indexed-sparse-vector scratch for the per-pivot kernel solves (see
-	// mat.SpVec): the entering-column FTRAN pair and the unit-vector BTRAN
-	// pair. Results are valid until the next call on the same pair.
-	ftIn, ftOut *mat.SpVec
+	// Per-pivot kernel solve scratch: the entering direction (dense) and
+	// the unit-vector BTRAN pair (see mat.SpVec). Results are valid until
+	// the next call that fills the same scratch.
+	dir         mat.Vector
 	btIn, btOut *mat.SpVec
 
 	// tm accumulates the per-stage wall-clock breakdown reported in
@@ -168,7 +168,7 @@ func newRevised(ctx context.Context, sf *stdForm, cfg solverConfig) *revised {
 	}
 	r.acell = make([]alphaCell, sf.nTot)
 	r.touched = make([]int32, 0, sf.nTot)
-	r.ftIn, r.ftOut = mat.NewSpVec(sf.m), mat.NewSpVec(sf.m)
+	r.dir = mat.NewVector(sf.m)
 	r.btIn, r.btOut = mat.NewSpVec(sf.m), mat.NewSpVec(sf.m)
 
 	r.rebuildPos()
@@ -294,21 +294,19 @@ func (r *revised) recomputeXB() {
 }
 
 // ftranCol returns the entering direction B⁻¹ a_j for standard-form column
-// j as an indexed sparse vector: sorted pattern, or marked Dense past the
-// kernel's hyper-sparsity threshold. The result lives in per-solve scratch,
-// valid until the next ftranCol call.
-func (r *revised) ftranCol(j int) *mat.SpVec {
+// j: the column scattered into a dense vector and solved by one dense
+// FTRAN. The result lives in per-solve scratch, valid until the next
+// ftranCol call.
+func (r *revised) ftranCol(j int) mat.Vector {
 	t0 := time.Now()
-	r.ftIn.Reset()
+	clear(r.dir)
 	rows, vals := r.sf.a.ColNZ(j)
 	for k, i := range rows {
-		if vals[k] != 0 {
-			r.ftIn.Set(i, vals[k])
-		}
+		r.dir[i] = vals[k]
 	}
-	r.fact.FtranSp(r.ftIn, r.ftOut)
+	w := r.fact.Ftran(r.dir)
 	r.tm.Ftran += time.Since(t0)
-	return r.ftOut
+	return w
 }
 
 // btranUnit returns the pivot-row multiplier β = B⁻ᵀe_row as an indexed
@@ -445,7 +443,7 @@ func (r *revised) price(maxCol int, bland bool) int {
 // element wins for stability, except under Bland's rule where the smallest
 // basis index wins to guarantee termination. Returns -1 when the column is
 // unbounded.
-func (r *revised) ratioTest(w *mat.SpVec, bland bool) int {
+func (r *revised) ratioTest(w mat.Vector, bland bool) int {
 	// An entry of w that is tiny relative to ‖w‖∞ is indistinguishable from
 	// FTRAN roundoff once the basis grows ill-conditioned; pivoting on one
 	// steers the basis toward exact singularity. At sparse scale pivots must
@@ -456,21 +454,11 @@ func (r *revised) ratioTest(w *mat.SpVec, bland bool) int {
 	minPiv := pivotTol
 	if r.atScale {
 		wmax := 0.0
-		if w.Dense {
-			for _, a := range w.Val {
-				if a > wmax {
-					wmax = a
-				} else if -a > wmax {
-					wmax = -a
-				}
-			}
-		} else {
-			for _, i := range w.Ind {
-				if a := w.Val[i]; a > wmax {
-					wmax = a
-				} else if -a > wmax {
-					wmax = -a
-				}
+		for _, a := range w {
+			if a > wmax {
+				wmax = a
+			} else if -a > wmax {
+				wmax = -a
 			}
 		}
 		if rel := pivotRelTol * wmax; rel > minPiv {
@@ -486,11 +474,9 @@ func (r *revised) ratioTest(w *mat.SpVec, bland bool) int {
 	return -1
 }
 
-// ratioTestTol scans the direction's support in ascending row order — the
-// dense sweep's order, so near-tie resolution (and hence the leaving row)
-// does not depend on which kernel path produced w: entries the sparse path
-// skips are exact zeros, which the dense sweep rejects at the minPiv test.
-func (r *revised) ratioTestTol(w *mat.SpVec, bland bool, minPiv float64) int {
+// ratioTestTol scans the direction in ascending row order, considering the
+// entries above minPiv.
+func (r *revised) ratioTestTol(w mat.Vector, bland bool, minPiv float64) int {
 	bestRow := -1
 	bestRatio := math.Inf(1)
 	bestPivot := 0.0
@@ -520,17 +506,9 @@ func (r *revised) ratioTestTol(w *mat.SpVec, bland bool, minPiv float64) int {
 			}
 		}
 	}
-	if w.Dense {
-		for i, a := range w.Val {
-			if a > minPiv {
-				consider(i, a)
-			}
-		}
-	} else {
-		for _, i := range w.Ind {
-			if a := w.Val[i]; a > minPiv {
-				consider(i, a)
-			}
+	for i, a := range w {
+		if a > minPiv {
+			consider(i, a)
 		}
 	}
 	return bestRow
@@ -542,27 +520,14 @@ func (r *revised) ratioTestTol(w *mat.SpVec, bland bool, minPiv float64) int {
 // cannot absorb the update, the factorization is flagged for an immediate
 // rebuild (the basis bookkeeping is already correct — only FTRAN/BTRAN must
 // wait for the refactorization).
-func (r *revised) pivotUpdate(row, col int, w *mat.SpVec) {
+func (r *revised) pivotUpdate(row, col int, w mat.Vector) {
 	t0 := time.Now()
 	defer func() { r.tm.Update += time.Since(t0) }()
-	theta := r.xB[row] / w.Val[row]
-	if w.Dense {
-		for i := range r.xB {
-			r.xB[i] -= theta * w.Val[i]
-			if r.xB[i] < 0 && r.xB[i] > -zeroTol {
-				r.xB[i] = 0
-			}
-		}
-	} else {
-		// Rows outside the direction's support keep their basic value
-		// exactly (the dense sweep subtracts θ·0 there, and its clamp never
-		// fires on an untouched value: every write path already clamps
-		// (−zeroTol, 0) to zero, so no stored value lies in that band).
-		for _, i := range w.Ind {
-			r.xB[i] -= theta * w.Val[i]
-			if r.xB[i] < 0 && r.xB[i] > -zeroTol {
-				r.xB[i] = 0
-			}
+	theta := r.xB[row] / w[row]
+	for i := range r.xB {
+		r.xB[i] -= theta * w[i]
+		if r.xB[i] < 0 && r.xB[i] > -zeroTol {
+			r.xB[i] = 0
 		}
 	}
 	r.xB[row] = theta
@@ -571,9 +536,9 @@ func (r *revised) pivotUpdate(row, col int, w *mat.SpVec) {
 	r.basis[row] = col
 	r.pos[col] = row
 	rows, vals := r.sf.a.ColNZ(col)
-	if err := r.fact.Update(row, w.Val, rows, vals); err != nil {
+	if err := r.fact.Update(row, w, rows, vals); err != nil {
 		if lpDebug {
-			obs.Debugf(r.ctx, "lp", "update unstable iter %d pivot %g theta %g", r.iterations, w.Val[row], theta)
+			obs.Debugf(r.ctx, "lp", "update unstable iter %d pivot %g theta %g", r.iterations, w[row], theta)
 		}
 		r.needRefactor = true
 	}
@@ -644,7 +609,7 @@ func (r *revised) runPhase(cost mat.Vector, maxCol int) Status {
 			return Unbounded
 		}
 		beta := r.btranUnit(row) // pivot row in the pre-pivot basis
-		r.updateD(beta, row, col, w.Val[row])
+		r.updateD(beta, row, col, w[row])
 		r.pivotUpdate(row, col, w)
 	}
 }
@@ -671,7 +636,7 @@ func (r *revised) driveOutArtificials() {
 				continue
 			}
 			w := r.ftranCol(j)
-			if math.Abs(w.Val[i]) > pivotTol {
+			if math.Abs(w[i]) > pivotTol {
 				r.pivotUpdate(i, j, w)
 				break
 			}
@@ -913,10 +878,10 @@ func (r *revised) dualSimplex() bool {
 			return false
 		}
 		w := r.ftranCol(col)
-		if math.Abs(w.Val[row]) <= pivotTol {
+		if math.Abs(w[row]) <= pivotTol {
 			return false // direction disagrees with the priced row: bail out
 		}
-		r.updateD(beta, row, col, w.Val[row])
+		r.updateD(beta, row, col, w[row])
 		r.pivotUpdate(row, col, w)
 	}
 }

@@ -25,7 +25,7 @@ type solverConfig struct {
 	// wrapFactorizer wraps each attempt's basis kernel to inject failures.
 	// No option sets either; package tests do (export_test.go).
 	atScale        bool
-	wrapFactorizer func(Factorizer) Factorizer
+	wrapFactorizer func(factorizer) factorizer
 	maxPivots      int
 	monitor        Monitor
 	monitorEvery   int

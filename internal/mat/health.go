@@ -20,10 +20,11 @@ type HealthStats struct {
 	// FTRejections counts Forrest–Tomlin updates rejected by the stability
 	// checks (ErrUpdateUnstable) — each one forced an early refactorization.
 	FTRejections int
-	// HyperSolves and DenseSolves count SolveSp/SolveTSp calls that
-	// completed on the hyper-sparse reachability path versus ones that
-	// densified (fast-dense streak gate, dense input, or a pattern that
-	// outgrew the density threshold mid-scan).
+	// HyperSolves and DenseSolves count BTRAN solves only: SolveTSp calls
+	// that completed on the hyper-sparse reachability path versus ones that
+	// densified (dense input, or a pattern that outgrew the density
+	// threshold mid-scan). FTRAN is always the dense sweep and is not
+	// counted.
 	HyperSolves, DenseSolves int
 }
 

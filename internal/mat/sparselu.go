@@ -20,10 +20,11 @@ package mat
 // and column are cyclically permuted to the last position, and the one
 // no-longer-triangular row is re-eliminated against the rows below it,
 // appending a single sparse row eta to the transform file. An update costs
-// O(nnz) and leaves U genuinely triangular — unlike product-form etas, whose
-// file grows by a dense-ish vector per pivot and whose FTRAN cost compounds —
-// so the update chain no longer drives the solver back toward full
-// refactorization.
+// one forward transform of the entering column plus the re-elimination's
+// nonzeros, and leaves U genuinely triangular — unlike product-form etas,
+// whose file grows by a dense-ish vector per pivot and whose FTRAN cost
+// compounds — so the update chain no longer drives the solver back toward
+// full refactorization.
 //
 // Storage:
 //
@@ -111,7 +112,8 @@ type SparseLU struct {
 	updates int
 
 	// Workspace (length n), reused across solves and updates: w is all-zero
-	// between operations, tmp is the dense Solve/SolveTInto scratch.
+	// between operations, tmp is the dense scratch of SolveInto, SolveTInto
+	// and Update's spike.
 	w     []float64
 	tmp   Vector
 	stamp []int
@@ -128,12 +130,10 @@ type SparseLU struct {
 	pCols      []int
 	pVals      []float64
 
-	// Hyper-sparse solve scratch (see spvec.go): the step inverse of
-	// lPivRow, the lazy transpose of the L pattern (windows into
-	// rowStepEntries, built on first use), the ordered-worklist bitmask, a
-	// second stamp domain (row-pattern marks that coexist with the mask
-	// inside SolveTSp), and the update-spike vector.
-	lStep          []int
+	// Hyper-sparse BTRAN scratch (see spvec.go): the lazy transpose of the
+	// L pattern (windows into rowStepEntries, built on first use), the
+	// ordered-worklist bitmask, and a second stamp domain (row-pattern marks
+	// that coexist with the mask inside SolveTSp).
 	rowSteps       [][]int32
 	rowStepsBuilt  bool
 	rowStepOff     []int
@@ -141,12 +141,6 @@ type SparseLU struct {
 	mask           workMask
 	stampB         []int
 	visitB         int
-	spk            *SpVec
-
-	// Adaptive density gate of SolveSp (see spvec.go): consecutive
-	// densified results, and the countdown to the next sparse re-probe.
-	spStreak int
-	spProbe  int
 
 	// Numerical-health record (see health.go): growth/diagonal fields set
 	// by Refactor, counters accumulated by Update and the solves.
@@ -385,14 +379,12 @@ func (f *SparseLU) Refactor(n int, col func(j int) ([]int, []float64), tau float
 			f.combineRow(r, pc, m, pCols, pVals, doneCol, mk)
 		}
 	}
-	// L's windows, and the step inverse of lPivRow for the hyper-sparse
-	// passes.
+	// L's windows.
 	f.lStart[n] = len(lIdx)
 	f.nnzL = len(lIdx)
 	for k := 0; k < n; k++ {
 		lo, hi := f.lStart[k], f.lStart[k+1]
 		f.lRows[k], f.lVals[k] = lIdx[lo:hi:hi], lMul[lo:hi:hi]
-		f.lStep[f.lPivRow[k]] = k
 	}
 
 	// Health record: element growth (largest |U entry| after elimination
@@ -427,8 +419,8 @@ func (f *SparseLU) Refactor(n int, col func(j int) ([]int, []float64), tau float
 }
 
 // reset sizes every per-dimension array for an n×n factorization and clears
-// the state a factorization accumulates — etas, counters, the solve gate,
-// the lazy L transpose — keeping all storage for reuse.
+// the state a factorization accumulates — etas, counters, the lazy L
+// transpose — keeping all storage for reuse.
 func (f *SparseLU) reset(n int) {
 	f.n = n
 	f.rowCols, f.rowVals = resize(f.rowCols, n), resize(f.rowVals, n)
@@ -455,15 +447,10 @@ func (f *SparseLU) reset(n int) {
 	clear(f.pivotedRow)
 	clear(f.doneCol)
 
-	f.lStep = resize(f.lStep, n)
 	f.rowStepsBuilt = false
 	f.mask = resize(f.mask, (n+63)/64)
 	f.mask.clear()
 	f.stampB = resize(f.stampB, n)
-	if f.spk != nil && f.spk.N() != n {
-		f.spk = nil
-	}
-	f.spStreak, f.spProbe = 0, 0
 	f.health = HealthStats{}
 }
 
@@ -739,7 +726,21 @@ func (f *SparseLU) SolveInto(x, b Vector) {
 	y := f.tmp
 	copy(y, b)
 	f.applyForward(y)
-	f.backwardDense(y, x, f.n-1)
+	// V backward substitution in descending position order.
+	for k := f.n - 1; k >= 0; k-- {
+		r, c := f.rowAtPos[k], f.colAtPos[k]
+		s := y[r]
+		cols, vals := f.rowCols[r], f.rowVals[r]
+		diag := 0.0
+		for i, cc := range cols {
+			if cc == c {
+				diag = vals[i]
+				continue
+			}
+			s -= vals[i] * x[cc]
+		}
+		x[c] = s / diag
+	}
 }
 
 // SolveTInto solves the transposed system Bᵀ y = c through the
@@ -823,32 +824,26 @@ func (f *SparseLU) debugf(format string, args ...any) {
 // column's partial-FTRAN spike replaces the leaving column of V, the spiked
 // row/column pair is cyclically rotated to the last position, and the
 // displaced row is re-eliminated, appending one sparse row eta. Cost is
-// O(nnz). On ErrUpdateUnstable the factorization must be rebuilt (the update
-// is applied destructively before the failure can be detected).
+// O(n + nnz). On ErrUpdateUnstable the factorization must be rebuilt (the
+// update is applied destructively before the failure can be detected).
 func (f *SparseLU) Update(slot int, rows []int, vals []float64) error {
 	if slot < 0 || slot >= f.n {
 		panic(fmt.Sprintf("mat: SparseLU.Update slot %d outside [0,%d)", slot, f.n))
 	}
-	// Spike: the entering column pushed through the forward transforms.
-	// Hyper-sparsely — the entering column has a handful of nonzeros, so
-	// the spike support is what keeps updates O(nnz) instead of O(n).
-	if f.spk == nil {
-		f.spk = NewSpVec(f.n)
-	}
-	sp := f.spk
-	sp.Reset()
+	// Spike: the entering column pushed through the forward transforms, in
+	// the dense solve scratch.
+	sp := f.tmp
+	clear(sp)
 	for k, r := range rows {
-		if vals[k] != 0 {
-			sp.Set(r, vals[k])
-		}
+		sp[r] = vals[k]
 	}
-	f.forwardSp(sp)
+	f.applyForward(sp)
 
 	t := f.posOfCol[slot]
 	rt := f.rowAtPos[t]
 
 	// Remove column slot from V (validated, deduplicated walk), then insert
-	// the spike entries in ascending row order (the dense scan's order).
+	// the spike's nonzeros in ascending row order.
 	f.visit++
 	for _, r := range f.colRows[slot] {
 		if f.stamp[r] == f.visit {
@@ -859,23 +854,8 @@ func (f *SparseLU) Update(slot int, rows []int, vals []float64) error {
 	}
 	f.colRows[slot] = f.colRows[slot][:0]
 	spikeMax := 0.0
-	if sp.Dense {
-		for r := 0; r < f.n; r++ {
-			if v := sp.Val[r]; v != 0 {
-				f.insertRowEntry(r, slot, v)
-				f.colRows[slot] = append(f.colRows[slot], r)
-				if a := math.Abs(v); a > spikeMax {
-					spikeMax = a
-				}
-			}
-		}
-	} else {
-		sp.SortPattern()
-		for _, r := range sp.Ind {
-			v := sp.Val[r]
-			if v == 0 {
-				continue
-			}
+	for r, v := range sp {
+		if v != 0 {
 			f.insertRowEntry(r, slot, v)
 			f.colRows[slot] = append(f.colRows[slot], r)
 			if a := math.Abs(v); a > spikeMax {

@@ -84,10 +84,18 @@ func sameBits(a, b Vector) bool {
 	return true
 }
 
+// sameValues reports whether two vectors agree entry by entry under ==
+// (which identifies ±0, as the SolveTSp equality contract does), with NaN
+// matching NaN.
+func sameValues(a, b Vector) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return x == y || x != x && y != y })
+}
+
 // sameSolves runs the same solves on both factorizations — dense Solve
 // and SolveT on a fixed rhs, SolveSp and SolveTSp on every unit vector and
 // on a Dense-marked rhs — and fails unless every result, pattern and
-// health record agrees bit for bit.
+// health record agrees bit for bit, every SolveTSp result equals
+// SolveTInto's, and every SolveSp result is Solve's, marked Dense.
 func sameSolves(t *testing.T, tag string, got, want *SparseLU) {
 	t.Helper()
 	if got.n != want.n || got.NNZ() != want.NNZ() || got.Updates() != want.Updates() {
@@ -104,27 +112,31 @@ func sameSolves(t *testing.T, tag string, got, want *SparseLU) {
 	if a, b := sparseSolveT(got, rhs), sparseSolveT(want, rhs); !sameBits(a, b) {
 		t.Fatalf("%s: SolveT %v, fresh %v", tag, a, b)
 	}
-	sp := func(f *SparseLU, transpose bool, i int) *SpVec {
-		in, out := NewSpVec(n), NewSpVec(n)
+	// in returns rhs i: the unit vector e_i, or the fixed rhs marked Dense
+	// for i < 0.
+	in := func(i int) *SpVec {
+		v := NewSpVec(n)
 		if i < 0 {
-			copy(in.Val, rhs)
-			in.Dense = true
+			copy(v.Val, rhs)
+			v.Dense = true
 		} else {
-			in.Set(i, 1)
+			v.Set(i, 1)
 		}
-		if transpose {
-			f.SolveTSp(in, out)
-		} else {
-			f.SolveSp(in, out)
-		}
-		return out
+		return v
 	}
 	for i := -1; i < n; i++ {
-		for _, tr := range []bool{false, true} {
-			a, b := sp(got, tr, i), sp(want, tr, i)
-			if a.Dense != b.Dense || !slices.Equal(a.Ind, b.Ind) || !sameBits(a.Val, b.Val) {
-				t.Fatalf("%s: sparse solve (transpose %v, rhs %d) %+v, fresh %+v", tag, tr, i, a, b)
-			}
+		a, b := NewSpVec(n), NewSpVec(n)
+		got.SolveTSp(in(i), a)
+		want.SolveTSp(in(i), b)
+		if a.Dense != b.Dense || !slices.Equal(a.Ind, b.Ind) || !sameBits(a.Val, b.Val) {
+			t.Fatalf("%s: SolveTSp (rhs %d) %+v, fresh %+v", tag, i, a, b)
+		}
+		if ref := sparseSolveT(want, in(i).Val); !sameValues(b.Val, ref) {
+			t.Fatalf("%s: SolveTSp (rhs %d) %v, SolveTInto %v", tag, i, b.Val, ref)
+		}
+		got.SolveSp(in(i), a)
+		if ref := want.Solve(in(i).Val); !a.Dense || !sameBits(a.Val, ref) {
+			t.Fatalf("%s: SolveSp (rhs %d) %+v, Solve %v", tag, i, a, ref)
 		}
 	}
 	if got.Health() != want.Health() {

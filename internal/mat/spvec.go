@@ -1,32 +1,38 @@
 package mat
 
-// Hyper-sparse triangular solves. The revised simplex feeds SparseLU two
-// kinds of right-hand side almost exclusively: an entering column (a handful
-// of nonzeros) for FTRAN and a unit vector e_r for BTRAN. The dense Solve /
-// SolveT paths still walk all n positions per solve, so on a 10⁴-row basis
-// each pivot pays O(n) for an answer whose support is typically a few dozen
-// entries. The SpVec paths below fix that with Gilbert–Peierls-style
-// symbolic reachability: starting from the rhs support, walk the nonzero
-// pattern of the factor to enumerate exactly the positions the numeric solve
-// can touch, and run the numeric kernel over those positions only.
+// Hyper-sparse BTRAN. Every simplex pivot needs the pivot row's multiplier
+// B⁻ᵀe_r for a unit vector e_r. The dense SolveTInto walks all n positions,
+// so on a 10⁴-row basis each pivot pays O(n) for an answer whose support is
+// typically a few dozen entries. SolveTSp fixes that with
+// Gilbert–Peierls-style symbolic reachability: starting from the rhs
+// support, walk the nonzero pattern of the factor to enumerate exactly the
+// positions the numeric solve can touch, and run the numeric kernel over
+// those positions only. On the 9,720-row k=6 composite this halves BTRAN.
 //
 // Ordering is the whole trick. The dense passes process positions (or
 // elimination steps) in a fixed ascending/descending order and skip exact
 // zeros; every dependency in the factors points strictly forward along that
-// order (an L elimination step only writes rows pivoted later, a V entry
-// (r, c) has pos(r) ≤ pos(c)). So the reachable set needs no DFS postorder
-// and no priority queue: it is kept in a position-indexed bitmask and
-// consumed by one directional scan — newly discovered work always lands
-// strictly ahead of the cursor, never behind it. The numeric work performed
-// is then exactly the dense pass minus its zero iterations, which makes the
-// sparse result bit-identical to the dense one; the simplex pivot sequence
-// therefore does not depend on which path ran.
+// order (a V entry (r, c) has pos(r) ≤ pos(c); L's step k writes only rows
+// pivoted at later steps, so Lᵀ's step k feeds only earlier ones). So the
+// reachable set needs no DFS postorder and no priority queue: it is kept in
+// a position-indexed bitmask and consumed by one directional scan — newly
+// discovered work always lands strictly ahead of the cursor, never behind
+// it. The numeric work performed is then exactly the dense pass minus its
+// zero iterations, which makes the sparse result bit-identical to the dense
+// one; the simplex pivot sequence therefore does not depend on which path
+// ran.
 //
 // When reachability stops being sparse (dense rhs, or fill beyond
 // hyperFrac·n during the walk) the pass completes with the dense kernel from
 // wherever the ordered scan stood — again bit-identical, because the
 // remaining unreached positions are precisely the ones the dense code would
 // have skipped or zeroed — and the result is marked Dense.
+//
+// FTRAN has no such path. Its rhs, an entering column, reaches past the
+// density threshold on most of the policy LPs' FTRANs: a forward walk of
+// this kind ended sparse on about one solve-k5 FTRAN in eight and made the
+// FTRAN stage no faster at 648, 1,944 or 9,720 rows, so SolveSp is the
+// dense solve.
 
 import (
 	"math/bits"
@@ -38,18 +44,6 @@ import (
 // bookkeeping costs more than the dense sweep it avoids, and the solve
 // falls back to the dense kernel for the remainder of the pass.
 const hyperFrac = 0.1
-
-// The adaptive density gate of SolveSp: after denseStreakMin consecutive
-// solves whose result densified anyway, the symbolic attempt is pure
-// overhead (its reachability walk runs to the threshold and is thrown away),
-// so SolveSp skips straight to the dense kernels — still bit-identical — and
-// re-probes the sparse path every denseProbeEvery solves in case the basis
-// turned hyper-sparse again. The counters live on the factorization object,
-// so every refactorization starts a fresh probe.
-const (
-	denseStreakMin  = 4
-	denseProbeEvery = 16
-)
 
 // SpVec is an indexed sparse vector: a dense value backing plus the list of
 // indices that may hold nonzeros. Entries outside Ind are exactly zero.
@@ -67,9 +61,6 @@ type SpVec struct {
 func NewSpVec(n int) *SpVec {
 	return &SpVec{Val: NewVector(n), Ind: make([]int, 0, 64)}
 }
-
-// N returns the dimension.
-func (v *SpVec) N() int { return len(v.Val) }
 
 // Reset restores the all-zero state, zeroing only the entries the pattern
 // says may be live (the whole backing when Dense).
@@ -94,11 +85,6 @@ func (v *SpVec) Set(i int, x float64) {
 	v.Val[i] = x
 	v.Ind = append(v.Ind, i)
 }
-
-// SortPattern orders the pattern ascending. Consumers that fold the entries
-// in index order (tie-breaking scans, ordered scatters) need this to match
-// a dense 0..n-1 sweep.
-func (v *SpVec) SortPattern() { sort.Ints(v.Ind) }
 
 // maxReach is the pattern size beyond which a hyper-sparse pass abandons
 // symbolic bookkeeping and completes densely.
@@ -198,214 +184,21 @@ func (f *SparseLU) ensureRowSteps() {
 	f.rowStepOff, f.rowStepEntries = off, buf
 }
 
-// forwardSp applies F⁻¹ in place to the sparse vector y (indexed by row):
-// the initial L by reachable elimination steps in ascending step order, then
-// the update etas in append order. Falls back to the dense kernel (marking
-// y Dense) when the pattern outgrows the density threshold.
-func (f *SparseLU) forwardSp(y *SpVec) {
-	if y.Dense || len(y.Ind) > f.maxReach() {
-		if !y.Dense {
-			y.Dense = true
-		}
-		f.applyForward(y.Val)
-		return
-	}
-	limit := f.maxReach()
-
-	// Reachable L steps, in ascending order: seed with the steps of the rhs
-	// rows, expand through each step's multiplier rows — always pivoted at
-	// strictly later steps, i.e. strictly ahead of the scan, so their bits
-	// cannot have been consumed yet and the mask doubles as the
-	// pattern-membership test.
-	mask := f.mask
-	for _, r := range y.Ind {
-		mask.set(f.lStep[r])
-	}
-	for k := mask.nextUp(0); k >= 0; k = mask.nextUp(k + 1) {
-		ypk := y.Val[f.lPivRow[k]]
-		if ypk == 0 {
-			continue
-		}
-		rows, vals := f.lRows[k], f.lVals[k]
-		for i, r := range rows {
-			kr := f.lStep[r]
-			if mask[kr>>6]&(1<<(uint(kr)&63)) == 0 {
-				mask.set(kr)
-				y.Ind = append(y.Ind, r)
-			}
-			y.Val[r] -= vals[i] * ypk
-		}
-		if len(y.Ind) > limit {
-			// Dense completion: every pending step is > k (dependencies
-			// point forward), and steps never marked have a zero trigger —
-			// both exactly what the dense loop from k+1 does.
-			mask.clear()
-			for k2 := k + 1; k2 < f.n; k2++ {
-				ypk := y.Val[f.lPivRow[k2]]
-				if ypk == 0 {
-					continue
-				}
-				rows, vals := f.lRows[k2], f.lVals[k2]
-				for i, r := range rows {
-					y.Val[r] -= vals[i] * ypk
-				}
-			}
-			y.Dense = true
-			f.applyEtas(y.Val)
-			return
-		}
-	}
-
-	// Update etas, in append order. Each eta is one sparse dot plus one
-	// scatter; the file is bounded by the refactorization cadence, so no
-	// symbolic phase is needed — just skip the zero triggers like the dense
-	// pass does. Pattern membership here needs a real stamp domain: the
-	// step mask is already consumed.
-	if len(f.etas) > 0 {
-		f.visitB++
-		visB := f.visitB
-		for _, r := range y.Ind {
-			f.stampB[r] = visB
-		}
-		for i := range f.etas {
-			e := &f.etas[i]
-			s := 0.0
-			for j, r := range e.rows {
-				s += e.vals[j] * y.Val[r]
-			}
-			if s == 0 {
-				continue
-			}
-			if f.stampB[e.row] != visB {
-				f.stampB[e.row] = visB
-				y.Ind = append(y.Ind, e.row)
-			}
-			y.Val[e.row] -= s
-		}
-	}
-}
-
-// applyEtas runs the update-eta portion of applyForward on a dense vector.
-func (f *SparseLU) applyEtas(y Vector) {
-	for i := range f.etas {
-		e := &f.etas[i]
-		s := 0.0
-		for j, r := range e.rows {
-			s += e.vals[j] * y[r]
-		}
-		y[e.row] -= s
-	}
-}
-
-// SolveSp solves B x = b for a sparse right-hand side. b is indexed by row
-// and is consumed (it becomes the forward-transformed intermediate); the
-// result is written into x, indexed by column slot, with a sorted pattern.
-// Both vectors must have dimension n. The result is bit-identical to
-// Solve(b): the reachability scan performs the dense pass's iterations in
-// the dense pass's order, minus the iterations the dense pass skips or that
-// produce zeros, and falls back to the dense kernel when the pattern
-// outgrows the density threshold (x is then marked Dense).
+// SolveSp solves B x = b for a right-hand side held as an indexed sparse
+// vector: it is SolveInto on b's dense backing, so x is marked Dense and is
+// bit-identical to Solve(b). b is not modified. FTRAN has no hyper-sparse
+// path (see the comment at the top of this file).
 func (f *SparseLU) SolveSp(b, x *SpVec) {
-	if len(b.Val) != f.n || len(x.Val) != f.n {
-		panic("mat: SparseLU.SolveSp dimension mismatch")
-	}
-	x.Reset()
-	if f.spStreak >= denseStreakMin {
-		if f.spProbe > 0 {
-			// Recent solves all densified: go straight to the dense kernels.
-			f.spProbe--
-			if !b.Dense {
-				b.Dense = true
-			}
-			f.applyForward(b.Val)
-			f.backwardDense(b.Val, x.Val, f.n-1)
-			x.Dense = true
-			f.health.DenseSolves++
-			return
-		}
-		f.spProbe = denseProbeEvery // this call probes the sparse path
-	}
-	f.forwardSp(b)
-	if b.Dense {
-		f.backwardDense(b.Val, x.Val, f.n-1)
-		x.Dense = true
-		f.spStreak++
-		f.health.DenseSolves++
-		return
-	}
-	limit := f.maxReach()
-
-	// Reachable V positions, in descending order: seed with the positions
-	// of the intermediate's rows; a computed x[c] feeds every live V entry
-	// (r2, c) — all at strictly earlier positions, behind the scan.
-	mask := f.mask
-	for _, r := range b.Ind {
-		mask.set(f.posOfRow[r])
-	}
-	for k := mask.nextDown(f.n - 1); k >= 0; k = mask.nextDown(k - 1) {
-		r, c := f.rowAtPos[k], f.colAtPos[k]
-		s := b.Val[r]
-		cols, vals := f.rowCols[r], f.rowVals[r]
-		diag := 0.0
-		for i, cc := range cols {
-			if cc == c {
-				diag = vals[i]
-				continue
-			}
-			s -= vals[i] * x.Val[cc]
-		}
-		x.Val[c] = s / diag
-		x.Ind = append(x.Ind, c)
-		if len(x.Ind) > limit {
-			// Dense completion downward from k-1; skipped positions above k
-			// are unreachable, i.e. the dense pass computes zeros there.
-			mask.clear()
-			f.backwardDense(b.Val, x.Val, k-1)
-			x.Dense = true
-			f.spStreak++
-			f.health.DenseSolves++
-			return
-		}
-		for _, r2 := range f.colRows[c] {
-			k2 := f.posOfRow[r2]
-			if k2 >= k || mask[k2>>6]&(1<<(uint(k2)&63)) != 0 {
-				continue
-			}
-			if _, ok := f.valueAt(r2, c); !ok {
-				continue // stale column-structure entry
-			}
-			mask.set(k2)
-		}
-	}
-	x.SortPattern()
-	f.spStreak = 0
-	f.health.HyperSolves++
-}
-
-// backwardDense runs the dense V backward substitution over positions
-// from..0, reading the forward-transformed rhs y and writing x.
-func (f *SparseLU) backwardDense(y, x Vector, from int) {
-	for k := from; k >= 0; k-- {
-		r, c := f.rowAtPos[k], f.colAtPos[k]
-		s := y[r]
-		cols, vals := f.rowCols[r], f.rowVals[r]
-		diag := 0.0
-		for i, cc := range cols {
-			if cc == c {
-				diag = vals[i]
-				continue
-			}
-			s -= vals[i] * x[cc]
-		}
-		x[c] = s / diag
-	}
+	f.SolveInto(x.Val, b.Val)
+	x.Ind = x.Ind[:0]
+	x.Dense = true
 }
 
 // SolveTSp solves Bᵀ y = c for a sparse right-hand side. c is indexed by
 // column slot and is not modified; the result is written into y, indexed by
-// row, with a sorted pattern. Bit-identical to SolveT(c), by the same
-// ordered-reachability argument as SolveSp, with dense fallback past the
-// density threshold.
+// row, with a sorted pattern. Bit-identical to SolveTInto(c), by the
+// ordered-reachability argument at the top of this file, with dense
+// fallback past the density threshold.
 func (f *SparseLU) SolveTSp(c, y *SpVec) {
 	if len(c.Val) != f.n || len(y.Val) != f.n {
 		panic("mat: SparseLU.SolveTSp dimension mismatch")
@@ -550,7 +343,7 @@ func (f *SparseLU) SolveTSp(c, y *SpVec) {
 		}
 		y.Val[pr] -= s
 	}
-	y.SortPattern()
+	sort.Ints(y.Ind)
 	f.health.HyperSolves++
 }
 

@@ -16,7 +16,7 @@ func spFromDense(b Vector) *SpVec {
 	return v
 }
 
-// checkBitIdentical compares a hyper-sparse result against the dense-path
+// checkBitIdentical compares a SolveTSp result against the dense-path
 // reference entry by entry. Equality must be exact (==, which deliberately
 // identifies ±0): the reachability walk performs the dense pass's own
 // operations in the dense pass's own order, so any difference at all means
@@ -48,6 +48,17 @@ func checkBitIdentical(t *testing.T, tag string, sp *SpVec, ref Vector) {
 	}
 }
 
+// checkSolveSp solves b through SolveSp and holds the result to Solve(b):
+// the same entries, marked Dense.
+func checkSolveSp(t *testing.T, tag string, f *SparseLU, b Vector, x *SpVec) {
+	t.Helper()
+	f.SolveSp(spFromDense(b), x)
+	if !x.Dense {
+		t.Fatalf("%s: SolveSp result not marked Dense", tag)
+	}
+	checkBitIdentical(t, tag, x, f.Solve(b))
+}
+
 // sparseRHS builds a right-hand side with nnz random nonzeros.
 func sparseRHS(rng *rand.Rand, n, nnz int) Vector {
 	b := NewVector(n)
@@ -57,10 +68,10 @@ func sparseRHS(rng *rand.Rand, n, nnz int) Vector {
 	return b
 }
 
-// TestSolveSpBitIdentical holds SolveSp and SolveTSp to exact equality with
-// Solve and SolveT across sizes, densities, rhs supports, and interleaved
-// Forrest–Tomlin updates — the property the simplex pivot-sequence
-// invariance rests on.
+// TestSolveSpBitIdentical holds SolveTSp to exact equality with SolveTInto
+// across sizes, densities, rhs supports, and interleaved Forrest–Tomlin
+// updates — the property the simplex pivot-sequence invariance rests on —
+// and SolveSp, the dense solve, to Solve.
 func TestSolveSpBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 7, 40, 150, 400} {
@@ -75,9 +86,7 @@ func TestSolveSpBitIdentical(t *testing.T) {
 			step := 0
 			check := func(tag string) {
 				for _, nnz := range []int{1, 2, n/10 + 1, n} {
-					b := sparseRHS(rng, n, nnz)
-					sf.SolveSp(spFromDense(b), x)
-					checkBitIdentical(t, tag+" SolveSp", x, sf.Solve(b))
+					checkSolveSp(t, tag+" SolveSp", sf, sparseRHS(rng, n, nnz), x)
 					c := sparseRHS(rng, n, nnz)
 					sf.SolveTSp(spFromDense(c), y)
 					checkBitIdentical(t, tag+" SolveTSp", y, sparseSolveT(sf, c))
@@ -88,8 +97,7 @@ func TestSolveSpBitIdentical(t *testing.T) {
 					e[rng.Intn(n)] = 1
 					sf.SolveTSp(spFromDense(e), y)
 					checkBitIdentical(t, tag+" SolveTSp unit", y, sparseSolveT(sf, e))
-					sf.SolveSp(spFromDense(e), x)
-					checkBitIdentical(t, tag+" SolveSp unit", x, sf.Solve(e))
+					checkSolveSp(t, tag+" SolveSp unit", sf, e, x)
 				}
 				step++
 			}
@@ -125,8 +133,9 @@ func TestSolveSpBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSolveSpDenseFallback forces the density fallback with a full rhs and
-// checks the result is still exact and marked Dense.
+// TestSolveSpDenseFallback forces SolveTSp's density fallback with a full
+// rhs and checks the result is still exact and marked Dense, as SolveSp's
+// always is.
 func TestSolveSpDenseFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n := 200
@@ -139,12 +148,7 @@ func TestSolveSpDenseFallback(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x := NewSpVec(n)
-	sf.SolveSp(spFromDense(b), x)
-	if !x.Dense {
-		t.Error("SolveSp with a full rhs did not mark the result Dense")
-	}
-	checkBitIdentical(t, "dense fallback SolveSp", x, sf.Solve(b))
+	checkSolveSp(t, "dense fallback SolveSp", sf, b, NewSpVec(n))
 	y := NewSpVec(n)
 	sf.SolveTSp(spFromDense(b), y)
 	if !y.Dense {

@@ -183,6 +183,8 @@ func (f *solveFlight) done() {
 
 // SolveInfo is one /v1/solves row: identity, progress counters, the
 // numerical-health record, and the per-stage wall-clock split so far.
+// Its hyper_solves/dense_solves pair counts BTRAN solves only (see
+// mat.HealthStats): FTRAN is always dense.
 type SolveInfo struct {
 	ID               int64   `json:"id"`
 	Model            string  `json:"model"`
