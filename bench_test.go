@@ -182,12 +182,15 @@ func TestSweepDiskTrajectoryPin(t *testing.T) {
 	}
 }
 
-// TestSolveK5TrajectoryPin pins the cold solve-k5 LP at both ends of the
-// benchmark's drops band: pivots, LU rebuilds and the objective's bits. It
-// is the one benchmark workload whose LP is wide enough (≈4.5k structural
-// columns) for the pricing scans' cost to matter, so it is the end-to-end
-// check that a change to how those scans run left the entering-column
-// choices, and hence the whole trajectory, untouched.
+// TestSolveK5TrajectoryPin pins the slack start of the solve-k5 LP at both
+// ends of the benchmark's drops band: pivots, LU rebuilds and the
+// objective's bits. It is the one benchmark workload whose LP is wide
+// enough (≈4.5k structural columns) for the pricing scans' cost to matter,
+// so it is the end-to-end check that a change to how those scans run left
+// the entering-column choices, and hence the whole trajectory, untouched.
+// core.Optimize starts this LP from the policy-iteration crash instead
+// (TestSolveK5CrashPin), so the pin solves core.BuildFrequencyLP's LP with
+// its crash cleared and a nil basis.
 func TestSolveK5TrajectoryPin(t *testing.T) {
 	m, opts := solveK5(t)
 	for _, tc := range []struct {
@@ -199,16 +202,76 @@ func TestSolveK5TrajectoryPin(t *testing.T) {
 		{0.041, 1783, 17, 0x3fec1f015fe462bb},
 	} {
 		opts.Bounds[0].Value = tc.bound
+		sol := slackStart(t, m, opts)
+		got := fmt.Sprintf("{%v, %d, %d, %#x}", tc.bound, sol.Iterations, sol.Refactorizations, math.Float64bits(sol.Objective))
+		want := fmt.Sprintf("{%v, %d, %d, %#x}", tc.bound, tc.pivots, tc.refactor, tc.objBits)
+		if got != want {
+			t.Errorf("drops <= %v: got %s, pinned %s", tc.bound, got, want)
+		}
+	}
+}
+
+// TestSolveK5CrashPin pins core.Optimize on the solve-k5 LP at both ends of
+// the drops band, where the cold solve starts from the basis of the
+// bound-feasible policy that Lagrangian policy iteration finds: pivots, LU
+// rebuilds and the objective's bits. The optimum mixes that policy with
+// its neighbour across the critical multiplier in one state, so the
+// simplex takes one pivot where the slack start takes 1,527–1,783, and the
+// objective must equal the slack start's within 1e-9 relative. The crash
+// belongs to the LP, so a cold lp solve of core.BuildFrequencyLP's LP must
+// start from it and pivot exactly as core.Optimize does.
+func TestSolveK5CrashPin(t *testing.T) {
+	m, opts := solveK5(t)
+	for _, tc := range []struct {
+		bound            float64
+		pivots, refactor int
+		objBits          uint64
+	}{
+		{0.039, 1, 2, 0x3fec22d24ce72f9d},
+		{0.041, 1, 2, 0x3fec1f015fe462af},
+	} {
+		opts.Bounds[0].Value = tc.bound
 		res, err := core.Optimize(m, opts)
 		if err != nil {
 			t.Fatalf("drops <= %v: %v", tc.bound, err)
+		}
+		prob, err := core.BuildFrequencyLP(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, _, err := lp.NewSolver().Solve(context.Background(), prob, nil)
+		if err != nil {
+			t.Fatalf("drops <= %v, lp cold solve: %v", tc.bound, err)
+		}
+		if !sol.Crashed || sol.Iterations != res.LPIterations || sol.Objective != res.Objective {
+			t.Errorf("drops <= %v: lp cold solve crashed %v, %d pivots, objective %.17g; core.Optimize %d pivots, %.17g",
+				tc.bound, sol.Crashed, sol.Iterations, sol.Objective, res.LPIterations, res.Objective)
 		}
 		got := fmt.Sprintf("{%v, %d, %d, %#x}", tc.bound, res.LPIterations, res.LPRefactorizations, math.Float64bits(res.Objective))
 		want := fmt.Sprintf("{%v, %d, %d, %#x}", tc.bound, tc.pivots, tc.refactor, tc.objBits)
 		if got != want {
 			t.Errorf("drops <= %v: got %s, pinned %s", tc.bound, got, want)
 		}
+		if slack := slackStart(t, m, opts).Objective; math.Abs(res.Objective-slack) > 1e-9*math.Abs(slack) {
+			t.Errorf("drops <= %v: crash objective %.17g, slack start %.17g", tc.bound, res.Objective, slack)
+		}
 	}
+}
+
+// slackStart solves the frequency LP of m under opts from the slack basis,
+// the cold start core.Optimize makes below lp.AtScaleRows rows.
+func slackStart(t *testing.T, m *core.Model, opts core.Options) *lp.Solution {
+	t.Helper()
+	prob, err := core.BuildFrequencyLP(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob.Crash = nil
+	sol, _, err := lp.NewSolver().Solve(context.Background(), prob, nil)
+	if err != nil {
+		t.Fatalf("slack start: %v", err)
+	}
+	return sol
 }
 
 // largeComposite builds the multi-device fixture of the sparse-pipeline

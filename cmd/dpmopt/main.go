@@ -29,7 +29,7 @@ func main() {
 	bounds := flag.String("bounds", "", "comma-separated constraints, e.g. 'penalty<=0.5,loss<=0.2'")
 	p01 := flag.Float64("p01", 0, "workload idle→busy probability per slice (0 = device default)")
 	p10 := flag.Float64("p10", 0, "workload busy→idle probability per slice (0 = device default)")
-	maxPivots := flag.Int("max-pivots", 0, "simplex pivot budget (0 = unlimited)")
+	maxPivots := flag.Int("max-pivots", 0, "simplex pivot budget (0 = unlimited); a budgeted cold solve skips the policy-iteration crash")
 	progress := flag.Bool("progress", false, "print live solve progress snapshots to stderr")
 	flag.Parse()
 

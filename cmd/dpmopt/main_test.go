@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -42,11 +43,16 @@ func TestMultidiskPaperHorizon(t *testing.T) {
 }
 
 // TestMultidiskHorizonSweep solves the multidisk preset cold from 10³ to
-// the paper's 10⁷ under both of its bound kinds. Every solve must be
-// Optimal with frequencies that sum to 1 within 1e-15, and the pivot count
-// must stay flat: no horizon may take more than 1.25× the pivots of 10³.
-// Before the frequency LP carried its normalization row, the same solves
-// took 40–250 thousand pivots at 10⁶ and 10⁷, or stopped Numerical.
+// the paper's 10⁷ under both of its bound kinds. The flat-pivot check is
+// about the slack start's conditioning, so it solves the frequency LP from
+// the slack basis, its crash cleared: every solve must be Optimal with
+// frequencies that sum to 1 within 1e-15, and no horizon may take more
+// than 1.25× the pivots of 10³. Before the frequency LP carried its
+// normalization row, the same solves took 40–250 thousand pivots at 10⁶
+// and 10⁷, or stopped Numerical. A cold solve of the same LPs, as
+// core.Optimize makes it, starts from the policy-iteration crash basis;
+// each of its answers must be a distribution to the same 1e-15 and match
+// the slack start's objective within 1e-9 relative.
 func TestMultidiskHorizonSweep(t *testing.T) {
 	d, err := cli.NewDevice("multidisk", 0, 0)
 	if err != nil {
@@ -66,25 +72,46 @@ func TestMultidiskHorizonSweep(t *testing.T) {
 		t.Run(bound, func(t *testing.T) {
 			t.Parallel()
 			for i, h := range horizons {
-				res, err := core.Optimize(m, core.Options{
+				opts := core.Options{
 					Alpha:          core.HorizonToAlpha(h),
 					Initial:        core.Delta(m.N, d.Sys.Index(d.Initial)),
 					Objective:      core.Objective{Metric: core.MetricPower, Sense: lp.Minimize},
 					Bounds:         bs,
 					SkipEvaluation: true,
-				})
+				}
+				prob, err := core.BuildFrequencyLP(m, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				crash := prob.Crash
+				prob.Crash = nil
+				sol, _, err := lp.NewSolver().Solve(context.Background(), prob, nil)
 				if err != nil {
 					t.Fatalf("horizon %g: %v", h, err)
 				}
-				pivots[i] = res.LPIterations
-				if dev := math.Abs(compensatedSum(res.Frequencies.Data) - 1); dev > 1e-15 {
+				pivots[i] = sol.Iterations
+				if dev := math.Abs(compensatedSum(sol.X) - 1); dev > 1e-15 {
 					t.Errorf("horizon %g: frequencies sum to 1%+.3g", h, dev)
 				}
 				if pivots[i] > pivots[0]*5/4 {
 					t.Errorf("horizon %g: %d pivots, more than 1.25× the %d of horizon %g", h, pivots[i], pivots[0], horizons[0])
 				}
+				prob.Crash = crash
+				res, _, err := lp.NewSolver().Solve(context.Background(), prob, nil)
+				if err != nil {
+					t.Fatalf("horizon %g, crash start: %v", h, err)
+				}
+				if !res.Crashed {
+					t.Errorf("horizon %g: the solve did not start from the crash basis", h)
+				}
+				if dev := math.Abs(compensatedSum(res.X) - 1); dev > 1e-15 {
+					t.Errorf("horizon %g, crash start: frequencies sum to 1%+.3g", h, dev)
+				}
+				if math.Abs(res.Objective-sol.Objective) > 1e-9*math.Abs(sol.Objective) {
+					t.Errorf("horizon %g: crash objective %.17g, slack start %.17g", h, res.Objective, sol.Objective)
+				}
 			}
-			t.Logf("pivots at horizons %v: %v", horizons, pivots)
+			t.Logf("slack-start pivots at horizons %v: %v", horizons, pivots)
 		})
 	}
 }

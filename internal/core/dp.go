@@ -8,12 +8,13 @@ import (
 	"repro/internal/mat"
 )
 
-// This file implements the two classical alternatives to the
-// state-action-frequency LP that Appendix A cites for the *unconstrained*
-// problem POU — successive approximations (value iteration) and policy
-// improvement (policy iteration) — plus the value-function linear program
-// LP1. All three must agree with LP2's optimum (Theorem A.1), which the
-// tests exploit as a three-way cross-validation of the optimizer.
+// This file implements successive approximations (value iteration), one of
+// the two classical alternatives to the state-action-frequency LP that
+// Appendix A cites for the *unconstrained* problem POU, plus the
+// value-function linear program LP1. The other, policy improvement, is the
+// sparse policy iteration that starts cold solves at scale (crash.go). All
+// of them must agree with LP2's optimum (Theorem A.1), which the tests
+// exploit as a cross-validation of the optimizer.
 
 // DPResult is the outcome of an unconstrained dynamic-programming solve.
 type DPResult struct {
@@ -22,7 +23,7 @@ type DPResult struct {
 	Value mat.Vector
 	// Policy is an optimal deterministic Markov stationary policy.
 	Policy *Policy
-	// Iterations counts sweeps (value iteration) or improvement rounds
+	// Iterations counts sweeps (value iteration) or evaluation rounds
 	// (policy iteration).
 	Iterations int
 }
@@ -83,54 +84,6 @@ func ValueIteration(m *Model, metric string, alpha float64, tol float64) (*DPRes
 		return nil, err
 	}
 	return &DPResult{Value: v, Policy: pol, Iterations: iters}, nil
-}
-
-// PolicyIteration solves the same problem by policy improvement: evaluate
-// the current deterministic policy exactly (a linear solve), then improve
-// greedily; terminates at a fixed point, which satisfies the optimality
-// equations. Finite convergence is guaranteed because the deterministic
-// policy class D is finite and each round strictly improves.
-func PolicyIteration(m *Model, metric string, alpha float64) (*DPResult, error) {
-	if alpha < 0 || alpha >= 1 {
-		return nil, fmt.Errorf("core: discount factor %g outside [0,1)", alpha)
-	}
-	cost, err := m.Metric(metric)
-	if err != nil {
-		return nil, err
-	}
-	cmds := make([]int, m.N) // start from the all-zeros policy
-	next := mat.NewVector(m.N)
-	argmin := make([]int, m.N)
-	for round := 1; ; round++ {
-		pol, err := DeterministicPolicy(cmds, m.A)
-		if err != nil {
-			return nil, err
-		}
-		chain, err := pol.Chain(m)
-		if err != nil {
-			return nil, err
-		}
-		v, err := chain.DiscountedValue(pol.MetricVector(cost), alpha)
-		if err != nil {
-			return nil, err
-		}
-		bellmanBackup(m, cost, v, alpha, next, argmin)
-		improved := false
-		for s := range cmds {
-			// Strict-improvement test with a tolerance avoids cycling
-			// between equivalent actions.
-			if argmin[s] != cmds[s] && next[s] < v[s]-1e-12*(1+math.Abs(v[s])) {
-				cmds[s] = argmin[s]
-				improved = true
-			}
-		}
-		if !improved {
-			return &DPResult{Value: v, Policy: pol, Iterations: round}, nil
-		}
-		if round > 10000 {
-			return nil, fmt.Errorf("core: policy iteration failed to converge")
-		}
-	}
 }
 
 // SolveLP1 solves the value-function linear program of Appendix A (LP1):

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +11,28 @@ import (
 	"repro/internal/lp"
 	"repro/internal/mat"
 )
+
+// policyIteration solves the unconstrained problem min E[Σ αᵗ metric] by
+// the crash's sparse policy iteration at λ = 0, from the all-zero policy.
+func policyIteration(m *Model, metric string, alpha float64) (*DPResult, error) {
+	pi, err := newPolicyIter(m, alpha)
+	if err != nil {
+		return nil, err
+	}
+	cost, err := m.Metric(metric)
+	if err != nil {
+		return nil, err
+	}
+	copy(pi.cost, cost.Data)
+	if ok, _ := pi.solve(context.Background()); !ok {
+		return nil, fmt.Errorf("policy iteration stopped after %d rounds", pi.rounds)
+	}
+	pol, err := DeterministicPolicy(pi.cmd, m.A)
+	if err != nil {
+		return nil, err
+	}
+	return &DPResult{Value: pi.v, Policy: pol, Iterations: pi.rounds}, nil
+}
 
 // TestValueIterationMatchesLP: the three solution methods Appendix A cites
 // (successive approximations, policy improvement, linear programming) must
@@ -22,9 +46,9 @@ func TestValueIterationMatchesLP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValueIteration: %v", err)
 	}
-	pi, err := PolicyIteration(m, MetricPower, alpha)
+	pi, err := policyIteration(m, MetricPower, alpha)
 	if err != nil {
-		t.Fatalf("PolicyIteration: %v", err)
+		t.Fatalf("policy iteration: %v", err)
 	}
 	lpRes, err := Optimize(m, Options{
 		Alpha:          alpha,
@@ -114,7 +138,7 @@ func TestDPValidation(t *testing.T) {
 	if _, err := ValueIteration(m, MetricPower, 1.0, 0); err == nil {
 		t.Errorf("alpha=1 accepted by VI")
 	}
-	if _, err := PolicyIteration(m, MetricPower, -0.1); err == nil {
+	if _, err := policyIteration(m, MetricPower, -0.1); err == nil {
 		t.Errorf("alpha<0 accepted by PI")
 	}
 	if _, err := ValueIteration(m, "bogus", 0.9, 0); err == nil {
@@ -142,7 +166,7 @@ func TestSolverAgreementProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pi, err := PolicyIteration(m, MetricPower, alpha)
+		pi, err := policyIteration(m, MetricPower, alpha)
 		if err != nil {
 			return false
 		}

@@ -53,12 +53,21 @@ type Options struct {
 	// WarmBasis optionally warm-starts the LP from the optimal basis of a
 	// previous structurally identical solve (Result.Basis) — typically the
 	// neighbouring point of a Pareto sweep, where only one bound value
-	// moved. An unusable basis silently falls back to a cold solve. Warm
+	// moved. An unusable basis silently falls back to the slack start. Warm
 	// starting never changes feasibility or the optimal objective; on
 	// degenerate LPs with multiple optima it may extract a different
 	// optimal policy (equal objective) than a cold solve would.
+	//
+	// Without one the solve is cold, and where it starts depends on the
+	// LP: at scale (at least lp.AtScaleRows rows) with at most one bound,
+	// an inequality, and no LPMaxPivots, it starts from the
+	// policy-iteration crash basis (see Optimize); otherwise it starts from
+	// the slack basis, which is also where a crash basis the simplex cannot
+	// use falls back to.
 	WarmBasis *lp.Basis
 	// LPMaxPivots bounds the simplex pivots of one solve; 0 is unlimited.
+	// A budgeted cold solve starts from the slack basis, never from the
+	// crash, so the budget bounds all of its work.
 	// An exhausted budget surfaces as Status lp.BudgetExceeded — a resource
 	// verdict callers treat like a deadline, not a statement about the
 	// problem.
@@ -134,14 +143,30 @@ var ErrInfeasible = errors.New("core: constraints infeasible")
 // building the state–action frequency linear program of Appendix A
 // (LP2 with the balance equations; LP3/LP4 when Bounds are present) and
 // extracting the optimal Markov stationary policy.
+//
+// A cold solve (no Options.WarmBasis, no LPMaxPivots) of an LP of at
+// least lp.AtScaleRows rows with at most one bound, an inequality, is
+// policy-first: BuildFrequencyLP gives that LP a crash (lp.Problem.Crash),
+// which the solver runs before the simplex. Policy iteration on the
+// Lagrangian cost c_obj + λ·c_bound finds the deterministic policy on the
+// bound-feasible side of the critical multiplier (λ = 0 without a bound),
+// and the simplex starts from that policy's basis (x_{s,π(s)} basic in row
+// s, the bound row on its slack). With one bound the optimum mixes that
+// policy with its neighbour in at most one state (Theorem A.2), so the
+// simplex takes a handful of pivots instead of thousands. Every other cold
+// solve starts from the slack basis, and so does a crash whose bound no
+// policy meets or whose basis the simplex cannot use (singular, or ending
+// in any verdict but Optimal): the crash moves where the simplex starts,
+// never the verdict or the optimal objective.
 func Optimize(m *Model, opts Options) (*Result, error) {
 	return OptimizeCtx(context.Background(), m, opts)
 }
 
-// OptimizeCtx is Optimize under a context. Cancellation is checked inside
-// the simplex pivot loop (lp.Solver.Solve), so a deadline or cancel
-// aborts a solve mid-flight within one pivot — the property long-lived
-// servers need to make per-request deadlines real. A cancelled solve
+// OptimizeCtx is Optimize under a context. Cancellation is checked once per
+// policy-iteration round of the crash and inside the simplex pivot loop
+// (lp.Solver.Solve), so a deadline or cancel aborts a solve mid-flight
+// within one round or pivot — the property long-lived servers need to
+// make per-request deadlines real. A cancelled solve
 // returns a Result with Status lp.Cancelled and an error satisfying
 // errors.Is against context.Canceled or context.DeadlineExceeded.
 func OptimizeCtx(ctx context.Context, m *Model, opts Options) (*Result, error) {
@@ -207,6 +232,7 @@ func optimizeProblem(ctx context.Context, m *Model, opts Options, prob *lp.Probl
 	sp.Set("refactorizations", sol.Refactorizations)
 	sp.Set("factor_nnz", sol.FactorNNZ)
 	sp.Set("warm", sol.WarmStarted)
+	sp.Set("crashed", sol.Crashed)
 	annotateTimings(sp, sol.Timings)
 	sp.End()
 	res := &Result{
@@ -322,6 +348,11 @@ func annotateTimings(sp *obs.Span, t lp.Timings) {
 // is the primary caller; it is exported for the online adapter, the
 // benchmarks, and the tests that solve the identical LP under other solver
 // configurations or prove its optimum with lp.CertifyExact.
+//
+// At lp.AtScaleRows rows or more, with at most one bound, an inequality,
+// the problem carries a crash (lp.Problem.Crash): its cold solves start
+// from a policy-iteration basis (see Optimize). A caller that wants the
+// slack start clears it.
 func BuildFrequencyLP(m *Model, opts Options) (*lp.Problem, error) {
 	prob := lp.NewProblem(opts.Objective.Sense, m.N*m.A)
 	err := frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
@@ -340,6 +371,7 @@ func BuildFrequencyLP(m *Model, opts Options) (*lp.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
+	prob.Crash = crashFor(m, opts)
 	return prob, nil
 }
 

@@ -36,7 +36,8 @@ var ErrPatchPattern = errors.New("core: frequency LP sparsity pattern changed")
 // fall back to BuildFrequencyLP on any error; a patched problem is
 // bit-for-bit the problem a fresh build would produce — both take their
 // rows from the one generator frequencyRows and normalize them with
-// lp.CompressRow — so the two paths are interchangeable solve inputs.
+// lp.CompressRow, and carry the crash of the new model — so the two paths
+// are interchangeable solve inputs.
 func PatchFrequencyLP(prob *lp.Problem, m *Model, opts Options) error {
 	if prob == nil {
 		return fmt.Errorf("%w: nil problem", ErrPatchShape)
@@ -50,7 +51,7 @@ func PatchFrequencyLP(prob *lp.Problem, m *Model, opts Options) error {
 	if prob.Sense != opts.Objective.Sense {
 		return fmt.Errorf("%w: objective sense changed", ErrPatchShape)
 	}
-	return frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
+	err := frequencyRows(m, opts, prob.Obj, func(row int, cols []int, vals []float64, rel lp.Rel, rhs float64) error {
 		c := &prob.Cons[row]
 		if c.Rel != rel {
 			return fmt.Errorf("%w: row %q relation changed", ErrPatchShape, c.Name)
@@ -62,6 +63,11 @@ func PatchFrequencyLP(prob *lp.Problem, m *Model, opts Options) error {
 		c.RHS = rhs
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	prob.Crash = crashFor(m, opts)
+	return nil
 }
 
 // rewriteRow copies fresh coefficients over a constraint row after checking

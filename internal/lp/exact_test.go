@@ -45,28 +45,54 @@ func TestCertifyExactRejects(t *testing.T) {
 // FuzzRandomLP decodes bytes into a small LP and holds both kernel
 // configurations to the exact verdict contract: no panic, no Numerical or
 // IterationLimit status, and every Optimal, Infeasible and Unbounded
-// verdict proved by certifyVerdict with no residual allowed. The seeds are
-// corpus instances rounded onto the fuzz grid (see encodeLP).
+// verdict proved by certifyVerdict with no residual allowed. The bytes past
+// the LP name one structural column per row (or none), and the same LP is
+// solved again from that basis by rows (BasisFromRows), whose verdict is
+// held to the same contract. The seeds are corpus instances rounded onto
+// the fuzz grid (see encodeLP), bare and with a basis by rows.
 func FuzzRandomLP(f *testing.F) {
 	corpus := parityProblems()
 	for _, name := range []string{"unbounded", "infeasible", "random-h0", "beale", "textbook-max", "redundant-eq", "neg-rhs"} {
 		f.Add(encodeLP(corpus[name]))
+		f.Add(append(encodeLP(corpus[name]), 1, 2, 3, 4, 5, 6))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := decodeLP(data)
+		p, rest := decodeLP(data)
+		crash := BasisFromRows(p, decodeRowBasis(p, rest))
 		for _, kc := range kernelConfigs {
-			sol, basis, err := NewSolver(kc.opts...).Solve(context.Background(), p, nil)
-			if cerr := certifyVerdict(p, sol, basis, 0, kc.opts...); cerr != nil {
-				t.Fatalf("%s: %v verdict (err %v) not certified: %v\n%s", kc.name, sol.Status, err, cerr, lpString(p))
+			for _, start := range []struct {
+				name  string
+				basis *Basis
+			}{{"cold", nil}, {"by rows", crash}} {
+				sol, basis, err := NewSolver(kc.opts...).Solve(context.Background(), p, start.basis)
+				if cerr := certifyVerdict(p, sol, basis, 0, kc.opts...); cerr != nil {
+					t.Fatalf("%s, %s: %v verdict (err %v) not certified: %v\n%s", kc.name, start.name, sol.Status, err, cerr, lpString(p))
+				}
 			}
 		}
 	})
 }
 
+// decodeRowBasis reads one byte per row of p from data (missing bytes read
+// as zero): byte b names structural column b mod (n+1) − 1, where −1 is
+// none, the row's own slack or artificial.
+func decodeRowBasis(p *Problem, data []byte) []int {
+	cols := make([]int, len(p.Cons))
+	for i := range cols {
+		b := 0
+		if i < len(data) {
+			b = int(data[i])
+		}
+		cols[i] = b%(p.NumVars()+1) - 1
+	}
+	return cols
+}
+
 // decodeLP reads a small LP from fuzz bytes; missing bytes read as zero.
 // Byte 0 picks 1–6 variables and the sense, byte 1 picks 0–6 rows; then
 // come the objective, one byte per variable, and per row a relation byte,
-// one coefficient byte per variable and a right-hand-side byte.
+// one coefficient byte per variable and a right-hand-side byte. It returns
+// the bytes it did not read.
 //
 // Objective and row coefficients are integers in [−3, 3], right-hand sides
 // integers in [−6, 6]. On such data every basic value, dual, reduced cost
@@ -76,7 +102,7 @@ func FuzzRandomLP(f *testing.F) {
 // every solver tolerance, the scale-relative ones included, so a verdict
 // the exact certificate rejects is a solver fault, not rounding the
 // tolerances allow.
-func decodeLP(data []byte) *Problem {
+func decodeLP(data []byte) (*Problem, []byte) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -101,7 +127,7 @@ func decodeLP(data []byte) *Problem {
 		}
 		p.AddConstraint(fmt.Sprint("r", i), row, rel, float64(int8(next())%7))
 	}
-	return p
+	return p, data
 }
 
 // encodeLP is decodeLP's inverse on the fuzz grid. Other data it rounds

@@ -6,7 +6,7 @@ package lp
 // kernel unwrapped; the tests pin the at-scale configuration to run every
 // kernel on small LPs, and wrap the kernel to reach its failure paths.
 
-// ForceAtScale runs the m ≥ autoSparseMin configuration — sparse LU with
+// ForceAtScale runs the m ≥ AtScaleRows configuration — sparse LU with
 // Forrest–Tomlin updates, Devex pricing and scale-relative pivot floors —
 // on LPs of any size, so the small parity corpus and core's policy LPs
 // exercise the kernel the size rule reserves for large bases.

@@ -7,7 +7,7 @@ package lp
 //
 //   - denseFactorizer: the original dense m×m LU plus a product-form eta
 //     file. O(m³) refactorizations, O(m²) triangular solves, O(m) per eta;
-//     the kernel below autoSparseMin rows, where its constant factors win.
+//     the kernel below AtScaleRows rows, where its constant factors win.
 //   - sparseFactorizer: mat.SparseLU — Markowitz-ordered sparse LU with
 //     threshold partial pivoting and Forrest–Tomlin updates. Everything is
 //     O(nnz), which is what lets k≈6 composite networks (m ≈ 10⁴) solve at

@@ -95,7 +95,7 @@ func balanceLP(n int, seed int64) *Problem {
 
 // TestSparseFactorizerSteadyStateAllocs is the at-scale sibling of
 // TestDenseFactorizerSteadyStateAllocs: on the optimal basis of a 321-row
-// LP (past autoSparseMin, so the solver runs the sparse LU kernel), once a
+// LP (past AtScaleRows, so the solver runs the sparse LU kernel), once a
 // first cycle has sized the factorizer's storage, refactorizing the basis,
 // the dense FTRAN and BTRAN, and the FTRANs, hyper-sparse BTRANs and
 // Forrest–Tomlin updates of four pivots allocate nothing.
@@ -105,8 +105,8 @@ func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf := r.sf
-	if sf.m < autoSparseMin {
-		t.Fatalf("basis has %d rows, want an at-scale basis of at least %d", sf.m, autoSparseMin)
+	if sf.m < AtScaleRows {
+		t.Fatalf("basis has %d rows, want an at-scale basis of at least %d", sf.m, AtScaleRows)
 	}
 	if _, ok := r.fact.(*sparseFactorizer); !ok {
 		t.Fatalf("solver ran %T at m=%d, want the sparse kernel", r.fact, sf.m)

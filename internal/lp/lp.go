@@ -39,6 +39,8 @@
 //	warm basis has a nonzero artificial    cold fallback                 TestWarmNonzeroArtificialFallsBackCold
 //	warm optimum fails recomputed d_j      cold fallback                 FuzzLoadCache seed drifted-reduced-costs
 //	warm basis primal infeasible           dual-simplex repair           TestWarmDualSimplexAtScale
+//	basis by rows names a column twice     cold fallback                 TestBasisFromRows
+//	Problem.Crash fails on a done context  Cancelled                     TestBasisFromRows
 //	negative basics after phase 2          dual-simplex repair, again    TestHighDiscountRedundantBound
 //	context cancelled                      Cancelled at the next poll    TestSolveCancellationWalk
 //	pivot budget spent                     BudgetExceeded, no fallback   TestWithMaxPivotsWarm
@@ -59,6 +61,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -124,6 +127,15 @@ type Problem struct {
 	// variables.
 	Obj  []float64
 	Cons []Constraint
+	// Crash optionally names where a cold solve starts. A Solve with no
+	// warm basis and no pivot budget calls it and starts from the basis it
+	// returns by rows (see BasisFromRows) instead of the slack basis; nil
+	// rows, or a basis the simplex cannot use, leave the slack start. It
+	// reads p's current data and may fail only when ctx is done, which
+	// ends the solve Cancelled. A budgeted solve never calls it, so the
+	// budget bounds all of its work. core.BuildFrequencyLP sets it on
+	// frequency LPs at scale (see core.Optimize).
+	Crash func(ctx context.Context, p *Problem) ([]int, error)
 }
 
 // NewProblem returns an empty problem with n variables.
@@ -275,6 +287,10 @@ type Solution struct {
 	// WarmStarted reports that the solve reused a caller-supplied Basis and
 	// skipped phase 1 (see Solver.Solve).
 	WarmStarted bool
+	// Crashed reports that a cold solve started from the basis
+	// Problem.Crash named, skipped phase 1 and kept it; false when the
+	// solve started from, or fell back to, the slack basis.
+	Crashed bool
 	// Timings is the per-stage wall-clock breakdown of the solve
 	// (ftran/btran/price/factor/update) — the attribution that pairs with
 	// Iterations and Refactorizations to show where a solve's time went.
@@ -296,6 +312,13 @@ const (
 	pivotTol    = 1e-8  // smallest acceptable pivot magnitude (absolute)
 	pivotRelTol = 1e-7  // pivot floor relative to ‖w‖∞ of the FTRAN direction
 	zeroTol     = 1e-11 // clamp for tiny negative basic values
+	// primalTol is how far below zero a basic value may sit and still
+	// count as feasible: the exact recomputation clamps values in
+	// (−primalTol, 0) to zero, phase 2 accepts its final basis only above
+	// −primalTol, and the dual simplex repairs anything below. An
+	// absolute tolerance suits the frequency LP, whose basic values sum
+	// to 1 at every horizon.
+	primalTol = 1e-9
 )
 
 // stdForm is the standard form the solver runs on and CertifyExact reads.

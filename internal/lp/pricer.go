@@ -15,7 +15,7 @@ package lp
 //     per touched column.
 //
 // The fact that picks the basis kernel picks the rule: Dantzig below
-// autoSparseMin rows, Devex at scale (revised.atScale). Both defer to the
+// AtScaleRows rows, Devex at scale (revised.atScale). Both defer to the
 // Bland-rule fallback for termination on degenerate instances: the rule is
 // consulted only on non-Bland iterations. Eligibility matches the solver's
 // optimality test: column j improves iff it is nonbasic (pos[j] < 0) and

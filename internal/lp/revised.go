@@ -78,7 +78,7 @@ type revised struct {
 	needRefactor  bool
 	factFresh     bool // the factorization is an exact rebuild of the current basis (see refactor)
 	xBFresh       bool // xB is exactly the factorization's FTRAN of b (see refactor)
-	atScale       bool // m >= autoSparseMin: sparse kernel, Devex, scale-relative pivot floors
+	atScale       bool // m >= AtScaleRows: sparse kernel, Devex, scale-relative pivot floors
 
 	// Flight recorder (see monitor.go). mon == nil — the default — keeps
 	// every hook down to a single pointer test.
@@ -105,7 +105,7 @@ func newRevised(ctx context.Context, sf *stdForm, cfg solverConfig) *revised {
 		maxPivots:     cfg.maxPivots,
 	}
 	r.deadline, r.hasDeadline = ctx.Deadline()
-	r.atScale = sf.m >= autoSparseMin || cfg.atScale
+	r.atScale = sf.m >= AtScaleRows || cfg.atScale
 	if cfg.monitor != nil {
 		r.mon = cfg.monitor
 		r.monEvery = cfg.monitorEvery
@@ -285,7 +285,7 @@ func (r *revised) recomputeXB() {
 	copy(r.xB, r.sf.b)
 	xb := r.fact.Ftran(r.xB)
 	for i, v := range xb {
-		if v < 0 && v > -1e-7 {
+		if v < 0 && v > -primalTol {
 			xb[i] = 0
 		}
 	}
@@ -728,7 +728,7 @@ func (r *revised) phase2() *Solution {
 				worst = v
 			}
 		}
-		if worst >= -1e-7 {
+		if worst >= -primalTol {
 			sol.Status = Optimal
 			x := make([]float64, r.sf.nv)
 			for i, b := range r.basis {
@@ -770,7 +770,7 @@ func (r *revised) recordWork(sol *Solution) {
 // roundoff slack).
 func (r *revised) primalFeasible() bool {
 	for _, v := range r.xB {
-		if v < -1e-9 {
+		if v < -primalTol {
 			return false
 		}
 	}
@@ -823,7 +823,7 @@ func (r *revised) dualSimplex() bool {
 			r.recomputeD(r.sf.cost2)
 		}
 		r.emitProgress()
-		row, worst := -1, -1e-9
+		row, worst := -1, -primalTol
 		for i, v := range r.xB {
 			if v < worst {
 				worst, row = v, i

@@ -4,24 +4,26 @@ package lp
 // options setting a pivot budget or a flight recorder, then call Solve with
 // a context and an optional warm basis. A wall-clock budget is the context's
 // deadline. The basis kernel and the pricing rule are not options:
-// newRevised picks both from the basis size (see autoSparseMin).
+// newRevised picks both from the basis size (see AtScaleRows).
 
 import (
 	"context"
 	"fmt"
 )
 
-// autoSparseMin is the basis size at which the solver switches from dense LU
+// AtScaleRows is the basis size at which the solver switches from dense LU
 // with product-form etas and Dantzig pricing to sparse LU with
 // Forrest–Tomlin updates and Devex pricing: below it the dense LU's
 // contiguous inner loops beat pointer-chasing sparse structures, above it
 // asymptotics take over (and above a few thousand rows the dense kernel
-// stops being allocatable at all).
-const autoSparseMin = 256
+// stops being allocatable at all). It is exported as the one at-scale
+// threshold: core starts cold frequency LPs of at least this many rows
+// from a policy-iteration basis (see core.Optimize).
+const AtScaleRows = 256
 
 // solverConfig is the resolved option set of one Solver.
 type solverConfig struct {
-	// atScale runs the m ≥ autoSparseMin configuration on every basis size;
+	// atScale runs the m ≥ AtScaleRows configuration on every basis size;
 	// wrapFactorizer wraps each attempt's basis kernel to inject failures.
 	// No option sets either; package tests do (export_test.go).
 	atScale        bool
@@ -61,7 +63,12 @@ func NewSolver(opts ...Option) *Solver {
 }
 
 // Solve solves the problem, optionally warm-starting from the basis of a
-// previous structurally identical solve (nil warm = cold solve). On Optimal
+// previous structurally identical solve or from a basis by rows
+// (BasisFromRows). A nil warm is the cold solve: it starts from the basis
+// Problem.Crash names, when the problem has one and the solver no pivot
+// budget, and otherwise from the slack basis (every row's slack or
+// artificial) and runs phase 1. The slack start is also where an unusable
+// warm or crash basis falls back to. On Optimal
 // it returns the solution and the optimal basis for chaining into the next
 // solve; otherwise the basis is nil and the error wraps ErrNotOptimal (or
 // the context cause when cancelled). The pivot loops check ctx once per
@@ -104,6 +111,8 @@ func (s *Solver) solve(ctx context.Context, p *Problem, warm *Basis, resident *r
 			sol = &Solution{Status: pre}
 		case warm != nil && warm.compatible(sf):
 			sol, r = solveWarm(ctx, sf, warm, cfg)
+		case warm == nil && p.Crash != nil && cfg.maxPivots <= 0:
+			sol, r = solveCrash(ctx, p, sf, cfg)
 		}
 	}
 	if sol == nil {

@@ -37,6 +37,86 @@ func (r *revised) exportBasis() *Basis {
 	return &Basis{cols: cols, nv: r.sf.nv, ns: r.sf.ns, na: r.sf.na}
 }
 
+// BasisFromRows returns a starting basis for p given by rows: cols[i] names
+// the structural column (a variable index) basic in constraint row i, or is
+// negative to leave row i its own starting column — the slack or surplus
+// of an LE or GE row, the artificial of an EQ row. Entries for rows with no
+// coefficients, which the solver presolves away, are ignored. It returns
+// nil when len(cols) differs from len(p.Cons) or an entry names a column
+// outside [0, p.NumVars()).
+//
+// Solver.Solve takes the result like any warm basis: it validates it
+// (a column named twice makes it incompatible), refactorizes it against p,
+// repairs primal infeasibility with dual-simplex pivots, optimizes from
+// there, and falls back to the slack start when the basis is incompatible
+// or singular, holds a nonzero artificial, or ends in any verdict but
+// Optimal. A basis by rows therefore changes where the simplex starts,
+// never the verdict or the optimal objective. A cold solve builds its
+// crash basis (Problem.Crash) here too.
+func BasisFromRows(p *Problem, cols []int) *Basis {
+	if len(cols) != len(p.Cons) {
+		return nil
+	}
+	b := &Basis{nv: p.NumVars()}
+	for i := range p.Cons {
+		if len(p.Cons[i].Cols) == 0 {
+			continue
+		}
+		if stdRel(&p.Cons[i]) != EQ {
+			b.ns++
+		}
+		if stdRel(&p.Cons[i]) != LE {
+			b.na++
+		}
+	}
+	slack, art := b.nv, b.nv+b.ns
+	for i := range p.Cons {
+		c := &p.Cons[i]
+		if len(c.Cols) == 0 {
+			continue
+		}
+		own := slack
+		switch stdRel(c) {
+		case LE:
+			slack++
+		case GE:
+			slack++
+			art++
+		case EQ:
+			own = art
+			art++
+		}
+		switch j := cols[i]; {
+		case j >= b.nv:
+			return nil
+		case j >= 0:
+			own = j
+		}
+		b.cols = append(b.cols, own)
+	}
+	return b
+}
+
+// solveCrash is the cold start from the basis p.Crash names: a warm start
+// from it, reported as Crashed rather than WarmStarted. Like solveWarm it
+// returns (nil, nil), the slack start, when there is no basis or it cannot
+// be reused, and a Cancelled solution when p.Crash fails.
+func solveCrash(ctx context.Context, p *Problem, sf *stdForm, cfg solverConfig) (*Solution, *revised) {
+	rows, err := p.Crash(ctx, p)
+	if err != nil {
+		return &Solution{Status: Cancelled}, nil
+	}
+	b := BasisFromRows(p, rows)
+	if b == nil || !b.compatible(sf) {
+		return nil, nil
+	}
+	sol, r := solveWarm(ctx, sf, b, cfg)
+	if sol != nil {
+		sol.Crashed, sol.WarmStarted = sol.WarmStarted, false
+	}
+	return sol, r
+}
+
 // compatible reports whether the basis plausibly belongs to the standard
 // form: same column-space shape, one distinct in-range column per row. It
 // cannot detect every mismatch (a reordered problem with identical shape

@@ -2,8 +2,10 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -141,5 +143,85 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	}
 	if warmHits == 0 {
 		t.Errorf("no solve in the sweep actually warm-started")
+	}
+}
+
+// TestBasisFromRows: a basis by rows puts the named structural column in
+// each row that names one and the row's own starting column in every other
+// — the slack of an LE row, the surplus of a GE row (a negative rhs flips
+// LE to GE), the artificial of an EQ row — skipping rows the presolve
+// drops. Malformed input yields nil. An optimal basis by rows solves in
+// zero pivots; a basis naming one column twice is rejected and the solve
+// falls back to the slack start with the same optimum. The same rows
+// returned by Problem.Crash start a cold solve the same way, reported as
+// Crashed; a budgeted solve never calls Crash, and a Crash that fails on
+// a done context ends the solve Cancelled.
+func TestBasisFromRows(t *testing.T) {
+	p := NewProblem(Minimize, 3)
+	p.Obj = []float64{1, 1, 2}
+	p.AddConstraint("sum", []float64{1, 1, 1}, EQ, 1)
+	p.AddConstraint("le", []float64{1, -1, 0}, LE, 0.5)
+	p.AddConstraint("ge", []float64{0, 1, 1}, GE, 0.2)
+	p.AddConstraint("empty", []float64{0, 0, 0}, LE, 1)
+	p.AddConstraint("flipped", []float64{-1, 0, 0}, LE, -0.1)
+	sf, st := newStdForm(p)
+	if st != Optimal {
+		t.Fatal(st)
+	}
+	// Standard-form rows 0–3 are sum, le, ge, flipped; columns 3–5 are the
+	// slack of le and the surpluses of ge and flipped, 6–8 the artificials
+	// of sum, ge and flipped.
+	b := BasisFromRows(p, []int{-1, -1, -1, -1, -1})
+	if want := []int{6, 3, 4, 5}; !b.compatible(sf) || !slices.Equal(b.cols, want) {
+		t.Errorf("all-own basis %v, cols %v; want cols %v", b, b.cols, want)
+	}
+	b = BasisFromRows(p, []int{2, 0, 1, 0, -1})
+	if want := []int{2, 0, 1, 5}; !b.compatible(sf) || !slices.Equal(b.cols, want) {
+		t.Errorf("by-rows basis %v, cols %v; want cols %v", b, b.cols, want)
+	}
+	for _, bad := range [][]int{{-1, -1, -1, -1}, {-1, 3, -1, -1, -1}} {
+		if b := BasisFromRows(p, bad); b != nil {
+			t.Errorf("BasisFromRows(%v) = %v, want nil", bad, b)
+		}
+	}
+
+	cold, _, err := NewSolver().Solve(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows {x0, x1, own, own, own} are the vertex x = (0.75, 0.25, 0),
+	// feasible with objective 1, the optimum: zero pivots. Naming x0
+	// twice is rejected, and the slack start solves it.
+	for _, tc := range []struct {
+		rows   []int
+		warm   bool
+		pivots int
+	}{{[]int{0, 1, -1, -1, -1}, true, 0}, {[]int{0, 0, -1, -1, -1}, false, cold.Iterations}} {
+		sol, _, err := NewSolver().Solve(context.Background(), p, BasisFromRows(p, tc.rows))
+		if err != nil || sol.Objective != cold.Objective || sol.WarmStarted != tc.warm || sol.Iterations != tc.pivots {
+			t.Errorf("from rows %v: objective %v after %d pivots, warm %v (err %v); want %v after %d, warm %v",
+				tc.rows, sol.Objective, sol.Iterations, sol.WarmStarted, err, cold.Objective, tc.pivots, tc.warm)
+		}
+		p.Crash = func(context.Context, *Problem) ([]int, error) { return tc.rows, nil }
+		sol, _, err = NewSolver().Solve(context.Background(), p, nil)
+		p.Crash = nil
+		if err != nil || sol.Objective != cold.Objective || sol.Crashed != tc.warm || sol.WarmStarted || sol.Iterations != tc.pivots {
+			t.Errorf("crash rows %v: objective %v after %d pivots, crashed %v, warm %v (err %v); want %v after %d, crashed %v",
+				tc.rows, sol.Objective, sol.Iterations, sol.Crashed, sol.WarmStarted, err, cold.Objective, tc.pivots, tc.warm)
+		}
+	}
+
+	calls := 0
+	p.Crash = func(ctx context.Context, _ *Problem) ([]int, error) {
+		calls++
+		return nil, ctx.Err()
+	}
+	if sol, _, err := NewSolver(WithMaxPivots(100)).Solve(context.Background(), p, nil); err != nil || calls != 0 || sol.Objective != cold.Objective {
+		t.Errorf("budgeted solve: %d Crash calls, objective %v (err %v); want none and %v", calls, sol.Objective, err, cold.Objective)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sol, _, err := NewSolver().Solve(ctx, p, nil); calls != 1 || sol.Status != Cancelled || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled crash: %d Crash calls, status %v, err %v; want 1, Cancelled, context.Canceled", calls, sol.Status, err)
 	}
 }

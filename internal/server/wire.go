@@ -241,7 +241,9 @@ type OptimizeRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// MaxPivots bounds the simplex pivots of the solve (0: unlimited). An
 	// exhausted budget is answered with 422 and counted in the
-	// budget_exceeded serving counter.
+	// budget_exceeded serving counter. A budgeted cold solve starts from
+	// the slack basis, never from the policy-iteration crash, so the
+	// budget bounds all of its work.
 	MaxPivots int `json:"max_pivots,omitempty"`
 	// IncludePolicy adds the full per-state command distributions to the
 	// response (N×A numbers; off by default).
