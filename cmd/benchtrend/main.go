@@ -6,7 +6,7 @@
 // Usage:
 //
 //	benchtrend -old prev/BENCH.json [-new BENCH.json] [-max-ratio 2] \
-//	           [-benches OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,LoadServed,FactoredEval,Pareto] \
+//	           [-benches OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,FactoredEval,Pareto] \
 //	           [-min-ns 1e6] [-max-alloc-ratio 3] [-min-alloc-bytes 262144]
 //
 // Bench names are prefix-matched against the report (so "LargeComposite"
@@ -26,12 +26,6 @@
 // higher). Stages below -min-stage-ms in the old record are skipped. This
 // localizes a wall-clock regression to the stage that caused it — and
 // catches a stage that blew up inside an otherwise-absorbed total.
-//
-// Entries that report serving latency quantiles (p50_ms, p90_ms, p99_ms —
-// the LoadServed/conc=N records merged by cmd/dpmload) are likewise gated
-// quantile by quantile with -max-quantile-ratio (default 2): a tail-latency
-// blowup fails CI even when mean ns/op absorbed it. Quantiles below
-// -min-quantile-ms in the old record are skipped as noise.
 //
 // Entries run with ReportAllocs are gated on B/op and allocs/op with
 // -max-alloc-ratio (default 3). Allocation counts are deterministic — no
@@ -70,19 +64,17 @@ type Report struct {
 }
 
 // defaultBenches is the -benches default: the headline bench name prefixes.
-const defaultBenches = "OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,LoadServed,FactoredEval,Pareto"
+const defaultBenches = "OptimizeDisk,SweepDisk,LargeComposite,Heterogeneous,OnlineRefresh,FactoredEval,Pareto"
 
 // defaultLimits are the threshold flags' defaults.
 var defaultLimits = limits{
-	maxRatio:         2,
-	minNS:            1e6,
-	maxStageRatio:    3,
-	minStageMS:       50,
-	maxQuantileRatio: 2,
-	minQuantileMS:    0.2,
-	maxAllocRatio:    3,
-	minAllocBytes:    256 << 10,
-	minAllocs:        1000,
+	maxRatio:      2,
+	minNS:         1e6,
+	maxStageRatio: 3,
+	minStageMS:    50,
+	maxAllocRatio: 3,
+	minAllocBytes: 256 << 10,
+	minAllocs:     1000,
 }
 
 func main() {
@@ -94,8 +86,6 @@ func main() {
 	minNS := flag.Float64("min-ns", d.minNS, "ignore benches whose old ns/op is below this (too noisy at 1 iteration)")
 	maxStageRatio := flag.Float64("max-stage-ratio", d.maxStageRatio, "fail when a per-stage solver timing (ftran_ms, …) exceeds this ratio")
 	minStageMS := flag.Float64("min-stage-ms", d.minStageMS, "ignore stages whose old value is below this many ms")
-	maxQuantileRatio := flag.Float64("max-quantile-ratio", d.maxQuantileRatio, "fail when a serving latency quantile (p50_ms, p90_ms, p99_ms) exceeds this ratio")
-	minQuantileMS := flag.Float64("min-quantile-ms", d.minQuantileMS, "ignore quantiles whose old value is below this many ms")
 	maxAllocRatio := flag.Float64("max-alloc-ratio", d.maxAllocRatio, "fail when B/op or allocs/op exceeds this ratio")
 	minAllocBytes := flag.Float64("min-alloc-bytes", d.minAllocBytes, "ignore B/op gates whose old value is below this many bytes")
 	minAllocs := flag.Float64("min-allocs", d.minAllocs, "ignore allocs/op gates whose old value is below this count")
@@ -115,15 +105,13 @@ func main() {
 		os.Exit(2)
 	}
 	regressions, notes := compare(oldRep, newRep, strings.Split(*benches, ","), limits{
-		maxRatio:         *maxRatio,
-		minNS:            *minNS,
-		maxStageRatio:    *maxStageRatio,
-		minStageMS:       *minStageMS,
-		maxQuantileRatio: *maxQuantileRatio,
-		minQuantileMS:    *minQuantileMS,
-		maxAllocRatio:    *maxAllocRatio,
-		minAllocBytes:    *minAllocBytes,
-		minAllocs:        *minAllocs,
+		maxRatio:      *maxRatio,
+		minNS:         *minNS,
+		maxStageRatio: *maxStageRatio,
+		minStageMS:    *minStageMS,
+		maxAllocRatio: *maxAllocRatio,
+		minAllocBytes: *minAllocBytes,
+		minAllocs:     *minAllocs,
 	})
 	for _, n := range notes {
 		fmt.Println(n)
@@ -162,26 +150,20 @@ var stageMetrics = func() []string {
 	return names
 }()
 
-// quantileMetrics are the serving latency quantiles reported by the
-// load-generator entries (see internal/load.Result.BenchEntry).
-var quantileMetrics = []string{"p50_ms", "p90_ms", "p99_ms"}
-
 // limits bundles the comparison thresholds.
 type limits struct {
-	maxRatio         float64 // wall-clock ns/op gate
-	minNS            float64 // ns/op noise floor
-	maxStageRatio    float64 // per-stage timing gate
-	minStageMS       float64 // per-stage noise floor, in ms
-	maxQuantileRatio float64 // serving latency quantile gate
-	minQuantileMS    float64 // quantile noise floor, in ms
-	maxAllocRatio    float64 // B/op and allocs/op gate
-	minAllocBytes    float64 // B/op noise floor, in bytes
-	minAllocs        float64 // allocs/op noise floor, in allocations
+	maxRatio      float64 // wall-clock ns/op gate
+	minNS         float64 // ns/op noise floor
+	maxStageRatio float64 // per-stage timing gate
+	minStageMS    float64 // per-stage noise floor, in ms
+	maxAllocRatio float64 // B/op and allocs/op gate
+	minAllocBytes float64 // B/op noise floor, in bytes
+	minAllocs     float64 // allocs/op noise floor, in allocations
 }
 
 // compare returns the regression messages (new/old ns/op > maxRatio, a
-// solver stage exceeding maxStageRatio, a latency quantile exceeding
-// maxQuantileRatio, or an allocation metric exceeding maxAllocRatio) and
+// solver stage exceeding maxStageRatio, or an allocation metric exceeding
+// maxAllocRatio) and
 // informational notes for the selected headline benches.
 func compare(oldRep, newRep *Report, prefixes []string, lim limits) (regressions, notes []string) {
 	old := make(map[string]Entry, len(oldRep.Benchmarks))
@@ -209,27 +191,7 @@ func compare(oldRep, newRep *Report, prefixes []string, lim limits) (regressions
 			notes = append(notes, fmt.Sprintf("benchtrend: %s: no previous record (new benchmark?)", e.Name))
 			continue
 		}
-		// Latency quantiles are gated before the ns/op noise floor applies:
-		// a p99 blowup matters even when the mean stays sub-millisecond.
-		for _, q := range quantileMetrics {
-			qb, ok := prev.Metrics[q]
-			if !ok || qb < lim.minQuantileMS {
-				continue
-			}
-			qc, ok := e.Metrics[q]
-			if !ok {
-				notes = append(notes, fmt.Sprintf("benchtrend: %s: %s no longer reported", e.Name, q))
-				continue
-			}
-			qr := qc / qb
-			qmsg := fmt.Sprintf("%s %s: %.3gms -> %.3gms (%.2fx)", e.Name, q, qb, qc, qr)
-			if qr > lim.maxQuantileRatio {
-				regressions = append(regressions, qmsg)
-			} else {
-				notes = append(notes, "benchtrend: "+qmsg)
-			}
-		}
-		// Allocation gates run before the ns/op noise floor too: allocation
+		// Allocation gates run before the ns/op noise floor: allocation
 		// counts are deterministic, so they are meaningful even on benches
 		// whose timings are noise.
 		for _, am := range []struct {

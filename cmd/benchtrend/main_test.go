@@ -15,7 +15,7 @@ func entry(name string, ns float64) Entry {
 }
 
 func TestCompare(t *testing.T) {
-	lim := limits{maxRatio: 2, minNS: 1e6, maxStageRatio: 3, minStageMS: 50, maxQuantileRatio: 2, minQuantileMS: 0.2}
+	lim := limits{maxRatio: 2, minNS: 1e6, maxStageRatio: 3, minStageMS: 50}
 	old := rep(
 		entry("OptimizeDisk", 4e6),
 		entry("SweepDisk", 12e6),
@@ -79,7 +79,7 @@ func stagedEntry(name string, ns, factorMS, priceMS float64) Entry {
 }
 
 func TestCompareStages(t *testing.T) {
-	lim := limits{maxRatio: 2, minNS: 1e6, maxStageRatio: 3, minStageMS: 50, maxQuantileRatio: 2, minQuantileMS: 0.2}
+	lim := limits{maxRatio: 2, minNS: 1e6, maxStageRatio: 3, minStageMS: 50}
 	prefixes := []string{"Heterogeneous"}
 	old := rep(stagedEntry("Heterogeneous/solve-k5", 300e6, 100, 60))
 
@@ -112,64 +112,6 @@ func TestCompareStages(t *testing.T) {
 	}
 }
 
-// loadEntry builds a dpmload-shaped serving entry: mean latency plus the
-// quantile headline metrics.
-func loadEntry(name string, ns, p50, p90, p99 float64) Entry {
-	return Entry{Package: "repro/cmd/dpmload", Name: name, Iterations: 100, Metrics: map[string]float64{
-		"ns/op":     ns,
-		"req_per_s": 1e9 / ns,
-		"p50_ms":    p50,
-		"p90_ms":    p90,
-		"p99_ms":    p99,
-		"errors":    0,
-	}}
-}
-
-func TestCompareQuantiles(t *testing.T) {
-	lim := limits{maxRatio: 2, minNS: 1e6, maxStageRatio: 3, minStageMS: 50, maxQuantileRatio: 2, minQuantileMS: 0.2}
-	prefixes := []string{"LoadServed"}
-	old := rep(loadEntry("LoadServed/conc=8", 2e6, 1.5, 4, 12))
-
-	// A p99 blowup fails even though the mean stays within its own gate.
-	cur := rep(loadEntry("LoadServed/conc=8", 3e6, 1.6, 4.5, 60))
-	regs, _ := compare(old, cur, prefixes, lim)
-	if len(regs) != 1 || !strings.Contains(regs[0], "p99_ms") {
-		t.Errorf("regressions = %v, want one for p99_ms", regs)
-	}
-
-	// Quantiles gate independently of the ns/op noise floor: a sub-min-ns
-	// mean does not exempt the tail.
-	old2 := rep(loadEntry("LoadServed/conc=8", 0.5e6, 0.3, 0.8, 2))
-	cur = rep(loadEntry("LoadServed/conc=8", 0.6e6, 0.35, 0.9, 9))
-	regs, _ = compare(old2, cur, prefixes, lim)
-	if len(regs) != 1 || !strings.Contains(regs[0], "p99_ms") {
-		t.Errorf("sub-floor mean exempted the tail: regressions = %v", regs)
-	}
-
-	// Quantiles below the min-quantile-ms floor are never compared, and
-	// in-ratio quantiles pass.
-	old3 := rep(loadEntry("LoadServed/conc=2", 2e6, 0.1, 4, 12))
-	cur = rep(loadEntry("LoadServed/conc=2", 2.5e6, 1.5 /* 15x off a 0.1ms base */, 6, 20))
-	if regs, _ := compare(old3, cur, prefixes, lim); len(regs) != 0 {
-		t.Errorf("unexpected regressions: %v", regs)
-	}
-
-	// A quantile disappearing from the report is a note, not a failure.
-	cur = rep(Entry{Package: "repro/cmd/dpmload", Name: "LoadServed/conc=8", Iterations: 100,
-		Metrics: map[string]float64{"ns/op": 2.1e6}})
-	regs, notes := compare(old, cur, prefixes, lim)
-	if len(regs) != 0 {
-		t.Errorf("missing quantile treated as regression: %v", regs)
-	}
-	found := false
-	for _, n := range notes {
-		found = found || strings.Contains(n, "p99_ms no longer reported")
-	}
-	if !found {
-		t.Errorf("missing-quantile note absent: %v", notes)
-	}
-}
-
 // allocEntry builds a ReportAllocs-shaped entry.
 func allocEntry(name string, ns, bytes, allocs float64) Entry {
 	return Entry{Package: "repro", Name: name, Iterations: 1, Metrics: map[string]float64{
@@ -181,7 +123,7 @@ func allocEntry(name string, ns, bytes, allocs float64) Entry {
 
 func TestCompareAllocs(t *testing.T) {
 	lim := limits{maxRatio: 2, minNS: 1e6, maxStageRatio: 3, minStageMS: 50,
-		maxQuantileRatio: 2, minQuantileMS: 0.2, maxAllocRatio: 3, minAllocBytes: 1e6, minAllocs: 1000}
+		maxAllocRatio: 3, minAllocBytes: 1e6, minAllocs: 1000}
 	prefixes := []string{"FactoredEval"}
 	old := rep(allocEntry("FactoredEval/factored-k6", 350e6, 1.3e6, 2e4))
 

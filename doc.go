@@ -80,8 +80,9 @@
 //     sections for curl examples and cache semantics. Every request and
 //     response body is declared once, as an exported type of the package
 //     (OptimizeRequest, ObserveResponse, StatsResponse, SolvesResponse,
-//     …), and the in-repo clients — cmd/dpmfeed, cmd/dpmtop and
-//     internal/load — encode and decode with those types;
+//     …), and the in-repo clients — cmd/dpmfeed and cmd/dpmtop —
+//     encode and decode with those types. The benchmark's serve-mixed
+//     workload (bench/) is the whole-system measurement under load;
 //   - internal/online — the streaming adaptation subsystem behind the
 //     observe endpoint: an incremental exponentially-decayed form of the
 //     trace extractor (O(1) per slice), a drift controller comparing the
@@ -99,10 +100,6 @@
 //     /v1/solves table (watchable with cmd/dpmtop), and structured
 //     slog-based debug logging that the env-gated LPDEBUG/LUDEBUG
 //     streams route through;
-//   - internal/load — the closed-/open-loop load generator behind
-//     cmd/dpmload, driving mixed exact-hit/warm/cold/observe traffic and
-//     merging measured req/s and latency quantiles into BENCH.json as
-//     LoadServed entries gated by cmd/benchtrend;
 //   - internal/experiments — one runner per paper table/figure.
 //
 // A minimal end-to-end use:

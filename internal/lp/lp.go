@@ -38,15 +38,16 @@
 //	warm Refactor fails                    cold fallback                 TestWarmRefactorFailureFallsBackCold
 //	warm basis has a nonzero artificial    cold fallback                 TestWarmNonzeroArtificialFallsBackCold
 //	warm optimum fails recomputed d_j      cold fallback                 FuzzLoadCache seed drifted-reduced-costs
+//	final values fail verify's row test    Numerical, one attempt        TestColdVerifyRejectionIsNumerical
 //	warm basis primal infeasible           dual-simplex repair           TestWarmDualSimplexAtScale
+//	dual pivot with |w[row]| ≤ pivotTol    cold fallback                 TestWarmDualTinyPivotFallsBackCold
 //	basis by rows names a column twice     cold fallback                 TestBasisFromRows
 //	Problem.Crash fails on a done context  Cancelled                     TestBasisFromRows
 //	negative basics after phase 2          dual-simplex repair, again    TestHighDiscountRedundantBound
 //	context cancelled                      Cancelled at the next poll    TestSolveCancellationWalk
 //	pivot budget spent                     BudgetExceeded, no fallback   TestWithMaxPivotsWarm
 //
-// Unreached so far: the stall switch to Bland's rule, the iteration limit,
-// a rejected cold verification.
+// Unreached so far: the stall switch to Bland's rule, the iteration limit.
 //
 // The float64 answers are checked, not trusted: CertifyExact reads a
 // returned basis in exact rational arithmetic and proves it optimal (or
@@ -319,6 +320,36 @@ const (
 	// absolute tolerance suits the frequency LP, whose basic values sum
 	// to 1 at every horizon.
 	primalTol = 1e-9
+	// tieTol is the ratio tests' tie window, relative to 1+|best ratio|:
+	// ratios within it are tied and the tie is broken by pivot magnitude
+	// (or Bland's index). It compares step lengths, not basic values, so
+	// it is no feasibility tolerance and shares primalTol's value only by
+	// coincidence. The primal (ratioTestTol) and dual (dualSimplex) ratio
+	// tests use it.
+	tieTol = 1e-9
+	// artTol is the level above which a basic artificial in an inherited
+	// warm basis means the basis describes no feasible point of the new
+	// problem (warmTail), so the attempt falls back cold. It is 100× looser
+	// than primalTol: it screens the basis for a wrong model, not for
+	// roundoff, and a redundant row's artificial legitimately sits at the
+	// refactorization's noise level.
+	artTol = 1e-7
+	// phase1RelTol is phase 1's feasibility cutoff on the artificials'
+	// residual, relative to their rhs mass (phase1Feasible). It is a
+	// relative test on a sum, where primalTol is an absolute test on one
+	// value: see phase1Feasible for why the mass, not 1+Σb, scales it.
+	phase1RelTol = 1e-7
+	// verifyNegTol and verifyRowTol are verify's checks of a finished
+	// solution against the original problem: a structural value may sit
+	// verifyNegTol below zero, and a row may miss its rhs by
+	// verifyRowTol·(1+scale), scale being the largest of |rhs| and the
+	// row's terms. verify is a last line against a wrong answer, not a
+	// second feasibility test: the pivot loop already held every basic
+	// value above −primalTol, and row residuals accumulate roundoff over
+	// the row's terms, so both sit well above primalTol to never reject
+	// what the loop accepted.
+	verifyNegTol = 1e-7
+	verifyRowTol = 1e-6
 )
 
 // stdForm is the standard form the solver runs on and CertifyExact reads.
@@ -516,14 +547,14 @@ func (sf *stdForm) artificialMass() float64 {
 // end phase 1 at a residual of zero; the zeroTol floor only absorbs
 // roundoff when the mass itself is zero.
 func (sf *stdForm) phase1Feasible(residual float64) bool {
-	return residual <= math.Max(1e-7*sf.artMass, zeroTol)
+	return residual <= math.Max(phase1RelTol*sf.artMass, zeroTol)
 }
 
 // verify checks the candidate solution against the original problem with a
 // scale-relative tolerance.
 func (sf *stdForm) verify(x []float64) bool {
 	for _, v := range x {
-		if v < -1e-7 || math.IsNaN(v) || math.IsInf(v, 0) {
+		if v < -verifyNegTol || math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
 	}
@@ -538,7 +569,7 @@ func (sf *stdForm) verify(x []float64) bool {
 				scale = s
 			}
 		}
-		tol := 1e-6 * (1 + scale)
+		tol := verifyRowTol * (1 + scale)
 		switch c.Rel {
 		case LE:
 			if a > c.RHS+tol {

@@ -486,7 +486,7 @@ func (r *revised) ratioTestTol(w mat.Vector, bland bool, minPiv float64) int {
 			rhs = 0 // tiny negative from roundoff: treat as degenerate
 		}
 		ratio := rhs / a
-		tol := 1e-9 * (1 + math.Abs(bestRatio))
+		tol := tieTol * (1 + math.Abs(bestRatio))
 		switch {
 		case ratio < bestRatio-tol:
 			bestRow, bestRatio, bestPivot = i, ratio, a
@@ -862,7 +862,7 @@ func (r *revised) dualSimplex() bool {
 				rc = 0 // roundoff on a nonbasic column: treat as degenerate
 			}
 			ratio := rc / -a
-			tol := 1e-9 * (1 + math.Abs(bestRatio))
+			tol := tieTol * (1 + math.Abs(bestRatio))
 			switch {
 			case ratio < bestRatio-tol:
 				col, bestRatio, bestMag = j, ratio, -a

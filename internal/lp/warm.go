@@ -177,7 +177,7 @@ func (r *revised) warmTail() (*Solution, *revised) {
 	// redundant constraint) but only at level zero; a nonzero artificial
 	// means the basis does not describe a feasible point of the new problem.
 	for i, b := range r.basis {
-		if b >= sf.nv+sf.ns && math.Abs(r.xB[i]) > 1e-7 {
+		if b >= sf.nv+sf.ns && math.Abs(r.xB[i]) > artTol {
 			return nil, nil
 		}
 	}

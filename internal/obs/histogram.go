@@ -16,16 +16,13 @@ import (
 // Quantile estimates return the upper bound of the bucket containing the
 // requested rank, so for observations above min the estimate overshoots
 // the true sample quantile by at most the growth factor g — the knob that
-// trades bucket count against quantile resolution. Histograms with
-// identical geometry are mergeable (dpmload folds per-worker histograms
-// into one).
+// trades bucket count against quantile resolution.
 //
 // Snapshots are not atomic across buckets: a concurrent reader can see a
 // count that a racing writer has bucketed but not yet summed. For
 // monitoring quantiles over thousands of observations that skew is noise.
 type Histogram struct {
 	min    float64
-	growth float64
 	invLnG float64   // 1/ln(growth), for the index fast path
 	bounds []float64 // finite upper bounds; len = buckets-1
 
@@ -43,7 +40,6 @@ func NewHistogram(min, growth float64, buckets int) *Histogram {
 	}
 	h := &Histogram{
 		min:    min,
-		growth: growth,
 		invLnG: 1 / math.Log(growth),
 		bounds: make([]float64, buckets-1),
 		counts: make([]atomic.Int64, buckets),
@@ -107,42 +103,8 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d.Nanoseconds())) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile estimates the q-quantile (see the type comment for the error
-// bound); q outside [0,1] is clamped, and an empty histogram returns 0.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
-// Merge folds o into h; both must share the same geometry.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.min != o.min || h.growth != o.growth || len(h.counts) != len(o.counts) {
-		return fmt.Errorf("obs: merging histograms with different geometry (min %g/%g growth %g/%g buckets %d/%d)",
-			h.min, o.min, h.growth, o.growth, len(h.counts), len(o.counts))
-	}
-	for i := range h.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	h.count.Add(o.count.Load())
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+o.Sum())) {
-			return nil
-		}
-	}
-}
 
 // HistogramSnapshot is a point-in-time copy of a histogram: per-bucket
 // (non-cumulative) counts plus the finite upper bounds, count and sum.
@@ -167,9 +129,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile from the snapshot: the upper bound of
-// the bucket holding the ⌈q·count⌉-th observation (the last finite bound
-// scaled once more for the overflow bucket).
+// Quantile estimates the q-quantile from the snapshot (see Histogram for
+// the error bound): the upper bound of the bucket holding the
+// ⌈q·count⌉-th observation (the last finite bound scaled once more for the
+// overflow bucket). q outside [0,1] is clamped, and an empty snapshot
+// returns 0.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	total := int64(0)
 	for _, c := range s.Counts {

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/devices"
+	"repro/internal/obs"
 )
 
 // newTestServer starts a Server over httptest and returns it with its base
@@ -661,6 +664,73 @@ func TestConcurrentSweepsSeedWarmOptimizes(t *testing.T) {
 		if d := math.Abs(g.Objective - want.Objective); d > 1e-9*math.Abs(want.Objective) || want.Cache != "warm" {
 			t.Errorf("optimize at %g: objective %.15g, one-at-a-time server %.15g (%s)", v, g.Objective, want.Objective, want.Cache)
 		}
+	}
+}
+
+// TestConcurrentMixedTraffic: a few clients at once send the four request
+// kinds a serving load mixes, built from the server's own wire types —
+// exact optimize hits (one fixed query), fresh bounds (warm starts), fresh
+// horizons (cold solves) and observe batches into the disk model's online
+// adapter. Every response must be 2xx, the fixed query must come back as
+// an exact hit, and the traces of the traffic must stay retrievable. Under
+// -race this is the daemon's concurrency check for the whole mix.
+func TestConcurrentMixedTraffic(t *testing.T) {
+	_, base := newTestServer(t)
+	penalty := func(v float64) []BoundSpec { return []BoundSpec{{Metric: "penalty", Rel: "<=", Value: v}} }
+	const clients, perClient = 3, 20
+	var failed, hits atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perClient; i++ {
+				var st int
+				switch i % 10 {
+				case 0, 1, 2, 3, 4:
+					var resp OptimizeResponse
+					st = call(t, http.MethodPost, base+"/v1/optimize", OptimizeRequest{Model: "disk", Bounds: penalty(1.5)}, &resp)
+					if resp.Cache == "hit" {
+						hits.Add(1)
+					}
+				case 5, 6:
+					st = call(t, http.MethodPost, base+"/v1/optimize", OptimizeRequest{Model: "disk", Bounds: penalty(1.2 + 1.3*rng.Float64())}, nil)
+				case 7, 8:
+					h := 1e4 * (1 + 99*rng.Float64())
+					st = call(t, http.MethodPost, base+"/v1/optimize", OptimizeRequest{Model: "disk", Horizon: h, Bounds: penalty(1.5)}, nil)
+				default:
+					counts := make([]int, 32)
+					for j := range counts {
+						counts[j] = rng.Intn(4)
+					}
+					st = call(t, http.MethodPost, base+"/v1/models/disk/observe", ObserveRequest{Counts: counts}, nil)
+				}
+				if st/100 != 2 {
+					failed.Add(1)
+				}
+			}
+		}(int64(c + 1))
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Errorf("%d of %d responses were not 2xx", n, clients*perClient)
+	}
+	if hits.Load() == 0 {
+		t.Errorf("the fixed optimize query was never an exact hit")
+	}
+	var list struct {
+		Traces []obs.TraceJSON `json:"traces"`
+	}
+	if st := call(t, http.MethodGet, base+"/v1/trace?n=20", nil, &list); st != http.StatusOK {
+		t.Fatalf("trace list status %d", st)
+	}
+	spans := 0
+	for _, tj := range list.Traces {
+		spans += len(tj.Spans)
+	}
+	if len(list.Traces) == 0 || spans == 0 {
+		t.Errorf("%d traces with %d spans retrievable after the traffic, want spans", len(list.Traces), spans)
 	}
 }
 

@@ -104,7 +104,7 @@ var labelNameRe = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="`)
 // TestObservableSurface pins every name the daemon serves: the /v1/stats
 // counters keys, the Server.Stats keys (the counters plus one
 // requests_<endpoint> per endpoint that served traffic), and every /metrics
-// family with its type and label names. cmd/dpmtop, dpmload and the bench
+// family with its type and label names. cmd/dpmtop and the bench
 // harness read these names.
 func TestObservableSurface(t *testing.T) {
 	srv, base := newTestServer(t)

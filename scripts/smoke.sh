@@ -8,20 +8,12 @@
 # three binaries. A model too large to compile quickly must be refused with
 # 400 without stalling the daemon, and a sweep asking for 4096 workers must
 # be answered (the daemon clamps it to its CPU count) without stalling it.
-#
-# With a fourth argument (path to dpmload), a load phase follows: the
-# closed-loop generator drives a mixed workload at two concurrency levels
-# with -require-p99, the measured quantiles merge into $BENCH_OUT (default
-# smoke-bench.json next to the log), and GET /v1/trace must return recorded
-# spans for the traffic just issued. That makes `make loadtest` a CI-grade
-# assertion that the serving numbers in BENCH.json were actually measured.
 set -euo pipefail
 
-USAGE="usage: smoke.sh path/to/dpmserved path/to/dpmfeed path/to/dpmtop [path/to/dpmload]"
+USAGE="usage: smoke.sh path/to/dpmserved path/to/dpmfeed path/to/dpmtop"
 BIN="${1:?$USAGE}"
 FEED="${2:?$USAGE}"
 TOP="${3:?$USAGE}"
-LOAD="${4:-}"
 LOG="$(mktemp)"
 trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
 
@@ -155,25 +147,6 @@ has "$METRICS" '^dpmserved_online_warm_total [1-9]' \
 has "$METRICS" '^dpmserved_online_patched_total [1-9]' \
   || { echo "smoke: no patched online refresh recorded"; echo "$METRICS" | grep online; exit 1; }
 
-PHASES="cold solve, cache hit, composite preset, oversized model refused, wide sweep clamped, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh"
-if [ -n "$LOAD" ]; then
-  # Load phase: closed-loop mixed traffic at two concurrency levels against
-  # the same (race-instrumented, under CI) daemon. -require-p99 makes
-  # dpmload itself fail unless every level measured a positive p99 with
-  # zero request errors; the entries merge into BENCH_OUT for benchtrend.
-  BENCH_OUT="${BENCH_OUT:-smoke-bench.json}"
-  "$LOAD" -url "$URL" -model disk -conc 2,8 -requests 400 -seed 42 \
-    -require-p99 -bench-out "$BENCH_OUT" \
-    || { echo "smoke: dpmload failed"; exit 1; }
-  grep -q '"name": "LoadServed/conc=2"' "$BENCH_OUT" || { echo "smoke: LoadServed/conc=2 missing from $BENCH_OUT"; exit 1; }
-  grep -q '"name": "LoadServed/conc=8"' "$BENCH_OUT" || { echo "smoke: LoadServed/conc=8 missing from $BENCH_OUT"; exit 1; }
-  grep -q '"p99_ms"' "$BENCH_OUT" || { echo "smoke: p99_ms missing from $BENCH_OUT"; exit 1; }
-  # Traces for the load traffic must still be retrievable afterwards.
-  LTRACES=$(curl -sSf "$URL/v1/trace?n=20")
-  has "$LTRACES" '"spans"' || fail "no spans retrievable after load" "$LTRACES"
-  PHASES="$PHASES, load @ conc 2+8 with p99"
-fi
-
 kill -TERM "$PID"
 wait "$PID" || { echo "smoke: daemon exited non-zero on SIGTERM"; exit 1; }
-echo "smoke: ok ($PHASES, clean shutdown)"
+echo "smoke: ok (cold solve, cache hit, composite preset, oversized model refused, wide sweep clamped, trace retrieval, live /v1/solves mid-flight, dpmtop snapshot, online drift refresh, clean shutdown)"
