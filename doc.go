@@ -204,9 +204,11 @@
 // stretched to 960 at m ≥ 4096) because Markowitz elimination grows
 // superlinearly with m while one more Forrest–Tomlin eta costs only its
 // nonzeros; stability checks still force early refactorization when the
-// chain degrades. And the elimination's row
-// merges gallop: binary-search the eliminated column, bulk-copy untouched
-// runs. Finally the kernel owns its storage, as the dense one does:
+// chain degrades. The elimination's row merges binary-search the
+// eliminated column and bulk-copy untouched runs, but each merge still
+// rewrites the whole target row, so it costs the long side, not the short
+// one: on solve-k5's (I−αP_π)ᵀ a merge copies about ten target-row entries
+// per pivot-row entry, and nine merges in ten add no fill. Finally the kernel owns its storage, as the dense one does:
 // mat.SparseLU.Refactor factors each basis of a solve into the arrays of
 // the previous factorization (V's rows in one compacting arena, L and the
 // Forrest–Tomlin etas in reused buffers, the Markowitz buckets and all
@@ -221,7 +223,10 @@
 // so it is kept free of garbage and repeated work. The dense LU factors in
 // place into kernel-owned storage and solves into caller buffers
 // (mat.LU.FactorInPlace, SolveInto, SolveTInto, with the floating-point
-// order of the allocating Factor/Solve/SolveT), retired eta vectors are
+// order of the allocating Factor/Solve/SolveT); its triangular solves are
+// column sweeps, x_i −= l_ij·x_j for every entry a final x_j still
+// affects, whose independent iterations pipeline and whose zero x_j skip
+// a whole column. Retired eta vectors are
 // recycled, and the standard form's constraint matrix is assembled by a
 // counting transpose of rows that are already sorted and merged
 // (lp.CompressRow) instead of a triplet sort. A basis is never

@@ -102,7 +102,7 @@ func TestColdSweepPin(t *testing.T) {
 	}
 
 	const (
-		wantDigest                = "d69d9c82476635a905fa8e0deaeedb3ea97307340c522ea44c41246c57c24406"
+		wantDigest                = "f07e73521afe4f75c40bbda07ed90cc284ba7e27a39309833f989e7b212d45bf"
 		wantPivots, wantRefactors = 1619, 72
 		wantFeasible              = 14
 	)

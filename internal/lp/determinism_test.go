@@ -91,9 +91,9 @@ func solutionDigest(t *testing.T, sol *Solution, basis *Basis) string {
 // still fan out over a worker pool; the sequential scans that replaced it
 // reproduce them exactly.
 var pricingGolden = map[string]trajectoryPin{
-	"balance-mild/dense+dantzig":  {Optimal, 17, 3, "6ae4252e3cccd6bedca6a9d333593c755a0c891722bbc4d4ab0493cdd3f6ca7e"},
+	"balance-mild/dense+dantzig":  {Optimal, 17, 3, "f9ebf8a5746021f83dbd96404f88d4aa4b37edfd66e548305117fe9cfd781358"},
 	"balance-mild/sparse+devex":   {Optimal, 17, 3, "83ac17c36b92e094b73054504f737eb158fda36d8e65cb5754ae55945cf0f28e"},
-	"balance-stiff/dense+dantzig": {Optimal, 16, 3, "f45ac66e3bda54959c4a2032fc6a24fd633cd5eab4ad7e360f829ca6a7674096"},
+	"balance-stiff/dense+dantzig": {Optimal, 16, 3, "c1e04b4d2451fc082e34fa0be37859c707341b21da73acbe0934b5d39984b525"},
 	"balance-stiff/sparse+devex":  {Optimal, 15, 3, "a06ec0a6cfd4c7059d43ca324214af9da12743bbd6d0bb6798de7231d0c87681"},
 	"beale/dense+dantzig":         {Optimal, 2, 2, "f6b19668d6951b5f325a3a66504fea52909b13c65afdd3e78f1019380a2308f5"},
 	"beale/sparse+devex":          {Optimal, 2, 2, "f6b19668d6951b5f325a3a66504fea52909b13c65afdd3e78f1019380a2308f5"},
@@ -105,7 +105,7 @@ var pricingGolden = map[string]trajectoryPin{
 	"min-ge/sparse+devex":         {Optimal, 3, 3, "35e0acbf77352c2bba3f8b8bdde3990f9f139ed5cffc8a12413110f606da8b11"},
 	"neg-rhs/dense+dantzig":       {Optimal, 1, 2, "7bbb47c462cb5cd8873764140a2baf0fbd128ce6740eff1900e6e2a670d9a35f"},
 	"neg-rhs/sparse+devex":        {Optimal, 1, 2, "7bbb47c462cb5cd8873764140a2baf0fbd128ce6740eff1900e6e2a670d9a35f"},
-	"random-a0/dense+dantzig":     {Optimal, 8, 3, "6c6393f42f4117705a0382748cd30c2007587805808f4cd24f4cefd6c6ae1550"},
+	"random-a0/dense+dantzig":     {Optimal, 8, 3, "59292c74973de278e7a868e7489b7b7d09dc865c4bf192a39aaceda9e2d4382d"},
 	"random-a0/sparse+devex":      {Optimal, 8, 3, "c2fdea088d4b11dd884a4959c877360da3cc813920201286a0a19ac76b028edf"},
 	"random-a1/dense+dantzig":     {Optimal, 4, 3, "af3cba28c41fa7357a4843c7c37a3b88ac1aefefeebf6e893454e4966a46c717"},
 	"random-a1/sparse+devex":      {Optimal, 4, 3, "af3cba28c41fa7357a4843c7c37a3b88ac1aefefeebf6e893454e4966a46c717"},
@@ -153,7 +153,7 @@ var pricingGolden = map[string]trajectoryPin{
 	"random-l0/sparse+devex":      {Optimal, 2, 2, "b49e224d5fdc7670d37b14a36457a83fce9591c2911dff5db912272e5420f75c"},
 	"random-l1/dense+dantzig":     {Unbounded, 2, 2, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
 	"random-l1/sparse+devex":      {Unbounded, 2, 2, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
-	"random-m0/dense+dantzig":     {Optimal, 6, 3, "8bdcd59cd5323c5f090fa7117f6f293f014e73ff48abee34b8cb9ed781174fe5"},
+	"random-m0/dense+dantzig":     {Optimal, 6, 3, "8337206164e2996d40cc2b4ab45fa37f92345594906c22a57b1cd533f3f97f5e"},
 	"random-m0/sparse+devex":      {Optimal, 6, 3, "7267871e99ed68f26a0105e58db9eee5b87d8bdae93b87a88ab576954cb6dc43"},
 	"random-m1/dense+dantzig":     {Optimal, 6, 3, "5c227b90e771b1edf60a9492cf2aed85457274a8e49b688b3ffa8a06d79d6264"},
 	"random-m1/sparse+devex":      {Optimal, 5, 2, "71f7312747fdccdb3213fc10b59ea579da450d1c06ef5d9805a4700f89b87396"},
@@ -183,7 +183,7 @@ var pricingGolden = map[string]trajectoryPin{
 	"random-x0/sparse+devex":      {Optimal, 5, 3, "000bbc7c6fc51bd1fec685cd42ce4aeb93327476a06f52dbbbfe06829694e9a0"},
 	"random-y0/dense+dantzig":     {Optimal, 3, 3, "57ffbbd01b3af767675d129839c7ed3fba3cf44dd7879034a84e0d3c2dd6bd74"},
 	"random-y0/sparse+devex":      {Optimal, 3, 3, "57ffbbd01b3af767675d129839c7ed3fba3cf44dd7879034a84e0d3c2dd6bd74"},
-	"random-z0/dense+dantzig":     {Optimal, 11, 3, "79c67ff3d482576e87bb1c976ed7d6c67d899402a606c78be6cfdd7ccef2bf5c"},
+	"random-z0/dense+dantzig":     {Optimal, 11, 3, "119b8847e5fb6525a59872b2a8ab2bfcf8eb6c24d9085be075061da2a1fa8514"},
 	"random-z0/sparse+devex":      {Optimal, 9, 3, "16bcf689cb75d1e88826ed74d58767bb8340ce290c79c3e06449d2c8a866d511"},
 	"redundant-eq/dense+dantzig":  {Optimal, 1, 2, "84f55809c95c39c2afdbc78aeab1bdcd830d3c2dc48591a7209d2a8c2beec0c5"},
 	"redundant-eq/sparse+devex":   {Optimal, 1, 2, "84f55809c95c39c2afdbc78aeab1bdcd830d3c2dc48591a7209d2a8c2beec0c5"},
@@ -191,9 +191,9 @@ var pricingGolden = map[string]trajectoryPin{
 	"textbook-max/sparse+devex":   {Optimal, 2, 2, "9e0054c6c904a3753bc7b041cf26da78e3851cdb98916be53e0d3905a8cfcf4b"},
 	"unbounded/dense+dantzig":     {Unbounded, 1, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
 	"unbounded/sparse+devex":      {Unbounded, 1, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
-	"wide-cover/dense+dantzig":    {Optimal, 218, 7, "e8e48897da37948c456cd1af76decce624edd6ec6cfb2d7128f5a61c7f768496"},
+	"wide-cover/dense+dantzig":    {Optimal, 218, 7, "34612182a2953a01a8b7a64ef4ed6fda8dea2f578928a61ab355544db8b85a7d"},
 	"wide-cover/sparse+devex":     {Optimal, 227, 4, "bd5d3facd889cc2b3cb3a56e1bf3cc75cbfd967fcb00487fa5529fd47e83d797"},
-	"wide-mixed/dense+dantzig":    {Optimal, 172, 5, "327ae336426b855ddf0d584efbcb265e65cb832c7f4a117ce351d533e94e8718"},
+	"wide-mixed/dense+dantzig":    {Optimal, 172, 5, "bcfd1e28e05865b4e2933aaa8ceff3af8b2646c77ca12eadfa06b841c497be3f"},
 	"wide-mixed/sparse+devex":     {Optimal, 188, 4, "9df95ae87fd718e3e639dc9dbc4ef275d52587fcee7c4462cd74461615dddc73"},
 }
 

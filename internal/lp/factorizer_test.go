@@ -11,8 +11,8 @@ import (
 
 // TestDenseFactorizerSteadyStateAllocs gates the small-LP kernel's
 // allocation contract: once a first refactorization cycle has sized its
-// buffers and eta vectors, Refactor, Ftran, BtranSp and Update allocate
-// nothing — a pivot costs arithmetic only.
+// buffers and eta vectors, Refactor, Ftran, Btran, BtranSp and Update
+// allocate nothing — a pivot costs arithmetic only.
 func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 	p := parityProblems()["balance-stiff"]
 	sf, st := newStdForm(p)
@@ -22,7 +22,7 @@ func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 	f := &denseFactorizer{}
 	basis := append([]int(nil), sf.initBasis...)
 	in, out := mat.NewSpVec(sf.m), mat.NewSpVec(sf.m)
-	w := mat.NewVector(sf.m)
+	w, y := mat.NewVector(sf.m), mat.NewVector(sf.m)
 	const updates = 4
 	cycle := func() {
 		if err := f.Refactor(sf.a, basis); err != nil {
@@ -47,6 +47,8 @@ func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 			in.Reset()
 			in.Set(row, 1)
 			f.BtranSp(in, out)
+			copy(y, w)
+			f.Btran(y)
 			if err := f.Update(row, w, rows, vals); err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +56,7 @@ func TestDenseFactorizerSteadyStateAllocs(t *testing.T) {
 	}
 	cycle() // sizes the LU buffers and the eta file
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Errorf("steady-state refactor + %d × (Ftran, BtranSp, Update) allocated %.1f times, want 0", updates, allocs)
+		t.Errorf("steady-state refactor + %d × (Ftran, BtranSp, Btran, Update) allocated %.1f times, want 0", updates, allocs)
 	}
 }
 

@@ -38,7 +38,10 @@
 //	warm Refactor fails                    cold fallback                 TestWarmRefactorFailureFallsBackCold
 //	warm basis has a nonzero artificial    cold fallback                 TestWarmNonzeroArtificialFallsBackCold
 //	warm optimum fails recomputed d_j      cold fallback                 FuzzLoadCache seed drifted-reduced-costs
-//	final values fail verify's row test    Numerical, one attempt        TestColdVerifyRejectionIsNumerical
+//	final values fail verify's LE row      Numerical, one attempt        TestColdVerifyRejectionIsNumerical
+//	final values fail verify's GE row      Numerical, one attempt        TestColdVerifyGERejectionIsNumerical
+//	final values fail verify's EQ row      Numerical, one attempt        TestColdVerifyEQRejectionIsNumerical
+//	final values hold a NaN or ±Inf        Numerical, one attempt        TestColdVerifyNonFiniteIsNumerical
 //	warm basis primal infeasible           dual-simplex repair           TestWarmDualSimplexAtScale
 //	dual pivot with |w[row]| ≤ pivotTol    cold fallback                 TestWarmDualTinyPivotFallsBackCold
 //	basis by rows names a column twice     cold fallback                 TestBasisFromRows
@@ -339,16 +342,12 @@ const (
 	// relative test on a sum, where primalTol is an absolute test on one
 	// value: see phase1Feasible for why the mass, not 1+Σb, scales it.
 	phase1RelTol = 1e-7
-	// verifyNegTol and verifyRowTol are verify's checks of a finished
-	// solution against the original problem: a structural value may sit
-	// verifyNegTol below zero, and a row may miss its rhs by
-	// verifyRowTol·(1+scale), scale being the largest of |rhs| and the
-	// row's terms. verify is a last line against a wrong answer, not a
-	// second feasibility test: the pivot loop already held every basic
-	// value above −primalTol, and row residuals accumulate roundoff over
-	// the row's terms, so both sit well above primalTol to never reject
-	// what the loop accepted.
-	verifyNegTol = 1e-7
+	// verifyRowTol is verify's check of a finished solution against the
+	// original problem: a row may miss its rhs by verifyRowTol·(1+scale),
+	// scale being the largest of |rhs| and the row's terms. verify is a
+	// last line against a wrong answer, not a second feasibility test: row
+	// residuals accumulate roundoff over the row's terms, so it sits well
+	// above primalTol to never reject what the pivot loop accepted.
 	verifyRowTol = 1e-6
 )
 
@@ -551,10 +550,12 @@ func (sf *stdForm) phase1Feasible(residual float64) bool {
 }
 
 // verify checks the candidate solution against the original problem with a
-// scale-relative tolerance.
+// scale-relative tolerance. It needs no sign check: phase 2 clamps every
+// structural value at zero before it builds x, so only a NaN or ±Inf, which
+// the clamp passes through, can be out of range.
 func (sf *stdForm) verify(x []float64) bool {
 	for _, v := range x {
-		if v < -verifyNegTol || math.IsNaN(v) || math.IsInf(v, 0) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
 	}

@@ -28,12 +28,13 @@ type faultPlan struct {
 	// refactorAfterUpdate fails the first Refactor that follows the failed
 	// Update as well: the rebuild the solver makes to recover from it.
 	refactorAfterUpdate bool
-	// doubleFtranAt doubles the result of that 1-based Ftran call (0:
-	// none). zeroFtranAfterBtran zeroes the first Ftran result that follows
+	// scaleFtranAt multiplies the result of that 1-based Ftran call by
+	// ftranScale (0: none). zeroFtranAfterBtran zeroes the first Ftran result that follows
 	// a BtranSp call: a warm start's first BtranSp is its first dual pivot's
 	// leaving row (a primal pivot FTRANs before it BTRANs), so the zeroed
 	// result is that pivot's entering direction.
-	doubleFtranAt       int
+	scaleFtranAt        int
+	ftranScale          float64
 	zeroFtranAfterBtran bool
 	refactors, updates  int
 	ftrans              int
@@ -79,9 +80,9 @@ func (f faultyFactorizer) Ftran(v mat.Vector) mat.Vector {
 	p := f.plan
 	p.ftrans++
 	switch {
-	case p.ftrans == p.doubleFtranAt:
+	case p.ftrans == p.scaleFtranAt:
 		for i := range w {
-			w[i] *= 2
+			w[i] *= p.ftranScale
 		}
 		p.ftranHit = true
 	case p.zeroFtranAfterBtran && p.btranSeen && !p.ftranHit:
@@ -370,24 +371,57 @@ func TestWarmNonzeroArtificialFallsBackCold(t *testing.T) {
 }
 
 // TestColdVerifyRejectionIsNumerical: a cold solve whose final basic values
-// pass phase 2's sign check but violate a row of the original problem
+// pass phase 2's sign check but violate an LE row of the original problem
 // beyond verify's tolerance is Numerical, and the cold verdict is final.
 // The solve's last FTRAN is phase 2's final exact recomputation of the
 // basic values; doubling it keeps them nonnegative but moves the optimum
 // x = 4, y = 6 of min 2x + 3y, x + y ≥ 10, x ≤ 4 to x = 8, which breaks
 // the cap.
 func TestColdVerifyRejectionIsNumerical(t *testing.T) {
-	p := sweepProblem(4)
+	checkFinalFtranRejected(t, sweepProblem(4), 2)
+}
+
+// TestColdVerifyGERejectionIsNumerical: halving the same final FTRAN moves
+// the optimum to x = 2, y = 3, within the cap but short of the cover row
+// x + y ≥ 10, which verify's GE test rejects.
+func TestColdVerifyGERejectionIsNumerical(t *testing.T) {
+	checkFinalFtranRejected(t, sweepProblem(4), 0.5)
+}
+
+// TestColdVerifyEQRejectionIsNumerical: with the cover row an equality,
+// x + y = 10, doubling the final FTRAN gives x + y = 20, which verify's EQ
+// test rejects before it reaches the cap.
+func TestColdVerifyEQRejectionIsNumerical(t *testing.T) {
+	p := NewProblem(Minimize, 2)
+	p.Obj = []float64{2, 3}
+	p.AddConstraint("cover", []float64{1, 1}, EQ, 10)
+	p.AddConstraint("cap", []float64{1, 0}, LE, 4)
+	checkFinalFtranRejected(t, p, 2)
+}
+
+// TestColdVerifyNonFiniteIsNumerical: a NaN in the final FTRAN passes
+// phase 2's sign check and its clamp at zero (NaN < 0 is false), so only
+// verify's NaN/±Inf test can reject it.
+func TestColdVerifyNonFiniteIsNumerical(t *testing.T) {
+	checkFinalFtranRejected(t, sweepProblem(4), math.NaN())
+}
+
+// checkFinalFtranRejected solves p cold under both kernels with its last
+// FTRAN, phase 2's final recomputation of the basic values, multiplied by
+// scale, and wants verify to turn the attempt Numerical: no basis, and no
+// second attempt.
+func checkFinalFtranRejected(t *testing.T, p *Problem, scale float64) {
+	t.Helper()
 	for _, kc := range kernelConfigs {
 		var count faultPlan
 		if sol, _, _, err := solveFaulty(p, nil, kc.opts, &count); err != nil || count.ftrans == 0 {
 			t.Fatalf("%s: unfailed solve: status %v, err %v, %d FTRANs", kc.name, sol.Status, err, count.ftrans)
 		}
-		plan := faultPlan{doubleFtranAt: count.ftrans}
+		plan := faultPlan{scaleFtranAt: count.ftrans, ftranScale: scale}
 		sol, basis, at, err := solveFaulty(p, nil, kc.opts, &plan)
 		if !plan.ftranHit || sol.Status != Numerical || !errors.Is(err, ErrNotOptimal) || basis != nil {
-			t.Errorf("%s: final FTRAN doubled (hit %v): status %v, err %v, basis %v; want Numerical and no basis",
-				kc.name, plan.ftranHit, sol.Status, err, basis)
+			t.Errorf("%s: final FTRAN scaled by %g (hit %v): status %v, err %v, basis %v; want Numerical and no basis",
+				kc.name, scale, plan.ftranHit, sol.Status, err, basis)
 		}
 		if at.starts != 1 || at.finishes != 1 {
 			t.Errorf("%s: %d starts, %d finishes; want one attempt", kc.name, at.starts, at.finishes)

@@ -9,6 +9,13 @@ import "math"
 // single LU refactorized in place and solved through SolveInto/SolveTInto
 // allocates nothing once its pivot vector is sized, which is what lets the
 // simplex basis kernel refactorize and solve per pivot without garbage.
+//
+// The factors are packed row-major in one n×n matrix: L's multipliers below
+// the diagonal (its unit diagonal implied), U on and above it. The solves
+// sweep them by columns of the triangle being solved (see SolveInto and
+// SolveTInto), and that order of operations is part of the contract: the
+// simplex's pivot trajectories are reproducible bit for bit only while it
+// holds.
 type LU struct {
 	lu   *Matrix
 	piv  []int
@@ -108,6 +115,13 @@ func (f *LU) Solve(b Vector) Vector {
 
 // SolveInto solves A x = b into x without allocating. b is not modified;
 // x must not alias b.
+//
+// Both triangular passes are column sweeps: once x_j is final it is
+// subtracted from every entry it still affects (x_i −= l_ij·x_j), so the
+// inner loop's iterations are independent and a zero x_j skips its column.
+// The forward pass with L applies each entry's subtractions in ascending j,
+// as a row-by-row dot product would; the backward pass with U applies them
+// in descending j. Both read their columns with stride n.
 func (f *LU) SolveInto(x, b Vector) {
 	n := f.lu.Rows
 	if len(b) != n || len(x) != n {
@@ -117,23 +131,28 @@ func (f *LU) SolveInto(x, b Vector) {
 	for i, p := range f.piv {
 		x[i] = b[p]
 	}
-	// Forward substitution with unit lower triangle.
-	for i := 1; i < n; i++ {
-		row := data[i*n : i*n+i]
-		s := x[i]
-		for j, v := range row {
-			s -= v * x[j]
+	// Forward substitution with unit lower triangle: column j of L below
+	// the diagonal.
+	for j := 0; j < n-1; j++ {
+		xj := x[j]
+		if xj == 0 {
+			continue
 		}
-		x[i] = s
+		for i, k := j+1, (j+1)*n+j; i < n; i, k = i+1, k+n {
+			x[i] -= data[k] * xj
+		}
 	}
-	// Back substitution with upper triangle.
-	for i := n - 1; i >= 0; i-- {
-		row := data[i*n : (i+1)*n]
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
+	// Back substitution with upper triangle: column j of U above the
+	// diagonal.
+	for j := n - 1; j >= 0; j-- {
+		xj := x[j] / data[j*n+j]
+		x[j] = xj
+		if xj == 0 {
+			continue
 		}
-		x[i] = s / row[i]
+		for i, k := 0, j; i < j; i, k = i+1, k+n {
+			x[i] -= data[k] * xj
+		}
 	}
 }
 
@@ -151,6 +170,12 @@ func (f *LU) SolveT(b Vector) Vector {
 
 // SolveTInto solves Aᵀ x = b into x without allocating (see SolveT). b is
 // consumed: the triangular passes run in place on it. x must not alias b.
+//
+// The passes are column sweeps of Uᵀ and Lᵀ, that is, row sweeps of the
+// packed factors: a final z_j is subtracted from every entry it still
+// affects, reading row j of U (or of L) contiguously, and a zero z_j skips
+// its row. The forward pass with Uᵀ applies each entry's subtractions in
+// ascending j; the backward pass with Lᵀ applies them in descending j.
 func (f *LU) SolveTInto(x, b Vector) {
 	n := f.lu.Rows
 	if len(b) != n || len(x) != n {
@@ -158,23 +183,31 @@ func (f *LU) SolveTInto(x, b Vector) {
 	}
 	data := f.lu.Data
 	z := b
-	// Forward substitution with Uᵀ (lower triangular, diagonal from U):
-	// column i of U, read down its rows above the diagonal.
-	for i := 0; i < n; i++ {
-		s := z[i]
-		for j := 0; j < i; j++ {
-			s -= data[j*n+i] * z[j]
+	// Forward substitution with Uᵀ (lower triangular, diagonal from U): row
+	// j of U right of the diagonal.
+	for j := 0; j < n; j++ {
+		row := data[j*n : (j+1)*n]
+		zj := z[j] / row[j]
+		z[j] = zj
+		if zj == 0 {
+			continue
 		}
-		z[i] = s / data[i*n+i]
+		tail := z[j+1 : n]
+		for i, v := range row[j+1:] {
+			tail[i] -= v * zj
+		}
 	}
-	// Back substitution with Lᵀ (unit-diagonal upper triangular): column i
-	// of L below the diagonal, j ascending.
-	for i := n - 1; i >= 0; i-- {
-		s := z[i]
-		for j := i + 1; j < n; j++ {
-			s -= data[j*n+i] * z[j]
+	// Back substitution with Lᵀ (unit-diagonal upper triangular): row j of
+	// L left of the diagonal.
+	for j := n - 1; j > 0; j-- {
+		zj := z[j]
+		if zj == 0 {
+			continue
 		}
-		z[i] = s
+		head := z[:j]
+		for i, v := range data[j*n : j*n+j] {
+			head[i] -= v * zj
+		}
 	}
 	for i, p := range f.piv {
 		x[p] = z[i]
