@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -14,12 +16,13 @@ import (
 	"repro/internal/markov"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // reportSolveStats surfaces one solve's work counters and its per-stage
-// timing breakdown as benchmark metrics, so BENCH.json records not just how
-// long the solve took but where the time went (ftran/btran/price/factor/
-// update — see lp.Timings for the stage partition).
+// timing breakdown as benchmark metrics, so the output records not just
+// how long the solve took but where the time went (ftran/btran/price/
+// factor/update — see lp.Timings for the stage partition).
 func reportSolveStats(b *testing.B, res *core.Result) {
 	b.Helper()
 	b.ReportMetric(float64(res.LPIterations), "pivots")
@@ -88,54 +91,35 @@ func BenchmarkExampleA2(b *testing.B) { benchExperiment(b, "exampleA2") }
 // computation the paper reports took "less than 1 min" per curve on a
 // SUN UltraSPARC.
 func BenchmarkOptimizeDisk(b *testing.B) {
-	sr := core.TwoStateSR("w", 0.002, 0.3)
-	sys := devices.DiskSystem(sr)
-	m, err := sys.Build()
+	m, opts := optimizeDisk(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		optimize(b, m, opts)
+	}
+}
+
+// optimizeDisk is BenchmarkOptimizeDisk's query: one point of the disk
+// study, minimum power under penalty ≤ 0.3.
+func optimizeDisk(tb testing.TB) (*core.Model, core.Options) {
+	m, opts, _ := sweepDiskStudy(tb)
+	opts.Bounds = []core.Bound{{Metric: core.MetricPenalty, Rel: lp.LE, Value: 0.3}}
+	return m, opts
+}
+
+// optimize is one cold core.Optimize of m under opts.
+func optimize(tb testing.TB, m *core.Model, opts core.Options) *core.Result {
+	tb.Helper()
+	res, err := core.Optimize(m, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts := core.Options{
-		Alpha:            core.HorizonToAlpha(1e6),
-		Initial:          core.Delta(m.N, sys.Index(core.State{SP: devices.DiskActive})),
-		Objective:        core.Objective{Metric: core.MetricPower, Sense: lp.Minimize},
-		Bounds:           []core.Bound{{Metric: core.MetricPenalty, Rel: lp.LE, Value: 0.3}},
-		UnvisitedCommand: devices.DiskGoActive,
-		SkipEvaluation:   true,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(m, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return res
 }
 
-// BenchmarkSweepDisk measures the full Pareto-curve computation for the
-// disk case study — the per-curve cost behind each of the paper's tradeoff
-// plots — through the public facade on the parallel warm-started engine.
-// Compare with internal/sweep's benchmarks for the sequential/cold grid.
-func BenchmarkSweepDisk(b *testing.B) {
-	m, opts, bounds := sweepDiskStudy(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := repro.ParallelParetoSweep(context.Background(), m, opts, core.MetricPenalty, lp.LE, bounds, repro.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			st := repro.ParetoSweepStats(pts)
-			b.ReportMetric(float64(st.WarmStarted), "warm/sweep")
-			b.ReportMetric(float64(st.Pivots), "pivots/sweep")
-			b.ReportMetric(float64(st.Refactorizations), "refactors/sweep")
-		}
-	}
-}
-
-// sweepDiskStudy is BenchmarkSweepDisk's fixture: the disk case study at
-// horizon 10⁶ minimizing power, and the 16-point penalty-bound grid 0.05,
-// 0.10, …, 0.80 it sweeps.
+// sweepDiskStudy is the disk case study at horizon 10⁶ minimizing power,
+// and the 16-point penalty-bound grid 0.05, 0.10, …, 0.80 that the
+// benchmark's sweep-disk workload sweeps (there with seeded jitter).
 func sweepDiskStudy(tb testing.TB) (*core.Model, core.Options, []float64) {
 	tb.Helper()
 	sys := devices.DiskSystem(core.TwoStateSR("w", 0.002, 0.3))
@@ -158,7 +142,7 @@ func sweepDiskStudy(tb testing.TB) (*core.Model, core.Options, []float64) {
 }
 
 // TestSweepDiskTrajectoryPin pins the total pivot and LU-rebuild counts of
-// BenchmarkSweepDisk's warm curve at one and two workers. The pivots are
+// sweepDiskStudy's warm curve at one and two workers. The pivots are
 // the solver's vertex selection on this grid; a change that moves them
 // changed a pivot trajectory, which must be a deliberate, documented
 // decision rather than a side effect of a performance change. The
@@ -279,15 +263,15 @@ func slackStart(t *testing.T, m *core.Model, opts core.Options) *lp.Solution {
 // (Section VII network), a bursty two-state workload and a shared queue —
 // 27 joint SP states × 8 joint commands, 270 system states and 2160 LP
 // columns at queue capacity 4, 486 states and 3888 columns at capacity 8.
-func largeComposite(b *testing.B, queueCap int) (*core.Model, core.Options) {
-	b.Helper()
+func largeComposite(tb testing.TB, queueCap int) (*core.Model, core.Options) {
+	tb.Helper()
 	sys, err := devices.MultiDiskSystem(3, queueCap, core.TwoStateSR("w", 0.05, 0.2))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := sys.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m, core.Options{
 		Alpha:          core.HorizonToAlpha(1e5),
@@ -298,6 +282,23 @@ func largeComposite(b *testing.B, queueCap int) (*core.Model, core.Options) {
 	}
 }
 
+// TestLargeCompositeTrajectoryPin pins the pivot and LU-rebuild counts of
+// BenchmarkLargeComposite's cold solves at queue capacities 4 and 8. Both
+// LPs are past lp.AtScaleRows, so each solve starts from the
+// policy-iteration crash and runs the sparse kernel; a count that moves
+// means the crash, the pricing or the factorization changed the work the
+// solve does, which must be a deliberate, documented decision.
+func TestLargeCompositeTrajectoryPin(t *testing.T) {
+	for _, tc := range []struct{ queueCap, pivots, refactors int }{{4, 52, 2}, {8, 65, 2}} {
+		m, opts := largeComposite(t, tc.queueCap)
+		res := optimize(t, m, opts)
+		if res.LPIterations != tc.pivots || res.LPRefactorizations != tc.refactors {
+			t.Errorf("q%d: %d pivots, %d refactorizations; want %d, %d",
+				tc.queueCap, res.LPIterations, res.LPRefactorizations, tc.pivots, tc.refactors)
+		}
+	}
+}
+
 // BenchmarkLargeComposite records the sparse end-to-end pipeline (CSR
 // compilation + column-sparse revised simplex) on the same 3-disk
 // composite policy LP at queue capacities 4 and 8. The full-tableau simplex
@@ -305,34 +306,22 @@ func largeComposite(b *testing.B, queueCap int) (*core.Model, core.Options) {
 // the demonstration that the size is tractable at all (the tableau took
 // minutes there).
 func BenchmarkLargeComposite(b *testing.B) {
-	b.Run("sparse-q4", func(b *testing.B) {
-		m, opts := largeComposite(b, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := core.Optimize(m, opts)
-			if err != nil {
-				b.Fatal(err)
+	for _, queueCap := range []int{4, 8} {
+		b.Run(fmt.Sprintf("sparse-q%d", queueCap), func(b *testing.B) {
+			m, opts := largeComposite(b, queueCap)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				optimize(b, m, opts)
 			}
-			if i == b.N-1 {
-				b.ReportMetric(float64(res.LPIterations), "pivots")
-			}
-		}
-	})
-	b.Run("sparse-q8", func(b *testing.B) {
-		m, opts := largeComposite(b, 8)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Optimize(m, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkHeterogeneous is the record of the factored Kronecker composite
-// pipeline on device networks the dense path cannot represent at all.
+// pipeline on device networks the dense path cannot represent at all. The
+// cold solve of the five-component platform is the benchmark's solve-k5
+// workload (bench/run.sh), not a leg here.
 //
 //   - build-k6: compile a six-component platform (disk+CPU+NIC+disk+NIC+disk,
 //     972 joint SP states, queue capacity 4 → 9,720 system states) with
@@ -342,33 +331,20 @@ func BenchmarkLargeComposite(b *testing.B) {
 //     the nonzeros it actually keeps, which is why the leg runs ReportAllocs:
 //     it is the alloc record that nothing scales with |S_p|² or the unmasked
 //     A = Π aᵢ (the compiled Model still tabulates its metrics densely, but
-//     only over the masked command set).
-//   - solve-k5: an optimize query end to end on the five-component platform
-//     (324 joint SP states × 72 joint commands ≈ 2.3·10⁴ state–command pairs
-//     before masking, 648 system states × 7 commands after) — power
-//     minimization under a drop-rate bound, with the solver work (pivots,
-//     basis refactorizations, factor nonzeros) reported next to wall time.
-//     The 649-row basis is past the sparse-kernel threshold, so the solver
-//     runs the sparse LU + Forrest–Tomlin kernel with Devex pricing. The
-//     basis size alone picks the kernel, and there is no dense-LU leg to
-//     compare against. B/op is the record of that kernel's storage reuse:
-//     every refactorization of the solve factors into one SparseLU.
-//   - solve-k6: the same query on the six-component, queue-4 platform
-//     (9,720 system states, ~7.8·10⁴ LP columns) — a basis size where the
-//     dense m×m kernel is not allocatable in reasonable memory and only the
-//     sparse factorizer completes, which is why there is no dense leg.
+//     only over the masked command set). TestAllocBudgets holds it to a
+//     budget.
+//   - solve-k6: power minimization under a drop-rate bound on the
+//     six-component, queue-4 platform (9,720 system states, ~7.8·10⁴ LP
+//     columns), with the solver work (pivots, basis refactorizations, factor
+//     nonzeros) and its stage split reported next to wall time — a basis
+//     size where the dense m×m kernel is not allocatable in reasonable
+//     memory and only the sparse factorizer completes, which is why there
+//     is no dense leg.
 func BenchmarkHeterogeneous(b *testing.B) {
 	b.Run("build-k6", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sys, err := devices.HeterogeneousSystem(6, 4, core.TwoStateSR("w", 0.05, 0.2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := sys.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
+			m := buildK6(b)
 			if i == b.N-1 {
 				nnz := 0
 				for _, p := range m.P {
@@ -380,69 +356,11 @@ func BenchmarkHeterogeneous(b *testing.B) {
 			}
 		}
 	})
-	b.Run("solve-k5", func(b *testing.B) {
-		sys, err := devices.HeterogeneousSystem(5, 0, core.TwoStateSR("w", 0.05, 0.2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := sys.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := core.Options{
-			Alpha:          core.HorizonToAlpha(1e5),
-			Initial:        core.Delta(m.N, 0),
-			Objective:      core.Objective{Metric: core.MetricPower, Sense: lp.Minimize},
-			Bounds:         []core.Bound{{Metric: core.MetricDrops, Rel: lp.LE, Value: 0.04}},
-			SkipEvaluation: true,
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := core.Optimize(m, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				reportSolveStats(b, res)
-			}
-		}
-	})
-	// solve-k5-mon is solve-k5 with a flight recorder attached at the
-	// default cadence — the monitor-overhead record. Its ns/op sits next
-	// to solve-k5 in BENCH.json, so benchtrend gates the observability
-	// layer's cost the same way it gates the solver itself (the monitor
-	// determinism tests prove the trajectory is unchanged; this leg
-	// proves the walltime is too).
-	b.Run("solve-k5-mon", func(b *testing.B) {
-		m, opts := solveK5(b)
-		mon := &countingMonitor{}
-		opts.LPMonitor = mon
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := core.Optimize(m, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				reportSolveStats(b, res)
-				b.ReportMetric(float64(mon.events)/float64(b.N), "mon_events")
-			}
-		}
-	})
 	b.Run("solve-k6", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("skipping in -short mode: ~2 min per iteration")
 		}
-		sys, err := devices.HeterogeneousSystem(6, 4, core.TwoStateSR("w", 0.05, 0.2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := sys.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := buildK6(b)
 		opts := core.Options{
 			Alpha:          core.HorizonToAlpha(1e5),
 			Initial:        core.Delta(m.N, 0),
@@ -453,15 +371,27 @@ func BenchmarkHeterogeneous(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := core.Optimize(m, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := optimize(b, m, opts)
 			if i == b.N-1 {
 				reportSolveStats(b, res)
 			}
 		}
 	})
+}
+
+// buildK6 compiles the six-component, queue-4 heterogeneous platform into
+// its Model: BenchmarkHeterogeneous's build-k6 op.
+func buildK6(tb testing.TB) *core.Model {
+	tb.Helper()
+	sys, err := devices.HeterogeneousSystem(6, 4, core.TwoStateSR("w", 0.05, 0.2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := sys.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
 // BenchmarkFactoredEval is the record of the matrix-free Kronecker
@@ -476,61 +406,224 @@ func BenchmarkHeterogeneous(b *testing.B) {
 // expanded build path has no business touching per-iteration.
 func BenchmarkFactoredEval(b *testing.B) {
 	run := func(b *testing.B, k int, expanded bool) {
-		sr := core.TwoStateSR("w", 0.05, 0.2)
 		b.ReportAllocs()
-		b.ResetTimer()
-		var states, chains float64
+		var states, chains int
 		for i := 0; i < b.N; i++ {
-			sys, err := devices.HeterogeneousSystem(k, 4, sr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fsp := sys.SP.(*core.FactoredSP)
-			var (
-				ch *markov.Chain
-				s  *sim.Simulator
-			)
-			if expanded {
-				m, err := sys.Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ch, err = markov.NewCSR(m.P[0], 1e-7); err != nil {
-					b.Fatal(err)
-				}
-				if s, err = sim.New(m, &policy.Constant{}, sim.Config{Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				op, err := sys.CommandOp(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ch, err = markov.NewOp(op, 1e-7); err != nil {
-					b.Fatal(err)
-				}
-				if s, err = sim.NewDirect(sys, &policy.Constant{}, sim.Config{Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := ch.StationaryIter(1e-10, 0); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Run(100000); err != nil {
-				b.Fatal(err)
-			}
-			if !expanded && fsp.CompiledChains() != 0 {
-				b.Fatalf("factored leg compiled %d joint chains", fsp.CompiledChains())
-			}
-			states = float64(sys.NumStates())
-			chains = float64(fsp.CompiledChains())
+			states, chains = factoredEval(b, k, expanded)
 		}
-		b.ReportMetric(states, "states")
-		b.ReportMetric(chains, "joint_chains")
+		b.ReportMetric(float64(states), "states")
+		b.ReportMetric(float64(chains), "joint_chains")
 	}
 	b.Run("factored-k6", func(b *testing.B) { run(b, 6, false) })
 	b.Run("expanded-k6", func(b *testing.B) { run(b, 6, true) })
 	b.Run("factored-k8", func(b *testing.B) { run(b, 8, false) })
+}
+
+// factoredEval is one BenchmarkFactoredEval op on the k-component, queue-4
+// heterogeneous platform: a stationary analysis of command 0's chain and a
+// 10⁵-slice simulation, through the factored operators or, if expanded,
+// through the compiled Model. It returns the composed state count and the
+// number of joint chains the system compiled; a factored op that compiled
+// any fails tb.
+func factoredEval(tb testing.TB, k int, expanded bool) (states, chains int) {
+	tb.Helper()
+	sys, err := devices.HeterogeneousSystem(k, 4, core.TwoStateSR("w", 0.05, 0.2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fsp := sys.SP.(*core.FactoredSP)
+	var (
+		ch *markov.Chain
+		s  *sim.Simulator
+	)
+	if expanded {
+		m, err := sys.Build()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if ch, err = markov.NewCSR(m.P[0], 1e-7); err != nil {
+			tb.Fatal(err)
+		}
+		if s, err = sim.New(m, &policy.Constant{}, sim.Config{Seed: 1}); err != nil {
+			tb.Fatal(err)
+		}
+	} else {
+		op, err := sys.CommandOp(0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if ch, err = markov.NewOp(op, 1e-7); err != nil {
+			tb.Fatal(err)
+		}
+		if s, err = sim.NewDirect(sys, &policy.Constant{}, sim.Config{Seed: 1}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := ch.StationaryIter(1e-10, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.Run(100000); err != nil {
+		tb.Fatal(err)
+	}
+	if !expanded && fsp.CompiledChains() != 0 {
+		tb.Fatalf("factored op compiled %d joint chains", fsp.CompiledChains())
+	}
+	return sys.NumStates(), fsp.CompiledChains()
+}
+
+// BenchmarkOnlineRefresh is the record of what the online adaptation path
+// saves per drift refresh on the paper's disk case study: the same drifted
+// instance solved (a) the adapter's way — the resident LP's coefficients
+// rewritten in place by core.PatchFrequencyLP and the simplex warm-started
+// from the previous optimal basis — and (b) from scratch — System.Build,
+// BuildFrequencyLP, cold two-phase solve. Pivot counts are reported next to
+// wall time. The benchmark's online-drift workload times refreshes like
+// (a) inside the online.Adapter; TestAllocBudgets holds (a)'s allocations.
+func BenchmarkOnlineRefresh(b *testing.B) {
+	d := newDriftRefresh(b)
+	b.Run("patched-warm", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res := d.patchedWarm(b)
+			if i == b.N-1 {
+				b.ReportMetric(float64(res.LPIterations), "pivots")
+			}
+		}
+	})
+	b.Run("rebuild-cold", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m, err := devices.DiskSystem(d.srNext).Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			res := optimize(b, m, d.opts)
+			if i == b.N-1 {
+				b.ReportMetric(float64(res.LPIterations), "pivots")
+			}
+		}
+	})
+}
+
+// driftRefresh is BenchmarkOnlineRefresh's fixture: the resident state a
+// drift refresh of the disk case study starts from (the previous SR's LP
+// and its optimal basis, in warm) and the drifted SR and model it refreshes
+// to, both SRs extracted from seeded on/off traces.
+type driftRefresh struct {
+	prob       *lp.Problem
+	srNext     *core.ServiceRequester
+	next       *core.Model
+	opts, warm core.Options
+}
+
+func newDriftRefresh(tb testing.TB) *driftRefresh {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(33))
+	srPrev, err := trace.ExtractSR("prev", trace.OnOff(rng, 20000, 0.05, 0.22), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srNext, err := trace.ExtractSR("next", trace.OnOff(rng, 20000, 0.09, 0.16), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := &driftRefresh{
+		srNext: srNext,
+		opts: core.Options{
+			Alpha:     core.HorizonToAlpha(1e4),
+			Objective: core.Objective{Metric: core.MetricPower, Sense: lp.Minimize},
+			Bounds:    []core.Bound{{Metric: core.MetricPenalty, Rel: lp.LE, Value: 1.8}},
+		},
+	}
+	mPrev, err := devices.DiskSystem(srPrev).Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if d.prob, err = core.BuildFrequencyLP(mPrev, d.opts); err != nil {
+		tb.Fatal(err)
+	}
+	prev, err := core.OptimizeProblemCtx(context.Background(), mPrev, d.opts, d.prob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if d.next, err = devices.DiskSystem(srNext).Build(); err != nil {
+		tb.Fatal(err)
+	}
+	d.warm = d.opts
+	d.warm.WarmBasis = prev.Basis
+	return d
+}
+
+// patchedWarm is one refresh the adapter's way: patch the resident LP to
+// the drifted model and warm-start from the previous optimal basis.
+func (d *driftRefresh) patchedWarm(tb testing.TB) *core.Result {
+	tb.Helper()
+	if err := core.PatchFrequencyLP(d.prob, d.next, d.opts); err != nil {
+		tb.Fatal(err)
+	}
+	res, err := core.OptimizeProblemCtx(context.Background(), d.next, d.warm, d.prob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !res.WarmStarted {
+		tb.Fatal("patched refresh fell back to a cold solve")
+	}
+	return res
+}
+
+// TestAllocBudgets holds one op of each headline benchmark leg that no
+// workload of the benchmark (bench/run.sh) measures to a checked-in
+// allocation budget. It counts bytes and allocations from runtime.MemStats
+// around the op, as -benchmem does, and each budget is twice the count the
+// leg measured when it was set (go1.24, linux/amd64). Allocation counts
+// barely move from run to run, so a leg over budget changed what the code
+// allocates. The factored-k6 leg is the one a timing cannot see: the
+// expanded evaluation it replaces allocates 63.2 MB per op, ~47 times the
+// leg's byte budget.
+func TestAllocBudgets(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		// setup prepares the leg outside the measurement and returns its op.
+		setup func(testing.TB) func()
+		// bytes and allocs are the op's counts when its budget was set.
+		bytes, allocs uint64
+	}{
+		{"OptimizeDisk", func(tb testing.TB) func() {
+			m, opts := optimizeDisk(tb)
+			return func() { optimize(tb, m, opts) }
+		}, 257_546, 423},
+		{"LargeComposite/sparse-q4", func(tb testing.TB) func() {
+			m, opts := largeComposite(tb, 4)
+			return func() { optimize(tb, m, opts) }
+		}, 2_704_616, 4_543},
+		{"LargeComposite/sparse-q8", func(tb testing.TB) func() {
+			m, opts := largeComposite(tb, 8)
+			return func() { optimize(tb, m, opts) }
+		}, 5_363_112, 8_209},
+		{"Heterogeneous/build-k6", func(tb testing.TB) func() {
+			return func() { buildK6(tb) }
+		}, 62_670_656, 80_120},
+		{"FactoredEval/factored-k6", func(tb testing.TB) func() {
+			return func() { factoredEval(tb, 6, false) }
+		}, 1_326_968, 21_449},
+		{"OnlineRefresh/patched-warm", func(tb testing.TB) func() {
+			d := newDriftRefresh(tb)
+			return func() { d.patchedWarm(tb) }
+		}, 288_984, 277},
+	} {
+		op := leg.setup(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("%s: %d B/op, %d allocs/op (set at %d, %d)", leg.name, bytes, allocs, leg.bytes, leg.allocs)
+		if bytes > 2*leg.bytes || allocs > 2*leg.allocs {
+			t.Errorf("%s: %d B/op, %d allocs/op; budget %d, %d", leg.name, bytes, allocs, 2*leg.bytes, 2*leg.allocs)
+		}
+	}
 }
 
 // BenchmarkComposeDisk measures system compilation (Eq. 4 composition).

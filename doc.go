@@ -246,7 +246,7 @@
 // wall clock into ftran/btran/price/factor/update, declared once by
 // lp.Timings.Stages, and the breakdown threads through
 // core.Result.LPTimings into cmd/dpmbench's per-experiment solver lines
-// and the BENCH.json stage metrics that cmd/benchtrend gates per stage.
+// and the benchmark's per-layer lp stage numbers.
 // dpmserved declares each served metric once on an obs.Registry, which
 // renders /v1/stats and /metrics; its work counters (pivots,
 // refactorizations, solve_ftran_ns, …) are fed once per solve attempt by

@@ -154,8 +154,10 @@ func TestCacheFileRoundTripOnDisk(t *testing.T) {
 // stopped 1.05e-8 relative above the cold optimum at horizon 1e5, and
 // drifted-reduced-costs, whose warm phase 2 ended 5.1e-5 above it on
 // maintained reduced costs that had drifted from the basis's own (the warm
-// path now rechecks them and falls back to a cold solve).
-const warmGapTol = 1e-6
+// path now rechecks them and falls back to a cold solve). Both now end
+// within 1e-12 of the cold optimum, and 1e-9 is the bound a pinned warm
+// answer is held to elsewhere.
+const warmGapTol = 1e-9
 
 // FuzzLoadCache feeds arbitrary bytes to LoadCache, the -cache-file restore
 // path. The contract: no panic; a rejected document is an error and restores

@@ -10,8 +10,7 @@ import (
 )
 
 // countingMonitor tallies flight-recorder events without retaining them —
-// the cheapest realistic consumer, shared by the parity test and the
-// solve-k5-mon benchmark leg.
+// the cheapest realistic consumer.
 type countingMonitor struct {
 	events, starts, finishes int
 	pivots                   int
@@ -28,9 +27,9 @@ func (m *countingMonitor) Observe(s lp.Snapshot) {
 	}
 }
 
-// solveK5 builds the exact model and options of the solve-k5 headline
-// benchmark (five-component heterogeneous platform, power minimization
-// under a drop-rate bound).
+// solveK5 builds the model and options of the benchmark's solve-k5
+// workload (five-component heterogeneous platform, power minimization
+// under a drop-rate bound) at the middle of its drops band.
 func solveK5(t testing.TB) (*core.Model, core.Options) {
 	sys, err := devices.HeterogeneousSystem(5, 0, core.TwoStateSR("w", 0.05, 0.2))
 	if err != nil {
